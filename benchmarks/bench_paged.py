@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import tempfile
@@ -190,6 +191,8 @@ def main(argv=None) -> int:
     doc = {
         "benchmark": "bench_paged",
         "python": sys.version.split()[0],
+        # Reads/s depend on the host; record what this one was.
+        "host": {"cpu_count": os.cpu_count()},
         "quick": args.quick,
         "targets": {"reopen_speedup": REOPEN_SPEEDUP_TARGET},
         "config": {

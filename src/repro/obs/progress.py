@@ -261,14 +261,21 @@ class ProgressBar:
         self._stream = stream if stream is not None else sys.stderr
         self._width = width
         self._min_interval = min_interval_s
-        self._last_render = 0.0
+        # ``None`` = never rendered: the first update always draws.  A 0.0
+        # start would read as "rendered at boot" to the monotonic clock and
+        # drop the first render on hosts up for less than the interval.
+        self._last_render: float | None = None
         self._lock = threading.Lock()
 
     def __call__(self, tracker: ProgressTracker) -> None:
         now = time.perf_counter()
         final = tracker.finished
         with self._lock:
-            if not final and now - self._last_render < self._min_interval:
+            if (
+                not final
+                and self._last_render is not None
+                and now - self._last_render < self._min_interval
+            ):
                 return
             self._last_render = now
             self._stream.write("\r" + self.render(tracker))

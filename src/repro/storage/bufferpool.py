@@ -14,6 +14,17 @@ Usage is a pin/unpin protocol — hold the pin only while decoding::
     with pool.pin(page_id) as raw:
         node = LeafNode.unpack(raw)
 
+Read-only callers can skip the pin: :meth:`BufferPool.walk` hands them
+the frames themselves.  A frame's bytes never change in place —
+:meth:`BufferPool.put_page` installs a new frame — so a frame stays
+valid for whoever holds it, even after eviction.  Each frame also has a
+``node`` slot where such a caller may keep the decoded form of its
+bytes; the paged B+ tree keeps internal nodes there, so a descent
+decodes each internal page once per residency instead of once per
+visit.  Replacing, freeing or evicting the page drops the frame and its
+decoded node with it, so the slot can never go stale, and ``capacity``
+bounds the cache.
+
 Thread safety: all frame bookkeeping runs under one lock, so concurrent
 readers may pin freely.  Writers (``put_page`` / ``new_page`` /
 ``free_page``) assume the single-writer discipline the store layer
@@ -23,7 +34,8 @@ mutations.
 Every pool publishes its behaviour through ``storage.bufferpool.*``
 metrics: ``hits`` / ``misses`` (counter pair — the hit rate), ``evictions``,
 ``dirty_flushes`` (evictions that had to write back first), and the
-``pinned`` gauge (currently pinned frames across the process).  A pool
+``pinned`` gauge (currently pinned frames across the process; reads
+through :meth:`BufferPool.walk` take no pin and do not move it).  A pool
 opened under a :class:`~repro.storage.sharded.ShardedStore` carries a
 ``shard`` label on its counters, so per-shard hit rates are separable.
 
@@ -40,7 +52,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import StorageError
 from repro.obs import metrics as _metrics
@@ -104,10 +116,14 @@ def current_page_stats() -> PageStats | None:
 
 
 class _Frame:
-    __slots__ = ("data", "pin_count", "dirty")
+    """One resident page.  ``data`` is never reassigned; ``node`` is the
+    caller-owned slot for its decoded form (``None`` until filled)."""
+
+    __slots__ = ("data", "node", "pin_count", "dirty")
 
     def __init__(self, data: bytes):
         self.data = data
+        self.node: Any = None
         self.pin_count = 0
         self.dirty = False
 
@@ -164,6 +180,15 @@ class BufferPool:
             frame = self._frames.get(page_id)
             return frame.dirty if frame is not None else False
 
+    def decoded(self) -> list[tuple[int, bytes, Any]]:
+        """``(page id, bytes, node)`` of every frame holding a decoded node."""
+        with self._lock:
+            return [
+                (page_id, frame.data, frame.node)
+                for page_id, frame in self._frames.items()
+                if frame.node is not None
+            ]
+
     # -- the pin protocol ----------------------------------------------------
 
     @contextmanager
@@ -180,21 +205,47 @@ class BufferPool:
         finally:
             self._release(page_id)
 
+    def walk(self, page_id: int, step: Callable[[int, _Frame], int]) -> _Frame:
+        """Read a chain of pages without pinning them, as a descent does.
+
+        ``step(page_id, frame)`` returns the next page id, or 0 to end
+        the walk; the last frame is returned.  Each page counts one hit
+        or miss and bumps the LRU exactly like :meth:`pin`, but the walk
+        takes the lock once and updates each counter once, so a cached
+        root-to-leaf descent does not pay per-page telemetry.  The
+        caller may keep using ``frame.data`` and ``frame.node`` after
+        the frame is evicted or replaced: only this frame object ever
+        held them.
+        """
+        frames = self._frames
+        hits = misses = 0
+        with self._lock:
+            try:
+                while True:
+                    frame = frames.get(page_id)
+                    if frame is None:
+                        misses += 1
+                        frame = _Frame(self._pager.read_page(page_id))
+                        frames[page_id] = frame
+                        self._shrink_locked()
+                    else:
+                        hits += 1
+                        frames.move_to_end(page_id)
+                    page_id = step(page_id, frame)
+                    if not page_id:
+                        return frame
+            finally:
+                self._count(hits, misses)
+
     def _acquire(self, page_id: int) -> _Frame:
         with self._lock:
             frame = self._frames.get(page_id)
             if frame is not None:
-                self._hits.inc()
-                stats = getattr(_scope, "stats", None)
-                if stats is not None:
-                    stats.hits += 1
+                self._count(1, 0)
                 self._frames.move_to_end(page_id)
                 frame.pin_count += 1
             else:
-                self._misses.inc()
-                stats = getattr(_scope, "stats", None)
-                if stats is not None:
-                    stats.misses += 1
+                self._count(0, 1)
                 frame = _Frame(self._pager.read_page(page_id))
                 # Pin before shrinking: when every other frame is pinned,
                 # eviction must not pick the frame this call hands out.
@@ -203,6 +254,16 @@ class BufferPool:
                 self._shrink_locked()
             _PINNED.inc()
             return frame
+
+    def _count(self, hits: int, misses: int) -> None:
+        if hits:
+            self._hits.inc(hits)
+        if misses:
+            self._misses.inc(misses)
+        stats = getattr(_scope, "stats", None)
+        if stats is not None:
+            stats.hits += hits
+            stats.misses += misses
 
     def _release(self, page_id: int) -> None:
         with self._lock:
@@ -219,17 +280,19 @@ class BufferPool:
 
         The write-back to disk happens on eviction or :meth:`flush`, so
         repeated updates to a hot page cost one disk write, not many.
+        The page gets a new frame (keeping any pins), so a decoded node
+        cached on the old frame goes with it.
         """
         with self._lock:
-            frame = self._frames.get(page_id)
-            if frame is not None:
-                frame.data = data
+            old = self._frames.get(page_id)
+            frame = _Frame(data)
+            frame.dirty = True
+            self._frames[page_id] = frame
+            if old is not None:
+                frame.pin_count = old.pin_count
                 self._frames.move_to_end(page_id)
             else:
-                frame = _Frame(data)
-                self._frames[page_id] = frame
                 self._shrink_locked()
-            frame.dirty = True
 
     def new_page(self) -> int:
         """Allocate a page id from the pager (free list first)."""

@@ -62,15 +62,42 @@ from repro.storage.pages import (
     page_type,
 )
 
-#: Largest packed key accepted.  Bounding the key guarantees a split
-#: half always fits in one page, so splits can never cascade into an
-#: unsplittable node.
+#: Largest packed key accepted.  With values over OVERFLOW_THRESHOLD
+#: spilled, this bounds every leaf cell and internal entry to about
+#: half a page, so any overflowing node can be cut into pieces that fit.
 MAX_KEY_BYTES = 1024
 
 _SEARCHES = _metrics.counter("storage.paged_btree.searches")
 _SPLITS = _metrics.counter("storage.paged_btree.node_splits")
 _BULK_LOADS = _metrics.counter("storage.paged_btree.bulk_loads")
 _DEPTH = _metrics.gauge("storage.paged_btree.depth")
+
+
+def _cut_points(sizes: list[int], capacity: int) -> list[int]:
+    """Where to cut an overflowing node's entries (packed sizes, in key
+    order) so that every piece holds at most ``capacity`` bytes.
+
+    Normally one cut, at about half the bytes.  When a half would not
+    fit, which near-maximal cells or keys of very different lengths can
+    cause, the entries are packed left to right into as many pieces as
+    it takes instead; every single entry fits a page.
+    """
+    total = sum(sizes)
+    acc = 0
+    for i, size in enumerate(sizes[:-1]):
+        acc += size
+        if acc >= total // 2:
+            if acc <= capacity and total - acc <= capacity:
+                return [i + 1]
+            break
+    cuts: list[int] = []
+    acc = 0
+    for i, size in enumerate(sizes):
+        if i and acc + size > capacity:
+            cuts.append(i)
+            acc = 0
+        acc += size
+    return cuts
 
 
 class PagedBTree:
@@ -140,6 +167,8 @@ class PagedBTree:
     # -- node I/O ------------------------------------------------------------
 
     def _read_node(self, page_id: int) -> LeafNode | InternalNode:
+        """A private, freshly decoded copy of a node page: the mutation
+        paths change and write it back, scans follow the leaf chain."""
         with self._pool.pin(page_id) as raw:
             ptype = page_type(raw)
             if ptype == PT_LEAF:
@@ -206,10 +235,36 @@ class PagedBTree:
 
     # -- search --------------------------------------------------------------
 
+    def _leaf_page(self, key: Any) -> bytes:
+        """Raw bytes of the leaf covering ``key``, for read-only callers.
+
+        Each internal page is decoded once per buffer-pool residency and
+        its :class:`InternalNode` kept on the pool frame, so a descent
+        bisects cached key lists.  Those nodes are shared: nothing may
+        mutate them.  One pool hit or miss per page visited, no pins.
+        """
+
+        def child(page_id: int, frame: Any) -> int:
+            raw = frame.data
+            ptype = page_type(raw)
+            if ptype == PT_LEAF:
+                return 0
+            if ptype != PT_INTERNAL:
+                raise PageCorruptionError(
+                    page_id, f"expected a node page, got type {ptype}"
+                )
+            node = frame.node
+            if node is None:
+                node = frame.node = InternalNode.unpack(raw)
+            return node.children[bisect.bisect_right(node.keys, key)]
+
+        return self._pool.walk(self._pager.meta.root, child).data
+
     def _descend(
         self, key: Any
     ) -> tuple[list[tuple[int, InternalNode, int]], int, LeafNode]:
-        """Walk root → leaf for ``key``; returns (path, leaf_pid, leaf)."""
+        """Walk root → leaf for ``key`` decoding private copies of every
+        node (the mutation paths); returns (path, leaf_pid, leaf)."""
         path: list[tuple[int, InternalNode, int]] = []
         page_id = self._pager.meta.root
         node = self._read_node(page_id)
@@ -222,16 +277,13 @@ class PagedBTree:
 
     def get(self, key: Any, default: Any = None) -> bytes | Any:
         self._searches.inc()
-        _path, _pid, leaf = self._descend(key)
-        idx = bisect.bisect_left(leaf.keys, key)
-        if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            return self._load_value(leaf.values[idx])
-        return default
+        stored = LeafNode.find(self._leaf_page(key), key)
+        if stored is None:
+            return default
+        return self._load_value(stored)
 
     def __contains__(self, key: Any) -> bool:
-        _path, _pid, leaf = self._descend(key)
-        idx = bisect.bisect_left(leaf.keys, key)
-        return idx < len(leaf.keys) and leaf.keys[idx] == key
+        return LeafNode.find(self._leaf_page(key), key) is not None
 
     # -- iteration -----------------------------------------------------------
 
@@ -273,7 +325,7 @@ class PagedBTree:
             _pid, leaf = self._leftmost_leaf()
             idx = 0
         else:
-            _path, _pid, leaf = self._descend(lo)
+            leaf = LeafNode.unpack(self._leaf_page(lo))
             idx = bisect.bisect_left(leaf.keys, lo)
         while True:
             while idx < len(leaf.keys):
@@ -317,68 +369,72 @@ class PagedBTree:
         self._split_leaf(path, page_id, leaf)
 
     def _split_leaf(self, path: list, page_id: int, leaf: LeafNode) -> None:
-        self._splits.inc()
-        split = self._leaf_split_point(leaf)
-        right_pid = self._pool.new_page()
-        right = LeafNode(
-            keys=leaf.keys[split:],
-            values=leaf.values[split:],
-            prev_leaf=page_id,
-            next_leaf=leaf.next_leaf,
-        )
-        left = LeafNode(
-            keys=leaf.keys[:split],
-            values=leaf.values[:split],
-            prev_leaf=leaf.prev_leaf,
-            next_leaf=right_pid,
-        )
-        if right.next_leaf:
-            successor = self._read_node(right.next_leaf)
+        sizes = [
+            leaf.cell_size(len(pack_key(key)), value)
+            for key, value in zip(leaf.keys, leaf.values)
+        ]
+        bounds = [0, *_cut_points(sizes, PAGE_SIZE - HEADER_SIZE - 4), len(sizes)]
+        self._splits.inc(len(bounds) - 2)
+        pids = [page_id] + [self._pool.new_page() for _ in bounds[2:]]
+        pieces = [
+            LeafNode(
+                keys=leaf.keys[lo:hi],
+                values=leaf.values[lo:hi],
+                prev_leaf=pids[j - 1] if j else leaf.prev_leaf,
+                next_leaf=pids[j + 1] if j + 1 < len(pids) else leaf.next_leaf,
+            )
+            for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
+        if leaf.next_leaf:
+            successor = self._read_node(leaf.next_leaf)
             if isinstance(successor, LeafNode):
-                successor.prev_leaf = right_pid
-                self._write_node(right.next_leaf, successor)
-        self._write_node(right_pid, right)
-        self._write_node(page_id, left)
-        self._insert_into_parent(path, page_id, right.keys[0], right_pid)
-
-    @staticmethod
-    def _leaf_split_point(leaf: LeafNode) -> int:
-        """First index of the right half: split at ~half the payload bytes."""
-        total = leaf.packed_size() - HEADER_SIZE - 4
-        half = total // 2
-        acc = 0
-        for i, (key, value) in enumerate(zip(leaf.keys, leaf.values)):
-            acc += leaf.cell_size(key, value)
-            if acc >= half and i + 1 < len(leaf.keys):
-                return i + 1
-        return max(1, len(leaf.keys) - 1)
+                successor.prev_leaf = pids[-1]
+                self._write_node(leaf.next_leaf, successor)
+        for pid, piece in zip(pids[1:], pieces[1:]):
+            self._write_node(pid, piece)
+        self._write_node(page_id, pieces[0])
+        siblings = [(piece.keys[0], pid) for pid, piece in zip(pids[1:], pieces[1:])]
+        self._insert_into_parent(path, page_id, siblings)
 
     def _insert_into_parent(
-        self, path: list, left_pid: int, separator: Any, right_pid: int
+        self, path: list, left_pid: int, siblings: list[tuple[Any, int]]
     ) -> None:
+        """Link ``(separator, page id)`` siblings in right of ``left_pid``,
+        splitting every ancestor that overflows."""
         while path:
             page_id, node, idx = path.pop()
-            node.keys.insert(idx, separator)
-            node.children.insert(idx + 1, right_pid)
+            node.keys[idx:idx] = [key for key, _pid in siblings]
+            node.children[idx + 1 : idx + 1] = [pid for _key, pid in siblings]
             if node.packed_size() <= PAGE_SIZE:
                 self._write_node(page_id, node)
                 return
-            # Split the internal node: the median key moves up (B+
-            # internals do not duplicate it).
-            self._splits.inc()
-            mid = len(node.keys) // 2
-            separator = node.keys[mid]
-            right = InternalNode(
-                keys=node.keys[mid + 1 :], children=node.children[mid + 1 :]
+            # Split the internal node: the key at each cut moves up (B+
+            # internals do not duplicate it).  Each key is sized with the
+            # child to its right, the layout's (key, child) pairs.
+            cuts = _cut_points(
+                [2 + len(pack_key(key)) + 4 for key in node.keys],
+                PAGE_SIZE - HEADER_SIZE - 4,
             )
-            node.keys = node.keys[:mid]
-            node.children = node.children[: mid + 1]
-            new_pid = self._pool.new_page()
-            self._write_node(new_pid, right)
-            self._write_node(page_id, node)
-            left_pid, right_pid = page_id, new_pid
+            self._splits.inc(len(cuts))
+            starts = [0, *(cut + 1 for cut in cuts)]
+            ends = [*cuts, len(node.keys)]
+            pieces = [
+                InternalNode(keys=node.keys[a:b], children=node.children[a : b + 1])
+                for a, b in zip(starts, ends)
+            ]
+            siblings = [(node.keys[cut], self._pool.new_page()) for cut in cuts]
+            for (_key, pid), piece in zip(siblings, pieces[1:]):
+                self._write_node(pid, piece)
+            self._write_node(page_id, pieces[0])
+            left_pid = page_id
         new_root = self._pool.new_page()
-        self._write_node(new_root, InternalNode([separator], [left_pid, right_pid]))
+        self._write_node(
+            new_root,
+            InternalNode(
+                keys=[key for key, _pid in siblings],
+                children=[left_pid] + [pid for _key, pid in siblings],
+            ),
+        )
         self._pager.meta.root = new_root
 
     def delete(self, key: Any) -> None:
@@ -470,11 +526,18 @@ class PagedBTree:
         return tree
 
     def _bulk_load(self, items: Iterable[tuple[Any, bytes]]) -> None:
+        # Linear time: every key is packed once for sizing, and each
+        # node's packed size is kept as a running byte count rather than
+        # recomputed per appended key.
         pager, pool = self._pager, self._pool
+        empty_leaf = HEADER_SIZE + 4  # header + prev_leaf
         cur_pid = pager.meta.root  # fresh tree: the pre-created empty leaf
         cur = LeafNode(keys=[], values=[])
+        cur_size = empty_leaf
         prev_pid = 0
-        leaf_index: list[tuple[Any, int]] = []  # (first key, page id) per leaf
+        # (first key, its packed length, page id) per leaf
+        leaf_index: list[tuple[Any, int, int]] = []
+        first_len = 0
         last_key: Any = None
         count = 0
 
@@ -483,55 +546,61 @@ class PagedBTree:
                 raise StorageError(
                     f"bulk_build input not strictly key-sorted at {key!r}"
                 )
-            if len(pack_key(key)) > MAX_KEY_BYTES:
+            key_len = len(pack_key(key))
+            if key_len > MAX_KEY_BYTES:
                 raise StorageError(
                     f"key packs to more than {MAX_KEY_BYTES} bytes: {key!r:.64}"
                 )
             last_key = key
             stored = self._store_value(value)
-            if (
-                cur.keys
-                and cur.packed_size() + cur.cell_size(key, stored) > PAGE_SIZE
-            ):
+            cell = LeafNode.cell_size(key_len, stored)
+            if cur.keys and cur_size + cell > PAGE_SIZE:
                 nxt_pid = pool.new_page()
                 cur.prev_leaf, cur.next_leaf = prev_pid, nxt_pid
                 self._write_node(cur_pid, cur)
-                leaf_index.append((cur.keys[0], cur_pid))
+                leaf_index.append((cur.keys[0], first_len, cur_pid))
                 prev_pid, cur_pid = cur_pid, nxt_pid
                 cur = LeafNode(keys=[], values=[])
+                cur_size = empty_leaf
+            if not cur.keys:
+                first_len = key_len
             cur.keys.append(key)
             cur.values.append(stored)
+            cur_size += cell
             count += 1
 
         cur.prev_leaf, cur.next_leaf = prev_pid, 0
         self._write_node(cur_pid, cur)
-        leaf_index.append((cur.keys[0] if cur.keys else None, cur_pid))
+        leaf_index.append((cur.keys[0] if cur.keys else None, first_len, cur_pid))
         pager.meta.entry_count = count
 
-        # Internal levels, bottom up, until one node remains.
+        # Internal levels, bottom up, until one node remains.  An internal
+        # node of one child packs to HEADER_SIZE + 4 bytes, and each
+        # further (key, child) pair adds 2 + key length + 4.
         level = leaf_index
         while len(level) > 1:
-            next_level: list[tuple[Any, int]] = []
-            node = InternalNode(keys=[], children=[level[0][1]])
-            node_first = level[0][0]
-            for first_key, child_pid in level[1:]:
-                trial = InternalNode(
-                    keys=node.keys + [first_key], children=node.children + [child_pid]
-                )
-                if trial.packed_size() > PAGE_SIZE:
+            next_level: list[tuple[Any, int, int]] = []
+            node_first, node_first_len, first_child = level[0]
+            node = InternalNode(keys=[], children=[first_child])
+            size = HEADER_SIZE + 4
+            for first_key, key_len, child_pid in level[1:]:
+                entry = 2 + key_len + 4
+                if size + entry > PAGE_SIZE:
                     pid = pool.new_page()
                     self._write_node(pid, node)
-                    next_level.append((node_first, pid))
+                    next_level.append((node_first, node_first_len, pid))
                     node = InternalNode(keys=[], children=[child_pid])
-                    node_first = first_key
+                    node_first, node_first_len = first_key, key_len
+                    size = HEADER_SIZE + 4
                 else:
                     node.keys.append(first_key)
                     node.children.append(child_pid)
+                    size += entry
             pid = pool.new_page()
             self._write_node(pid, node)
-            next_level.append((node_first, pid))
+            next_level.append((node_first, node_first_len, pid))
             level = next_level
-        pager.meta.root = level[0][1]
+        pager.meta.root = level[0][2]
 
     # -- verification --------------------------------------------------------
 

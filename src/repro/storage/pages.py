@@ -83,6 +83,7 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+_OVERFLOW_REF = struct.Struct("<II")  # head page, total length
 
 
 class PageCorruptionError(StorageError):
@@ -246,16 +247,17 @@ class LeafNode:
     prev_leaf: int = 0
     next_leaf: int = 0
 
-    def cell_size(self, key: Any, value: bytes | OverflowRef) -> int:
-        key_bytes = pack_key(key)
+    @staticmethod
+    def cell_size(key_len: int, value: bytes | OverflowRef) -> int:
+        """Bytes of one cell whose key packs to ``key_len`` bytes."""
         if isinstance(value, OverflowRef):
-            return 2 + len(key_bytes) + 1 + 8
-        return 2 + len(key_bytes) + 1 + 4 + len(value)
+            return 2 + key_len + 1 + 8
+        return 2 + key_len + 1 + 4 + len(value)
 
     def packed_size(self) -> int:
         size = HEADER_SIZE + 4
         for key, value in zip(self.keys, self.values):
-            size += self.cell_size(key, value)
+            size += self.cell_size(len(pack_key(key)), value)
         return size
 
     def pack(self, *, page_size: int = PAGE_SIZE) -> bytes:
@@ -297,7 +299,7 @@ class LeafNode:
             vtag = view[offset]
             offset += 1
             if vtag == 1:
-                head, length = struct.unpack_from("<II", view, offset)
+                head, length = _OVERFLOW_REF.unpack_from(view, offset)
                 offset += 8
                 values.append(OverflowRef(head, length))
             else:
@@ -307,6 +309,39 @@ class LeafNode:
                 offset += vlen
             keys.append(key)
         return cls(keys=keys, values=values, prev_leaf=prev_leaf, next_leaf=next_leaf)
+
+    @staticmethod
+    def find(page: bytes, key: Any) -> bytes | OverflowRef | None:
+        """The stored value of ``key`` in a raw leaf page, or ``None``.
+
+        A point lookup without :meth:`unpack`: cells are key-sorted, so
+        keys are decoded in order only until one is not below ``key``,
+        and only the matching value is copied out.  Matches exactly what
+        ``bisect_left`` over the unpacked keys would find.
+
+        >>> page = LeafNode(keys=[1, 5], values=[b"a", b"e"]).pack(page_size=256)
+        >>> LeafNode.find(page, 5), LeafNode.find(page, 3)
+        (b'e', None)
+        """
+        ptype, _flags, count, _crc, _next = HEADER.unpack_from(page, 0)
+        if ptype != PT_LEAF:
+            raise StorageError(f"not a leaf page (type {ptype})")
+        offset = HEADER_SIZE + 4
+        for _ in range(count):
+            (key_len,) = _U16.unpack_from(page, offset)
+            cell_key, _ = unpack_key(page, offset + 2)
+            offset += 2 + key_len
+            overflow = page[offset] == 1
+            if cell_key < key:
+                offset += 9 if overflow else 5 + _U32.unpack_from(page, offset + 1)[0]
+                continue
+            if not cell_key == key:
+                return None
+            if overflow:
+                return OverflowRef(*_OVERFLOW_REF.unpack_from(page, offset + 1))
+            (vlen,) = _U32.unpack_from(page, offset + 1)
+            return bytes(page[offset + 5 : offset + 5 + vlen])
+        return None
 
 
 @dataclass(slots=True)

@@ -1,0 +1,130 @@
+"""Stateful property test: the paged B+ tree against a ``dict`` model.
+
+Point reads descend through internal nodes cached on buffer-pool frames.
+This machine makes those caches churn: keys of 500-1000 bytes and values
+up to 1.5 KiB give pages a toy fanout (two to seven cells per node), so
+a few dozen keys already mean a three-level tree, and a 2-4 frame pool
+evicts on nearly every step.  Inserts split and rewrite pages through
+``put_page``, deletes free them, and reopening starts from a cold pool.
+
+Every read must match the model, and after every step every decoded
+node cached in the pool must equal a fresh decode of its frame's bytes,
+so a cache entry that outlives its page's bytes fails at once.
+"""
+
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.storage.paged_btree import PagedBTree
+from repro.storage.pages import InternalNode
+
+KEY_SPACE = 80
+
+
+def _key(i: int) -> str:
+    return f"{i:03d}" + "k" * (500 + (i * 37) % 500)
+
+
+keys = st.integers(min_value=0, max_value=KEY_SPACE - 1).map(_key)
+values = st.one_of(
+    st.binary(max_size=40),
+    st.integers(min_value=0, max_value=1500).map(lambda n: b"v" * n),
+)
+pool_sizes = st.integers(min_value=2, max_value=4)
+
+
+class PagedBTreeMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp(prefix="paged-btree-sm-"))
+        self.path = self.dir / "t.pages"
+        self.model: dict[str, bytes] = {}
+        self.tree: PagedBTree | None = None
+
+    @initialize(initial=st.dictionaries(keys, values, max_size=60), pool=pool_sizes)
+    def build(self, initial, pool):
+        self.model = dict(initial)
+        self.tree = PagedBTree.bulk_build(
+            self.path, sorted(initial.items()), pool_pages=pool
+        )
+
+    @rule(key=keys, value=values)
+    def insert(self, key, value):
+        self.tree.insert(key, value)
+        self.model[key] = value
+
+    @rule(
+        first=st.integers(min_value=0, max_value=KEY_SPACE - 1),
+        count=st.integers(min_value=2, max_value=20),
+        value=values,
+    )
+    def insert_run(self, first, count, value):
+        for i in range(first, min(first + count, KEY_SPACE)):
+            self.insert(_key(i), value)
+
+    @rule(key=keys)
+    def delete(self, key):
+        if key in self.model:
+            self.tree.delete(key)
+            del self.model[key]
+        else:
+            try:
+                self.tree.delete(key)
+            except KeyError:
+                pass
+            else:
+                raise AssertionError(f"deleted absent key {key[:3]}")
+
+    @rule(key=keys)
+    def get(self, key):
+        assert self.tree.get(key) == self.model.get(key)
+
+    @rule(key=keys)
+    def contains(self, key):
+        assert (key in self.tree) == (key in self.model)
+
+    @rule(lo=keys, hi=keys, inclusive=st.booleans())
+    def range_items(self, lo, hi, inclusive):
+        expected = [
+            (k, v)
+            for k, v in sorted(self.model.items())
+            if lo <= k and (k <= hi if inclusive else k < hi)
+        ]
+        assert list(self.tree.range_items(lo, hi, inclusive=inclusive)) == expected
+
+    @rule()
+    def items(self):
+        assert list(self.tree.items()) == sorted(self.model.items())
+
+    @rule(pool=pool_sizes)
+    def reopen(self, pool):
+        self.tree.close()
+        self.tree = PagedBTree(self.path, pool_pages=pool)
+
+    @invariant()
+    def cached_nodes_match_their_bytes(self):
+        if self.tree is None:
+            return
+        for page_id, data, node in self.tree.pool.decoded():
+            assert node == InternalNode.unpack(data), f"stale node on page {page_id}"
+        assert len(self.tree) == len(self.model)
+
+    def teardown(self):
+        try:
+            if self.tree is not None:
+                self.tree.verify()
+        finally:
+            if self.tree is not None:
+                self.tree.abandon()  # the directory goes next; no flush
+            shutil.rmtree(self.dir, ignore_errors=True)
+
+
+TestPagedBTreeMachine = PagedBTreeMachine.TestCase
+TestPagedBTreeMachine.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage.bufferpool import BufferPool
+from repro.storage.bufferpool import BufferPool, page_stats_scope
 from repro.storage.pages import LeafNode, PageFile
 
 
@@ -103,6 +103,72 @@ class TestPinning:
             with pytest.raises(StorageError):
                 pool.free_page(1)
             assert 1 in pool.resident()  # refused, still resident
+
+
+class TestUnpinnedWalk:
+    """``walk``: the no-pin read path, and the frame's decoded-node slot."""
+
+    @staticmethod
+    def _chain(pids):
+        """A step function visiting ``pids`` in order."""
+        rest = iter(pids[1:])
+        return lambda pid, frame: next(rest, 0)
+
+    def test_walk_counts_and_bumps_like_pin(self, tmp_path):
+        pager = _make_pager(tmp_path, 10)
+        pool = BufferPool(pager, capacity=3)
+        with pool.pin(1):
+            pass
+        with page_stats_scope() as stats:
+            frame = pool.walk(1, self._chain([1, 2, 3]))
+        assert (stats.hits, stats.misses) == (1, 2)
+        assert LeafNode.unpack(frame.data).keys == [3]
+        assert pool.resident() == [1, 2, 3]
+        assert all(pool.pin_count(pid) == 0 for pid in (1, 2, 3))
+        pool.walk(4, self._chain([4]))  # a miss evicts the LRU frame, 1
+        assert pool.resident() == [2, 3, 4]
+
+    def test_node_slot_survives_hits_and_dies_with_the_frame(self, tmp_path):
+        pager = _make_pager(tmp_path, 10)
+        pool = BufferPool(pager, capacity=2)
+
+        def decode(pid, frame):
+            if frame.node is None:
+                frame.node = LeafNode.unpack(frame.data)
+            return 0
+
+        pool.walk(1, decode)
+        cached = pool.decoded()[0][2]
+        pool.walk(1, decode)
+        assert pool.decoded()[0][2] is cached  # a hit keeps the decoded node
+        # put_page installs a new frame: the old node cannot outlive its bytes.
+        pool.put_page(1, LeafNode(keys=[100], values=[b"w"]).pack())
+        assert pool.decoded() == []
+        pool.walk(1, decode)
+        assert pool.decoded()[0][2].keys == [100]
+        # Eviction and free_page drop the frame and its node.
+        pool.walk(2, decode)
+        pool.walk(3, decode)
+        assert [pid for pid, _data, _node in pool.decoded()] == [2, 3]
+        pool.free_page(2)
+        assert [pid for pid, _data, _node in pool.decoded()] == [3]
+
+    def test_put_page_keeps_pins(self, tmp_path):
+        pager = _make_pager(tmp_path, 3)
+        pool = BufferPool(pager, capacity=3)
+        with pool.pin(1):
+            pool.put_page(1, LeafNode(keys=[7], values=[b"x"]).pack())
+            assert pool.pin_count(1) == 1
+        assert pool.pin_count(1) == 0
+
+    def test_walk_counts_a_failed_read(self, tmp_path):
+        pager = _make_pager(tmp_path, 3)
+        pool = BufferPool(pager, capacity=3)
+        pager.read_page = lambda pid: (_ for _ in ()).throw(StorageError("bad"))
+        with page_stats_scope() as stats:
+            with pytest.raises(StorageError):
+                pool.walk(1, self._chain([1]))
+        assert (stats.hits, stats.misses) == (0, 1)
 
 
 class TestDirtyWriteBack:

@@ -131,7 +131,10 @@ class TestProgressBar:
         assert "done in" in output
         assert output.endswith("\n")  # final render is newline-terminated
 
-    def test_rate_limited_renders(self):
+    def test_rate_limited_renders(self, monkeypatch):
+        # The monotonic clock as on a host booted 5 s ago: the first render
+        # must not depend on the host having been up longer than the interval.
+        monkeypatch.setattr(progress.time, "perf_counter", lambda: 5.0)
         stream = io.StringIO()
         bar = ProgressBar(stream, min_interval_s=3600.0)
         tracker = ProgressTracker("op", total=100)

@@ -7,13 +7,42 @@ close/reopen cycle.  ``verify()`` (the deep structural check fsck runs)
 must pass after every phase.
 """
 
+import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.errors import StorageError
+from repro.obs import metrics
+from repro.storage.bufferpool import page_stats_scope
 from repro.storage.paged_btree import MAX_KEY_BYTES, PagedBTree
-from repro.storage.pages import OVERFLOW_CAPACITY
+from repro.storage.pages import OVERFLOW_CAPACITY, InternalNode
+
+_PATTERN = bytes(range(256)) * 16
+
+#: sha256 of the pages file bulk-built from :func:`_golden_items`.  The
+#: bulk loader's packing decisions are part of the on-disk contract: a
+#: checkpoint of the same records must stay byte-identical across
+#: versions of the loader.
+GOLDEN_SHA256 = "19485e48b0744e6485e88565051a66aa2ca8a78b3d64a0acb3e14c309b0eb336"
+
+
+def _golden_key(i: int) -> str:
+    return f"rec-{i:05d}-" + "k" * (i % 40)
+
+
+def _golden_value(i: int) -> bytes:
+    size = (i * 37) % 241 + (3000 if i % 1499 == 7 else 0)
+    return _PATTERN[i % 256 : i % 256 + size]
+
+
+def _golden_items():
+    """8000 sorted keys of varying length, values of 0-240 bytes and six
+    that spill to overflow chains: 321 leaves under two internal levels."""
+    for i in range(8000):
+        yield _golden_key(i), _golden_value(i)
 
 
 def _model_check(tree: PagedBTree, model: dict) -> None:
@@ -92,6 +121,39 @@ class TestSplitsAndScale:
             assert stats["depth"] >= 2  # the workload forced splits
         # survives close/reopen byte-identically
         with PagedBTree(path, pool_pages=16) as tree:
+            _model_check(tree, model)
+
+    def test_splits_fit_with_uneven_key_sizes(self, tmp_path):
+        """6- and 1006-byte keys mixed: halving an internal node by key
+        count can leave one half too big for a page."""
+        rng = random.Random(96)
+        model: dict = {}
+        with PagedBTree(tmp_path / "t.pages", create=True, pool_pages=8) as tree:
+            for _ in range(200):
+                key = f"{rng.randrange(100000):06d}"
+                if rng.random() < 0.3:
+                    key += "L" * 1000
+                tree.insert(key, b"v" * 1000)
+                model[key] = b"v" * 1000
+            _model_check(tree, model)
+            assert tree.verify()["depth"] >= 3
+
+    def test_leaf_split_of_near_maximal_cells(self, tmp_path):
+        """Cells of ~1 KiB key plus value: the byte midpoint of the
+        overflowing leaf leaves a half that does not fit, so it splits
+        into pieces that do."""
+
+        def key(i: int) -> str:
+            return f"{i:03d}" + "k" * (500 + (i * 37) % 500)
+
+        model = {key(0): b"", key(11): b"", key(67): b""}
+        path = tmp_path / "t.pages"
+        with PagedBTree.bulk_build(path, sorted(model.items()), pool_pages=2) as tree:
+            for i in range(49, 56):
+                tree.insert(key(i), b"")
+                model[key(i)] = b""
+            tree.insert(key(66), b"v" * 593)
+            model[key(66)] = b"v" * 593
             _model_check(tree, model)
 
     def test_range_items(self, tmp_path):
@@ -189,6 +251,15 @@ class TestBulkBuild:
                 tmp_path / "bulk.pages", iter([(1, b"a"), (1, b"b")])
             )
 
+    def test_bulk_build_golden_bytes(self, tmp_path):
+        path = tmp_path / "golden.pages"
+        tree = PagedBTree.bulk_build(path, _golden_items(), pool_pages=8)
+        stats = tree.verify()
+        tree.close()
+        assert (stats["leaves"], stats["internals"], stats["depth"]) == (321, 5, 3)
+        assert stats["overflow_pages"] == 6
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+
     def test_bulk_build_empty(self, tmp_path):
         tree = PagedBTree.bulk_build(tmp_path / "bulk.pages", iter([]))
         try:
@@ -229,3 +300,122 @@ class TestLifecycle:
         with PagedBTree(path) as tree:
             assert tree.get(1) == b"committed"
             assert tree.get(2) is None
+
+
+class TestCachedDescent:
+    """Point reads bisect internal nodes cached on the pool frames."""
+
+    @pytest.fixture
+    def golden_path(self, tmp_path):
+        path = tmp_path / "golden.pages"
+        PagedBTree.bulk_build(path, _golden_items(), pool_pages=8).close()
+        return path
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls: list[int] = []
+        original = InternalNode.unpack
+        monkeypatch.setattr(
+            InternalNode,
+            "unpack",
+            classmethod(lambda cls, page: calls.append(1) or original(page)),
+        )
+        return calls
+
+    def test_get_visits_depth_pages_and_decodes_internals_once(
+        self, golden_path, decodes
+    ):
+        hits = metrics.counter("storage.bufferpool.hits")
+        misses = metrics.counter("storage.bufferpool.misses")
+        with PagedBTree(golden_path, pool_pages=64) as tree:
+            depth = tree.verify()["depth"]  # reads through the pager only
+            decodes.clear()
+            key = _golden_key(4321)
+            for expected_decodes in (depth - 1, 0):
+                before = hits.value + misses.value
+                with page_stats_scope() as stats:
+                    assert tree.get(key) == _golden_value(4321)
+                assert hits.value + misses.value - before == depth
+                assert stats.hits + stats.misses == depth
+                assert len(decodes) == expected_decodes
+                decodes.clear()
+            with page_stats_scope() as stats:
+                assert key in tree
+                assert tree.get(_golden_key(4321) + "x") is None
+            assert stats.hits + stats.misses == 2 * depth
+            assert decodes == []
+            assert tree.pool.pin_count(tree._pager.meta.root) == 0
+
+    def test_overflow_value_and_neighbours_read_back(self, golden_path):
+        with PagedBTree(golden_path, pool_pages=4) as tree:
+            for i in (7, 1506, 0, 3999, 7999):  # 7 and 1506 overflow
+                assert tree.get(_golden_key(i)) == _golden_value(i)
+            assert tree.get("rec-") is None  # below the first key
+            assert tree.get("zzz") is None  # above the last key
+            assert "rec-00000-" in tree and "rec-00000-k" not in tree
+
+    def test_range_scan_from_a_cached_descent(self, golden_path):
+        with PagedBTree(golden_path, pool_pages=16) as tree:
+            tree.get(_golden_key(5000))  # caches the path's internal nodes
+            got = list(tree.range_items(_golden_key(4998), _golden_key(5003)))
+            want = [(_golden_key(i), _golden_value(i)) for i in range(4998, 5004)]
+            assert got == want
+
+    def test_concurrent_readers_share_the_cache(self, golden_path):
+        """Eight threads descend one tree through a 6-frame pool, so
+        frames and their cached nodes are evicted and re-decoded under
+        contention; every page visit must be counted exactly once."""
+        hits = metrics.counter("storage.bufferpool.hits")
+        misses = metrics.counter("storage.bufferpool.misses")
+        errors: list[str] = []
+        visits: list[int] = []
+        reads_per_thread = 150
+        saved = sys.getswitchinterval()
+        with PagedBTree(golden_path, pool_pages=6) as tree:
+            depth = tree.verify()["depth"]
+
+            def reader(seed: int) -> None:
+                rng = random.Random(seed)
+                try:
+                    with page_stats_scope() as stats:
+                        for _ in range(reads_per_thread):
+                            i = rng.randrange(8000)
+                            if i % 1499 == 7:  # an overflow value reads more pages
+                                i += 1
+                            if tree.get(_golden_key(i)) != _golden_value(i):
+                                errors.append(f"wrong value for key {i}")
+                    visits.append(stats.hits + stats.misses)
+                except Exception as exc:  # pragma: no cover - diagnostic
+                    errors.append(repr(exc))
+
+            before = hits.value + misses.value
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=reader, args=(t,)) for t in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                sys.setswitchinterval(saved)
+            assert errors == []
+            assert visits == [reads_per_thread * depth] * 8
+            assert hits.value + misses.value - before == 8 * reads_per_thread * depth
+            for _pid, data, node in tree.pool.decoded():
+                assert node == InternalNode.unpack(data)
+            assert len(tree.pool) <= 6
+
+    def test_writes_replace_cached_nodes(self, tmp_path):
+        def key(i: int) -> str:  # ~200-byte keys: internal fanout ~19
+            return f"{(i * 7919) % 1500:05d}" + "p" * 200
+
+        with PagedBTree(tmp_path / "t.pages", create=True, pool_pages=8) as tree:
+            for i in range(1500):
+                tree.insert(key(i), b"v" * 40)
+                if i % 37 == 0:
+                    assert tree.get(key(i // 2)) == b"v" * 40
+                    for _pid, data, node in tree.pool.decoded():
+                        assert node == InternalNode.unpack(data)
+            assert tree.verify()["depth"] >= 3
+            assert all(tree.get(key(i)) == b"v" * 40 for i in range(0, 1500, 7))
