@@ -2,12 +2,14 @@
 
 Two experiments, written to ``BENCH_paged.json``:
 
-* **reopen** — checkpoint the same corpus in both data formats, then
-  measure cold open time.  Memory format must parse the full inline
-  snapshot (O(dataset)); paged format reads one 4 KiB meta page and
-  serves everything else read-through (O(1)).  Target: the paged store
-  reopens ≥ 10x faster at 100k records, and a full sorted scan of both
-  reopened stores is byte-identical (same records CRC).
+* **reopen** — the same corpus as a legacy v2 directory (records
+  inline in ``snapshot.json``, written by hand with
+  ``tests/legacy_v2.py``, as an upgrade finds it) and as a paged
+  checkpoint, then measure cold open time.  The v2 open must parse the
+  full inline snapshot (O(dataset)); the paged open reads one 4 KiB meta
+  page and serves everything else read-through (O(1)).  Target: the
+  paged store reopens ≥ 10x faster at 100k records, and a full sorted
+  scan of both reopened stores is byte-identical (same records CRC).
 * **pool sweep** — a skewed point-read workload (90% of reads on a 10%
   hot set) against the paged store at pool sizes 8 / 32 / 128 / 512
   pages.  Reports the ``storage.bufferpool.*`` hit rate, throughput,
@@ -37,11 +39,14 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from repro import obs
-from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
-from repro.corpus.wvlr import PUBLICATION_SCHEMA
-from repro.storage import RecordStore, records_checksum
-from repro.storage.pages import PAGE_SIZE
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for tests.legacy_v2
+
+from repro import obs  # noqa: E402
+from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig  # noqa: E402
+from repro.corpus.wvlr import PUBLICATION_SCHEMA  # noqa: E402
+from repro.storage import RecordStore, records_checksum  # noqa: E402
+from repro.storage.pages import PAGE_SIZE  # noqa: E402
+from tests.legacy_v2 import write_v2_store  # noqa: E402
 
 FULL_SIZE = 100_000
 QUICK_SIZE = 5_000
@@ -72,22 +77,23 @@ def _counter(name: str) -> int:
 
 
 def bench_reopen(size: int, repeats: int, scratch: Path) -> dict:
-    """Cold-open latency of the same corpus in both data formats."""
+    """Cold-open latency of the same corpus: legacy v2 vs paged v3."""
     rows = _records(size)
     results: dict[str, dict] = {}
     checksums: dict[str, str] = {}
-    for fmt in ("memory", "paged"):
+    write_v2_store(scratch / "v2", rows)  # opening never upgrades it
+    with RecordStore(PUBLICATION_SCHEMA, scratch / "paged") as store:
+        store.put_many(rows)
+        store.checkpoint()
+    for fmt in ("v2", "paged"):
         directory = scratch / fmt
-        with RecordStore(PUBLICATION_SCHEMA, directory, data_format=fmt) as store:
-            store.put_many(rows)
-            store.checkpoint()
         opens = []
         for _ in range(repeats):
             start = perf_counter()
-            store = RecordStore(PUBLICATION_SCHEMA, directory, data_format=fmt)
+            store = RecordStore(PUBLICATION_SCHEMA, directory)
             opens.append(perf_counter() - start)
             store.close()
-        with RecordStore(PUBLICATION_SCHEMA, directory, data_format=fmt) as store:
+        with RecordStore(PUBLICATION_SCHEMA, directory) as store:
             assert len(store) == size
             checksums[fmt] = _scan_checksum(store)
         open_ms = sorted(opens)[len(opens) // 2] * 1e3
@@ -101,16 +107,16 @@ def bench_reopen(size: int, repeats: int, scratch: Path) -> dict:
             f"({disk_bytes / 1e6:.1f} MB on disk)",
             file=sys.stderr,
         )
-    speedup = results["memory"]["open_p50_ms"] / results["paged"]["open_p50_ms"]
-    identical = checksums["memory"] == checksums["paged"]
-    results["speedup_paged_vs_memory"] = round(speedup, 1)
+    speedup = results["v2"]["open_p50_ms"] / results["paged"]["open_p50_ms"]
+    identical = checksums["v2"] == checksums["paged"]
+    results["speedup_paged_vs_v2"] = round(speedup, 1)
     results["scan_checksum_identical"] = identical
     print(
         f"  paged reopens {speedup:.1f}x faster; scans "
         f"{'byte-identical' if identical else 'DIVERGED'}",
         file=sys.stderr,
     )
-    assert identical, "paged and memory scans diverged"
+    assert identical, "paged and v2 scans diverged"
     return results
 
 
@@ -118,7 +124,7 @@ def bench_pool_sweep(size: int, reads: int, scratch: Path) -> dict:
     """Hit rate and resident memory across buffer-pool capacities."""
     rows = _records(size)
     directory = scratch / "sweep"
-    with RecordStore(PUBLICATION_SCHEMA, directory, data_format="paged") as store:
+    with RecordStore(PUBLICATION_SCHEMA, directory) as store:
         store.put_many(rows)
         store.checkpoint()
     pages_bytes = next(directory.glob("store.pages.*")).stat().st_size
@@ -137,8 +143,7 @@ def bench_pool_sweep(size: int, reads: int, scratch: Path) -> dict:
             "storage.bufferpool.misses"
         )
         with RecordStore(
-            PUBLICATION_SCHEMA, directory, data_format="paged",
-            pool_pages=pool_pages,
+            PUBLICATION_SCHEMA, directory, pool_pages=pool_pages
         ) as store:
             start = perf_counter()
             for key in workload:
@@ -181,7 +186,7 @@ def main(argv=None) -> int:
         reopen = bench_reopen(size, open_repeats, Path(tmp))
         sweep = bench_pool_sweep(size, reads, Path(tmp))
 
-    speedup = reopen["speedup_paged_vs_memory"]
+    speedup = reopen["speedup_paged_vs_v2"]
     if not args.quick and speedup < REOPEN_SPEEDUP_TARGET:
         print(
             f"  WARNING: reopen speedup {speedup}x below the "

@@ -30,13 +30,12 @@ Subcommands
     is checked, the exit code is the worst across shards, and ``--json``
     emits the per-shard report.
 ``checkpoint``
-    Open a store directory, replay its WAL, and checkpoint it: write a
-    verified snapshot and delete the WAL segments it covers.  Sharded
+    Open a store directory, replay its WAL, and checkpoint it: publish a
+    verified paged checkpoint (v3 manifest + ``store.pages`` file,
+    millisecond reopen) and delete the WAL segments it covers.  Sharded
     roots are detected automatically and checkpointed shard-parallel.
-    The on-disk data format is preserved by default; ``--paged``
-    migrates to the paged B+ tree format (v3 manifest + ``store.pages``
-    file, millisecond reopen), ``--memory`` migrates back to the
-    classic inline-records snapshot.
+    A directory still holding a legacy v2 inline-records snapshot is
+    upgraded to v3 by this.
 ``serve-telemetry``
     Run the stdlib HTTP telemetry daemon: ``/statusz`` (HTML dashboard),
     ``/metrics`` (Prometheus), ``/healthz`` (fsck-backed store health),
@@ -186,17 +185,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.store:
         from repro.storage import ShardedStore
 
-        data_format = "paged" if args.paged else "memory"
         with ShardedStore(
-            PUBLICATION_SCHEMA, args.store, shards=args.shards or 1, sync=True,
-            data_format=data_format,
+            PUBLICATION_SCHEMA, args.store, shards=args.shards or 1, sync=True
         ) as store:
             store.put_many(r.to_store_dict() for r in report.records)
             store.checkpoint()
             print(
                 f"stored {len(store)} records durably in "
-                f"{store.shard_count} shard(s) at {args.store} "
-                f"({data_format} format)",
+                f"{store.shard_count} shard(s) at {args.store}",
                 file=sys.stderr,
             )
     print(
@@ -503,23 +499,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     return report.exit_code()
 
 
-def _detect_data_format(directory: Path | str) -> str:
-    """The format the store at ``directory`` last checkpointed in.
-
-    A version-3 ``snapshot.json`` means paged; anything else (v1/v2,
-    missing, unreadable — fsck's problem, not ours) means memory.  Lets
-    ``repro checkpoint`` preserve the on-disk format unless the user
-    explicitly asks to migrate.
-    """
-    try:
-        state = json.loads(
-            (Path(directory) / "snapshot.json").read_bytes().decode("utf-8")
-        )
-    except (OSError, ValueError):
-        return "memory"
-    return "paged" if state.get("version") == 3 else "memory"
-
-
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from repro.storage import ShardedStore, is_sharded_root
 
@@ -529,20 +508,16 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
         bar = ProgressBar()
     if is_sharded_root(args.directory):
-        data_format = args.data_format or _detect_data_format(
-            Path(args.directory) / "shard-00"
-        )
         # shards= is optional (the manifest knows); when given it is
         # cross-checked and a mismatch aborts before any shard opens.
         with ShardedStore(
-            PUBLICATION_SCHEMA, args.directory, shards=args.shards,
-            data_format=data_format,
+            PUBLICATION_SCHEMA, args.directory, shards=args.shards
         ) as store:
             before = store.wal_size_bytes
             store.checkpoint(progress=bar)
             print(
                 f"checkpointed {len(store)} records across "
-                f"{store.shard_count} shards ({data_format} format); "
+                f"{store.shard_count} shards; "
                 f"WAL {before} -> {store.wal_size_bytes} bytes",
                 file=sys.stderr,
             )
@@ -554,14 +529,11 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    data_format = args.data_format or _detect_data_format(args.directory)
-    with RecordStore(
-        PUBLICATION_SCHEMA, directory=args.directory, data_format=data_format
-    ) as store:
+    with RecordStore(PUBLICATION_SCHEMA, directory=args.directory) as store:
         before = store.wal_size_bytes
         store.checkpoint(progress=bar)
         print(
-            f"checkpointed {len(store)} records ({data_format} format); "
+            f"checkpointed {len(store)} records; "
             f"WAL {before} -> {store.wal_size_bytes} bytes",
             file=sys.stderr,
         )
@@ -583,9 +555,8 @@ def _open_sharded_root(directory: str) -> "object | None":
             file=sys.stderr,
         )
         return None
-    data_format = _detect_data_format(Path(directory) / "shard-00")
     try:
-        return ShardedStore(PUBLICATION_SCHEMA, directory, data_format=data_format)
+        return ShardedStore(PUBLICATION_SCHEMA, directory)
     except StorageError as exc:
         print(
             f"error: cannot open store: {exc}\n"
@@ -670,21 +641,17 @@ def _cmd_serve_telemetry(args: argparse.Namespace) -> int:
         # Seed the store directory with the corpus (for smoke tests and
         # demos) so /healthz has a real snapshot + WAL chain to walk.
         records = _load_corpus(args.corpus)
-        data_format = "paged" if args.paged else "memory"
         if args.shards:
             from repro.storage import ShardedStore
 
             with ShardedStore(
-                PUBLICATION_SCHEMA, args.store, shards=args.shards,
-                data_format=data_format,
+                PUBLICATION_SCHEMA, args.store, shards=args.shards
             ) as store:
                 if len(store) == 0:
                     populate_store(store, records)
                 store.checkpoint()
         else:
-            with RecordStore(
-                PUBLICATION_SCHEMA, directory=args.store, data_format=data_format
-            ) as store:
+            with RecordStore(PUBLICATION_SCHEMA, directory=args.store) as store:
                 if len(store) == 0:
                     populate_store(store, records)
                 store.checkpoint()
@@ -708,10 +675,7 @@ def _cmd_serve_telemetry(args: argparse.Namespace) -> int:
             )
             recorder.stop()
             return 2
-        data_format = _detect_data_format(Path(args.store) / "shard-00")
-        scrub_store = ShardedStore(
-            PUBLICATION_SCHEMA, args.store, data_format=data_format
-        )
+        scrub_store = ShardedStore(PUBLICATION_SCHEMA, args.store)
         scrubber = Scrubber(scrub_store)
         scrubber.start(args.scrub_interval, repair=args.scrub_repair)
     server = TelemetryServer(
@@ -1235,13 +1199,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --store: partition the store into N shards and commit "
              "them in parallel (default 1)",
     )
-    p_ingest.add_argument(
-        "--paged",
-        action="store_true",
-        help="with --store: checkpoint into the paged on-disk B+ tree "
-             "format (store.pages file + LRU buffer pool) so the store "
-             "reopens in milliseconds with only the working set in RAM",
-    )
     p_ingest.set_defaults(func=_cmd_ingest)
 
     p_query = sub.add_parser("query", help="query a corpus")
@@ -1393,7 +1350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_checkpoint = sub.add_parser(
         "checkpoint",
-        help="snapshot a store directory and truncate its covered WAL segments",
+        help="checkpoint a store directory (paged v3; upgrades a v2 "
+             "snapshot) and truncate its covered WAL segments",
     )
     p_checkpoint.add_argument("directory", help="store directory (WAL + snapshot)")
     p_checkpoint.add_argument(
@@ -1403,30 +1361,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="expected shard count for a sharded store root "
              "(cross-checked against shards.json; detection is automatic)",
     )
-    p_checkpoint_fmt = p_checkpoint.add_mutually_exclusive_group()
-    p_checkpoint_fmt.add_argument(
-        "--paged",
-        dest="data_format",
-        action="store_const",
-        const="paged",
-        help="write the paged B+ tree format (v3 manifest + store.pages "
-             "file); migrates a memory-format store",
-    )
-    p_checkpoint_fmt.add_argument(
-        "--memory",
-        dest="data_format",
-        action="store_const",
-        const="memory",
-        help="write the classic inline-records snapshot (v2); migrates a "
-             "paged store back",
-    )
     p_checkpoint.add_argument(
         "--progress",
         action="store_true",
         help="render a live progress bar on stderr while the checkpoint "
              "streams (also visible on a daemon's /progressz)",
     )
-    p_checkpoint.set_defaults(func=_cmd_checkpoint, data_format=None)
+    p_checkpoint.set_defaults(func=_cmd_checkpoint)
 
     p_scrub = sub.add_parser(
         "scrub",
@@ -1517,12 +1458,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --store --seed-corpus: seed an N-shard store root "
              "instead of a single store",
-    )
-    p_serve.add_argument(
-        "--paged",
-        action="store_true",
-        help="with --store --seed-corpus: checkpoint the seed in the "
-             "paged B+ tree format",
     )
     p_serve.add_argument(
         "--slo-rules",

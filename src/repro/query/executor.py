@@ -227,8 +227,9 @@ class QueryProfile:
     ``page_hits`` / ``page_misses`` are the buffer-pool pages this query
     touched (thread-attributed through
     :func:`repro.storage.bufferpool.page_stats_scope`; summed across
-    shard workers on a scatter).  Both stay 0 against a memory-format
-    store — there is no pool to hit.
+    shard workers on a scatter).  Both stay 0 against a store with no
+    checkpoint yet (in-memory, or not yet checkpointed) — there is no
+    pool to hit.
     """
 
     rows: list[dict[str, Any]]

@@ -33,7 +33,7 @@ from repro.storage.hashindex import HashIndex
 from repro.storage.paged_btree import PagedBTree
 from repro.storage.paged_store import PagedRecordMap
 from repro.storage.pages import PAGE_SIZE, PageCorruptionError, PageFile
-from repro.storage.store import DATA_FORMATS, IndexKind, RecordStore, records_checksum
+from repro.storage.store import IndexKind, RecordStore, records_checksum
 from repro.storage.sharded import SHARD_MANIFEST, ShardedStore, shard_key_bytes, shard_of
 from repro.storage.transactions import Transaction
 from repro.storage.faultfs import (
@@ -80,7 +80,6 @@ __all__ = [
     "PageFile",
     "PagedBTree",
     "PagedRecordMap",
-    "DATA_FORMATS",
     "RecordStore",
     "records_checksum",
     "ShardedStore",

@@ -10,15 +10,17 @@ repairable.  CLI surface: ``repro fsck DIR [--repair] [--json]``.
 What it checks
 --------------
 
-* **Snapshot** (``snapshot.json``): parses, has a supported version, and
-  (version ≥ 2) its manifest agrees with its content — ``record_count``
-  matches the records array and ``checksum`` matches the CRC-32 of the
-  canonical records JSON.  A version-3 *paged* manifest has no inline
-  records; instead the referenced ``store.pages.NNNNNN`` file is opened
-  and deep-verified page by page (every CRC, key order, leaf chain,
-  free list), and its meta entry count / data CRC are compared against
-  the manifest.  Page-level corruption is fatal and reported with the
-  damaged page's id.
+* **Snapshot** (``snapshot.json``): parses, has a supported version,
+  and declares its secondary indexes well-formed.  The version-3
+  manifest every checkpoint writes has no inline records; instead the
+  referenced ``store.pages.NNNNNN`` file is opened and deep-verified
+  page by page (every CRC, key order, leaf chain, free list), and its
+  meta entry count / data CRC are compared against the manifest.
+  Page-level corruption is fatal and reported with the damaged page's
+  id.  A legacy version-2 snapshot (records inline, awaiting its
+  upgrade at the next checkpoint) must agree with its content —
+  ``record_count`` matches the records array and ``checksum`` matches
+  the CRC-32 of the canonical records JSON.
 * **Segment chain**: sealed segment numbering has no gaps above the
   snapshot's ``wal_seal``; every frame in every live segment passes the
   ``W1`` grammar, length, and CRC checks; tail damage appears only where
@@ -47,7 +49,8 @@ Repair never invents data and never touches anything mid-chain:
   is **rolled back**: the snapshot and its pages files are deleted and
   the next open recovers by full WAL replay, with zero committed-record
   loss (secondary-index declarations, which live only in the snapshot,
-  must be re-declared by the caller);
+  must be re-declared by the caller) — this also repairs a manifest
+  whose index declarations are malformed;
 * mid-chain damage (a bad sealed segment with later segments after it)
   is **fatal**: repairing it would silently drop an unbounded amount of
   acknowledged data, so fsck reports and refuses.
@@ -74,7 +77,13 @@ from repro.obs import metrics as _metrics
 from repro.obs import progress as _progress
 from repro.storage.paged_btree import PagedBTree
 from repro.storage.pages import PageCorruptionError
-from repro.storage.store import _SUPPORTED_SNAPSHOT_VERSIONS, records_checksum
+from repro.storage.store import (
+    _SNAPSHOT_VERSION,
+    _SUPPORTED_SNAPSHOT_VERSIONS,
+    index_declarations,
+    publish_manifest,
+    records_checksum,
+)
 from repro.storage.wal import SegmentScan, WriteAheadLog, sealed_segment_paths
 
 _FSCK_RUNS = _metrics.counter("storage.fsck.runs")
@@ -257,14 +266,6 @@ def fsck(
         )
 
 
-def _fsync_dir(directory: Path) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _pages_files(directory: Path) -> list[tuple[int, Path]]:
     """``(seal, path)`` of canonical ``store.pages.NNNNNN`` files, ascending."""
     out = []
@@ -343,8 +344,10 @@ def _rollback_snapshot(
     point plus the surviving WAL hold the full history.  Deletes the
     damaged snapshot and every pages file newer than the target; for
     ``target > 0`` a fresh manifest referencing the verified pages file
-    is written (its record count and CRC come from the tree's own meta
-    page, so the manifest/pages cross-check holds on the next open), and
+    is published through the checkpoint's own writer
+    (:func:`~repro.storage.store.publish_manifest`: fsync, read-back,
+    rename); its record count and CRC come from the tree's own meta
+    page, so the manifest/pages cross-check holds on the next open, and
     recovery replays the WAL from there.  Secondary-index declarations
     live only in the snapshot and are lost — callers re-declare them
     (``ShardedStore.reopen_shard`` mirrors a sibling shard).
@@ -370,19 +373,14 @@ def _rollback_snapshot(
         record_count, data_crc = tree.entry_count, tree.data_crc
     finally:
         tree.close()
-    state = {
-        "version": 3,
-        "format": "paged",
-        "pages": keep_name,
-        "wal_seal": target,
-        "record_count": record_count,
-        "checksum": f"{data_crc:08x}",
-        "indexes": [],
-    }
-    tmp = snapshot_path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(state, ensure_ascii=False), encoding="utf-8")
-    os.replace(tmp, snapshot_path)
-    _fsync_dir(directory)
+    publish_manifest(
+        snapshot_path,
+        pages=keep_name,
+        wal_seal=target,
+        record_count=record_count,
+        checksum=f"{data_crc:08x}",
+        indexes=[],
+    )
     report.add(
         REPAIRED,
         f"rolled snapshot back to checkpoint {target}; next open recovers "
@@ -409,9 +407,9 @@ def _check_snapshot(
     """Validate the snapshot manifest.
 
     Returns ``(wal_seal, pages_name)`` — the seal the snapshot covers
-    (0 when there is none) and, for a paged (v3) manifest, the name of
-    the pages file it references (``None`` otherwise), so the caller can
-    treat every *other* ``store.pages.*`` file as a stray.
+    (0 when there is none) and, for a v3 manifest, the name of the pages
+    file it references (``None`` for a legacy inline snapshot), so the
+    caller can treat every *other* ``store.pages.*`` file as a stray.
     """
     if not snapshot_path.exists():
         report.add(INFO, "no snapshot (recovery is WAL-only)")
@@ -425,7 +423,11 @@ def _check_snapshot(
     if version not in _SUPPORTED_SNAPSHOT_VERSIONS:
         report.add(FATAL, f"unsupported snapshot version {version!r}", snapshot_path)
         return 0, None
-    if version == 3:
+    try:
+        index_declarations(state)
+    except StorageError as exc:
+        report.add(FATAL, str(exc), snapshot_path)
+    if version == _SNAPSHOT_VERSION:
         pages_name = _check_paged_snapshot(report, snapshot_path, state, tracker)
         return int(state.get("wal_seal", 0)), pages_name
     records = state.get("records")

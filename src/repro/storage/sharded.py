@@ -10,7 +10,8 @@ per shard unchanged.  On disk::
     root/
       shards.json     # manifest: shard count + router + persisted shard
                       # health states, written atomically
-      shard-00/       # a full RecordStore directory (store.wal, snapshot.json)
+      shard-00/       # a full RecordStore directory (store.wal,
+                      # snapshot.json, store.pages.NNNNNN)
       shard-01/
       ...
 
@@ -71,7 +72,7 @@ from repro.obs import tracing as _tracing
 from repro.storage import faultfs as _faultfs
 from repro.storage.health import ShardHealthMachine
 from repro.storage.schema import Schema
-from repro.storage.store import IndexKind, RecordStore
+from repro.storage.store import IndexKind, RecordStore, _check_data_format
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.deadline import Guard
@@ -140,6 +141,9 @@ class ShardedStore:
         each shard whose WAL footprint reached the bound, keeping total
         WAL disk near ``shards * checkpoint_wal_bytes`` through an
         arbitrarily long ingest.
+    data_format:
+        Retired, as for :class:`RecordStore`: only ``"paged"`` is
+        accepted.  Every shard checkpoints in the paged v3 format.
 
     >>> from repro.storage.schema import Field, FieldType, Schema
     >>> schema = Schema([Field("id", FieldType.INT), Field("t", FieldType.STRING)],
@@ -161,10 +165,11 @@ class ShardedStore:
         checkpoint_wal_bytes: int | None = None,
         fs: "_faultfs.FileSystem | None" = None,
         retry: "RetryPolicy | None" = None,
-        data_format: str = "memory",
+        data_format: str = "paged",
         pool_pages: int | None = None,
         health_config: Mapping[str, Any] | None = None,
     ):
+        _check_data_format(data_format)
         self.schema = schema
         self.root: Path | None = Path(root) if root is not None else None
         if checkpoint_wal_bytes is not None and checkpoint_wal_bytes <= 0:
@@ -196,11 +201,11 @@ class ShardedStore:
         self.shard_count = count
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-        # data_format/pool_pages pass straight through: each shard is a
-        # complete RecordStore, so paged checkpoints and read-through
-        # recovery compose per shard unchanged (pool memory is bounded
-        # per shard — budget pool_pages accordingly at high shard counts).
-        shard_kwargs: dict[str, Any] = {"data_format": data_format}
+        # pool_pages passes straight through: each shard is a complete
+        # RecordStore, so paged checkpoints and read-through recovery
+        # compose per shard unchanged (pool memory is bounded per shard —
+        # budget pool_pages accordingly at high shard counts).
+        shard_kwargs: dict[str, Any] = {}
         if pool_pages is not None:
             shard_kwargs["pool_pages"] = pool_pages
         # Construction arguments are kept so a repaired shard can be

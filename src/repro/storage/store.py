@@ -1,14 +1,15 @@
 """The embedded record store.
 
 A :class:`RecordStore` owns one table of schema-validated ``dict`` records,
-durably backed (when given a directory) by a snapshot file plus a
+durably backed (when given a directory) by a paged checkpoint plus a
 write-ahead log:
 
 * every mutation first lands in the WAL, then in memory — crash recovery is
-  "load snapshot, replay surviving WAL segments in order";
-* :meth:`RecordStore.checkpoint` writes the full state atomically (tmp
-  file + read-back verification + rename + fsync), records which WAL
-  segments it covers, and deletes them — bounding WAL disk usage
+  "open the checkpoint, replay surviving WAL segments in order";
+* :meth:`RecordStore.checkpoint` writes the full state as a B+ tree pages
+  file plus a small v3 manifest (``snapshot.json``), each verified by
+  read-back before its atomic rename, records which WAL segments it
+  covers, and deletes them — bounding WAL disk usage
   (:meth:`RecordStore.snapshot` is a compatibility alias);
 * secondary indexes (B-tree or hash) are maintained eagerly on every write
   and can be declared over scalar fields or string-list fields (each list
@@ -97,22 +98,15 @@ from repro.storage.schema import FieldType, Schema
 from repro.resilience.retry import RetryBudget, RetryPolicy
 from repro.storage.wal import WriteAheadLog
 
-#: Current snapshot formats.  Version 2 added the manifest fields
-#: (``wal_seal``, ``record_count``, ``checksum``); version-1 snapshots
-#: (no manifest, single-file WAL) still load.  Version 3 is the *paged*
-#: manifest: instead of an inline ``records`` array it references a
-#: ``store.pages.NNNNNN`` B+ tree file holding the records, so recovery
-#: opens read-through instead of loading everything.
-_SNAPSHOT_VERSION = 2
-_PAGED_SNAPSHOT_VERSION = 3
+#: The manifest version every checkpoint writes: instead of an inline
+#: ``records`` array it references a ``store.pages.NNNNNN`` B+ tree file
+#: holding the records, so recovery opens read-through instead of
+#: loading everything.  Legacy snapshots still open, once: version 2
+#: (records inline, with the ``wal_seal`` / ``record_count`` /
+#: ``checksum`` manifest fields) and version 1 (no manifest) load in
+#: full, and the next checkpoint upgrades the directory to version 3.
+_SNAPSHOT_VERSION = 3
 _SUPPORTED_SNAPSHOT_VERSIONS = (1, 2, 3)
-
-#: Accepted ``data_format`` values: what :meth:`RecordStore.checkpoint`
-#: writes.  Recovery auto-detects the on-disk format from the manifest,
-#: so either setting opens either kind of directory — the flag controls
-#: the *next* checkpoint, which is how migrations run in both
-#: directions.
-DATA_FORMATS = ("memory", "paged")
 
 _GET_COUNT = _metrics.counter("storage.store.get.count")
 _PUT_COUNT = _metrics.counter("storage.store.put.count")
@@ -191,7 +185,9 @@ def records_checksum(records: Sequence[Mapping[str, Any]]) -> str:
     """CRC-32 (hex) over the canonical JSON of ``records``.
 
     Canonical = sorted keys, compact separators, no ASCII escaping — the
-    same bytes whoever computes it, so the snapshot writer, recovery, and
+    same bytes whoever computes it, so a legacy v2 snapshot's
+    ``checksum``, the streaming CRC a paged checkpoint stamps
+    (:class:`~repro.storage.paged_store.StreamingChecksum`), and
     ``repro fsck`` all agree.
     """
     canonical = json.dumps(
@@ -244,9 +240,9 @@ _TAIL = _TailType()
 class _SecondaryIndex:
     field: str  #: single field name, or "a+b+…" for composites
     kind: IndexKind
-    #: ``None`` means declared-but-not-built: paged recovery registers
-    #: index declarations without scanning the data (that would defeat
-    #: the O(1) open); the first read through the index materializes it
+    #: ``None`` means declared-but-not-built: recovery registers index
+    #: declarations without scanning the data (that would defeat the
+    #: O(1) paged open); the first read through the index materializes it
     #: (see ``RecordStore._ensure_index_built``).
     structure: BTree | HashIndex | None
     fields: tuple[str, ...] = ()  #: non-empty only for composites
@@ -297,6 +293,109 @@ def _keys_for(record: Mapping[str, Any], index: _SecondaryIndex) -> list[Any]:
     return _index_keys(record, index.field)
 
 
+def _check_data_format(data_format: str) -> None:
+    """Accept the retired ``data_format`` keyword only as ``"paged"``."""
+    if data_format != "paged":
+        raise StorageError(
+            f"data_format={data_format!r} is not supported: checkpoints always "
+            "write the paged v3 format; a directory holding a v2 snapshot "
+            "opens as-is and is upgraded by its next checkpoint "
+            "(`repro checkpoint DIR`)"
+        )
+
+
+def index_declarations(state: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """A snapshot's ``indexes`` list, checked entry by entry.
+
+    Each entry is ``{"field": name, "kind": "btree" | "hash"}`` or, for a
+    composite, ``{"fields": [name, name, ...], "kind": "btree"}``.
+    Anything else raises :class:`~repro.errors.StorageError`, so a
+    malformed declaration is a damaged snapshot — to recovery (either
+    version branch) and to ``repro fsck`` alike.
+    """
+    indexes = state.get("indexes", [])
+    if not isinstance(indexes, list):
+        raise StorageError(
+            f"snapshot indexes must be a list, not {type(indexes).__name__}"
+        )
+    kinds = {kind.value for kind in IndexKind}
+    for entry in indexes:
+        if not isinstance(entry, dict):
+            valid = False
+        elif set(entry) == {"field", "kind"}:
+            valid = isinstance(entry["field"], str) and entry["kind"] in kinds
+        elif set(entry) == {"fields", "kind"}:
+            fields = entry["fields"]
+            valid = (
+                isinstance(fields, list)
+                and len(fields) >= 2
+                and all(isinstance(field, str) for field in fields)
+                and entry["kind"] == IndexKind.BTREE.value
+            )
+        else:
+            valid = False
+        if not valid:
+            raise StorageError(f"malformed index declaration {entry!r} in snapshot")
+    return indexes
+
+
+def publish_manifest(
+    path: Path,
+    *,
+    pages: str,
+    wal_seal: int,
+    record_count: int,
+    checksum: str,
+    indexes: list[dict[str, Any]],
+    fs: _faultfs.FileSystem = _faultfs.REAL_FS,
+    retry: RetryPolicy | None = None,
+) -> None:
+    """Build, write, verify and atomically publish a v3 manifest at ``path``.
+
+    The one writer of ``snapshot.json``, shared by
+    :meth:`RecordStore.checkpoint` and fsck's rollback repair.  The
+    document goes to a temp file, is fsynced, and is **read back**: the
+    parse must equal the whole document, because a flip in any field
+    can lose data — a ``wal_seal`` one too high makes recovery skip a
+    committed segment.  Only then does an atomic rename publish it,
+    followed by a directory fsync so the rename itself survives a crash.
+    """
+    state = {
+        "version": _SNAPSHOT_VERSION,
+        "format": "paged",
+        "pages": pages,
+        "wal_seal": wal_seal,
+        "record_count": record_count,
+        "checksum": checksum,
+        "indexes": indexes,
+    }
+    if retry is None:
+        retry = RetryPolicy(budget=RetryBudget())
+    payload = json.dumps(state, ensure_ascii=False).encode("utf-8")
+    tmp = path.with_suffix(".json.tmp")
+    try:
+        fh = fs.open(tmp, "wb")
+        try:
+            retry.call(lambda: fh.write(payload), describe="checkpoint.write")
+            retry.call(lambda: fs.fsync(fh), describe="checkpoint.fsync")
+        finally:
+            fh.close()
+        try:
+            written = json.loads(tmp.read_bytes().decode("utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise StorageError(f"checkpoint verification failed: {exc}") from exc
+        if written != state:
+            raise StorageError(
+                "checkpoint verification failed: the manifest read back "
+                "differs from the one written"
+            )
+        retry.call(lambda: fs.replace(tmp, path), describe="checkpoint.replace")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    fs.fsync_dir(path.parent)
+
+
 class RecordStore:
     """One table of validated records with optional durability.
 
@@ -305,18 +404,18 @@ class RecordStore:
     schema:
         Table schema; the primary-key field identifies records.
     directory:
-        Where the snapshot and WAL live.  ``None`` means in-memory only.
+        Where the checkpoint and WAL live.  ``None`` means in-memory only.
+        Checkpoints write a v3 manifest referencing a
+        ``store.pages.NNNNNN`` B+ tree file, opened read-through in O(1)
+        with only the working set resident.  A directory holding a
+        legacy v1/v2 snapshot (records inline) still opens, loading
+        everything, and its next checkpoint upgrades it to v3.
     sync:
         fsync the WAL on every append (durable but slow); benchmarks
         measure both settings.
     data_format:
-        What checkpoints write: ``"memory"`` (the classic v2 snapshot —
-        records inline in ``snapshot.json``, fully loaded at open) or
-        ``"paged"`` (a v3 manifest referencing a ``store.pages.NNNNNN``
-        B+ tree file, opened read-through in O(1) with only the working
-        set resident).  Recovery auto-detects the on-disk format, so
-        opening with the *other* flag and checkpointing migrates the
-        directory.
+        Retired: only ``"paged"`` is accepted (checkpoints always write
+        it); any other value raises :class:`~repro.errors.StorageError`.
     pool_pages:
         Buffer-pool capacity (in 4 KiB pages) for paged reads; bounds
         resident memory for the record data.
@@ -347,16 +446,12 @@ class RecordStore:
         sync: bool = False,
         fs: _faultfs.FileSystem | None = None,
         retry: RetryPolicy | None = None,
-        data_format: str = "memory",
+        data_format: str = "paged",
         pool_pages: int = DEFAULT_POOL_PAGES,
         shard: int | None = None,
     ):
-        if data_format not in DATA_FORMATS:
-            raise StorageError(
-                f"unknown data_format {data_format!r}; expected one of {DATA_FORMATS}"
-            )
+        _check_data_format(data_format)
         self.schema = schema
-        self._data_format = data_format
         self._pool_pages = pool_pages
         self._shard = shard
         #: Filesystem facade for all durability-relevant I/O; tests pass a
@@ -365,10 +460,11 @@ class RecordStore:
         #: Retry policy shared by the WAL and the snapshot writer: heals
         #: transient I/O faults, passes permanent ones through untouched.
         self._retry = retry if retry is not None else RetryPolicy(budget=RetryBudget())
-        #: Primary store of records: a plain dict in memory format, a
-        #: :class:`PagedRecordMap` (on-disk tree + in-memory overlay)
-        #: once a paged checkpoint exists.  Both expose the same mapping
-        #: surface; the paged map iterates in primary-key order.
+        #: Primary store of records: a plain dict until the directory has
+        #: a paged checkpoint (and always for in-memory stores), then a
+        #: :class:`PagedRecordMap` (on-disk tree + in-memory overlay).
+        #: Both expose the same mapping surface; the paged map iterates
+        #: in primary-key order.
         self._records: dict[Any, dict[str, Any]] | PagedRecordMap = {}
         self._indexes: dict[str, _SecondaryIndex] = {}
         #: Monotone counter bumped on every applied put/delete; lets
@@ -420,11 +516,6 @@ class RecordStore:
         before that leaves fsck-repairable strays).
         """
         return f"store.pages.{seal:06d}"
-
-    @property
-    def data_format(self) -> str:
-        """The format the next checkpoint will write."""
-        return self._data_format
 
     @property
     def is_paged(self) -> bool:
@@ -825,8 +916,8 @@ class RecordStore:
     def _ensure_index_built(self, index: _SecondaryIndex) -> BTree | HashIndex:
         """Materialize a lazily-declared index on first use.
 
-        Paged recovery declares indexes without building them (building
-        would scan the whole store and defeat the O(1) open); the first
+        Recovery declares indexes without building them (building would
+        scan the whole store and defeat the O(1) paged open); the first
         read through an index pays the build cost instead.  Writes that
         arrive before first use simply skip the unbuilt index — the
         build scans the *current* records, so nothing is missed.
@@ -854,7 +945,7 @@ class RecordStore:
         return structure
 
     def _declare_index(self, index_def: Mapping[str, Any]) -> None:
-        """Register an index declaration without building it (paged open)."""
+        """Register a checked index declaration without building it (open)."""
         if "fields" in index_def:
             fields = tuple(index_def["fields"])
             name = COMPOSITE_SEPARATOR.join(fields)
@@ -1109,151 +1200,19 @@ class RecordStore:
                 index_defs.append({"field": idx.field, "kind": idx.kind.value})
         return index_defs
 
-    def _snapshot_state(self) -> dict[str, Any]:
-        """The full-state snapshot document, manifest fields included."""
-        index_defs = self._index_defs()
-        records = list(self._records.values())
-        assert self._wal is not None
-        return {
-            "version": _SNAPSHOT_VERSION,
-            "wal_seal": self._wal.highest_seal,
-            "record_count": len(records),
-            "checksum": records_checksum(records),
-            "records": records,
-            "indexes": index_defs,
-        }
-
     @_metrics.get_default_registry().timed("storage.checkpoint.seconds")
     def checkpoint(
         self,
         *,
         progress: Callable[[_progress.ProgressTracker], None] | None = None,
     ) -> None:
-        """Snapshot the full state and reclaim the WAL segments it covers.
+        """Publish the full state as a paged checkpoint and reclaim the WAL
+        segments it covers.
 
-        Four crash-ordered steps:
+        Five crash-ordered steps:
 
-        1. **Rotate** — the active WAL file is sealed as the next numbered
-           segment, so everything the snapshot will cover is immutable.
-        2. **Write** — the snapshot document (records, index declarations,
-           and a manifest: the covered segment number ``wal_seal``, the
-           record count, and a CRC-32 over the canonical records JSON)
-           goes to a temp file, is fsynced, and is **verified by reading
-           it back** — a snapshot corrupted in flight must never replace
-           a good one, because step 4 deletes the data that could rebuild
-           it.
-        3. **Publish** — atomic rename over ``snapshot.json`` plus a
-           directory fsync.
-        4. **Reclaim** — sealed segments at or below ``wal_seal`` are
-           deleted.  A crash between 3 and 4 leaves *stale* segments:
-           recovery skips them (``repro fsck`` removes them).
-
-        A crash at any point recovers to the full pre-checkpoint state —
-        the crash matrix in ``tests/crash/`` drives every step.
-        """
-        if self._directory is None:
-            raise StorageError("in-memory store cannot checkpoint")
-        assert self._wal is not None
-        with _gc_paused():
-            self._checkpoint_locked(progress)
-
-    def _checkpoint_locked(
-        self,
-        progress: Callable[[_progress.ProgressTracker], None] | None = None,
-    ) -> None:
-        """Checkpoint body; runs with the garbage collector paused.
-
-        Dispatches on the configured data format — the manifest the
-        snapshot publishes decides what the *next* open does, which is
-        how ``repro checkpoint --paged`` migrates a directory in place
-        (and back).
-        """
-        attrs: dict[str, Any] = {"format": self._data_format}
-        if self._shard is not None:
-            attrs["shard"] = self._shard
-        with _progress.start(
-            "storage.checkpoint", total=len(self._records), **attrs
-        ) as tracker:
-            if progress is not None:
-                tracker.subscribe(progress)
-            if self._data_format == "paged":
-                self._checkpoint_paged_locked(tracker)
-            else:
-                self._checkpoint_memory_locked(tracker)
-
-    def _checkpoint_memory_locked(self, tracker: _progress.ProgressTracker) -> None:
-        """Classic v2 checkpoint: records inline in ``snapshot.json``.
-
-        Serializing and read-back-verifying the full store image
-        allocates on the order of the store size with nothing to
-        collect; mid-checkpoint collections only rescan it.
-        """
-        assert self._wal is not None
-        # Downgrade path: a paged directory checkpointed in memory format
-        # materializes everything back into a plain dict first, and drops
-        # the pages files once the inline snapshot is published.
-        old_map: PagedRecordMap | None = None
-        if isinstance(self._records, PagedRecordMap):
-            old_map = self._records
-            self._records = {key: record for key, record in old_map.items()}
-        self._wal.rotate()
-        covered = self._wal.highest_seal
-        state = self._snapshot_state()
-        payload = json.dumps(state, ensure_ascii=False).encode("utf-8")
-        tmp = self._snapshot_path.with_suffix(".json.tmp")
-        try:
-            fh = self._fs.open(tmp, "wb")
-            try:
-                self._retry.call(lambda: fh.write(payload), describe="checkpoint.write")
-                self._retry.call(lambda: self._fs.fsync(fh), describe="checkpoint.fsync")
-            finally:
-                fh.close()
-            self._verify_snapshot_file(tmp, state)
-            self._retry.call(
-                lambda: self._fs.replace(tmp, self._snapshot_path),
-                describe="checkpoint.replace",
-            )
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        # fsync the directory so the rename itself survives a crash —
-        # os.replace only orders the data, not the directory entry.
-        self._fs.fsync_dir(self._directory)
-        removed = 0
-        reclaimed = 0
-        for seal, sealed in self._wal.sealed_segments():
-            if seal <= covered:
-                reclaimed += sealed.stat().st_size
-                self._fs.remove(sealed)
-                removed += 1
-        if removed:
-            self._fs.fsync_dir(self._directory)
-        if old_map is not None:
-            # The inline snapshot now owns the data; retire the pages.
-            old_map.close()
-            self._remove_pages_files(keep=None)
-        # The inline snapshot is written in one piece; the whole batch
-        # completes at publish time rather than record by record.
-        tracker.tick(len(self._records))
-        self._snapshot_seal = covered
-        _CHECKPOINT_COUNT.inc()
-        _CHECKPOINT_SEGMENTS_REMOVED.inc(removed)
-        _CHECKPOINT_BYTES_RECLAIMED.inc(reclaimed)
-        _logging.info(
-            "storage.checkpoint",
-            wal_seal=covered,
-            records=len(self._records),
-            segments_removed=removed,
-            bytes_reclaimed=reclaimed,
-        )
-
-    def _checkpoint_paged_locked(self, tracker: _progress.ProgressTracker) -> None:
-        """Paged (v3) checkpoint: publish a B+ tree pages file.
-
-        Same crash-ordered protocol as the memory checkpoint, with the
-        pages file slotted in before the manifest:
-
-        1. **Rotate** the WAL; the covered seal names the pages file.
+        1. **Rotate** the WAL, so everything the checkpoint will cover is
+           immutable; the covered seal names the pages file.
         2. **Build** ``store.pages.NNNNNN.tmp`` by streaming the records
            in pk order through :meth:`PagedBTree.bulk_build` (unmodified
            base records pass through as stored bytes), computing the
@@ -1262,17 +1221,36 @@ class RecordStore:
         3. **Publish the pages file** (atomic rename to its final name +
            directory fsync).  A crash here leaves an unreferenced pages
            file: a stray, repairable by ``repro fsck``.
-        4. **Publish the manifest** — a v3 ``snapshot.json`` referencing
-           the pages file by name, with the same ``wal_seal`` /
-           ``record_count`` / ``checksum`` fields as v2 but no inline
-           records.  Written to a temp file, verified by read-back,
-           renamed, directory fsynced.
+        4. **Publish the manifest** — :func:`publish_manifest` writes the
+           v3 ``snapshot.json`` (pages file name, covered ``wal_seal``,
+           record count, records CRC, index declarations) to a temp
+           file, verifies the whole document by read-back, renames it
+           and fsyncs the directory.  This rename is the commit point.
         5. **Reclaim**: covered WAL segments, then superseded
-           ``store.pages.*`` files.
+           ``store.pages.*`` files.  A crash before this leaves *stale*
+           files: recovery skips them (``repro fsck`` removes them).
 
+        A crash at any point recovers to the full pre-checkpoint state —
+        the crash matrix in ``tests/crash/`` drives every step.
         Afterwards the store serves read-through from the new pages file
-        with an empty overlay.
+        with an empty overlay; a store opened from a legacy v1/v2
+        snapshot is upgraded to v3 this way.
         """
+        if self._directory is None:
+            raise StorageError("in-memory store cannot checkpoint")
+        assert self._wal is not None
+        attrs = {} if self._shard is None else {"shard": self._shard}
+        # The build allocates on the order of the store size with nothing
+        # to collect; mid-checkpoint collections would only rescan it.
+        with _gc_paused(), _progress.start(
+            "storage.checkpoint", total=len(self._records), **attrs
+        ) as tracker:
+            if progress is not None:
+                tracker.subscribe(progress)
+            self._checkpoint_locked(tracker)
+
+    def _checkpoint_locked(self, tracker: _progress.ProgressTracker) -> None:
+        """Checkpoint body (steps 1–5 above); runs with the GC paused."""
         assert self._wal is not None
         assert self._directory is not None
         self._wal.rotate()
@@ -1331,33 +1309,16 @@ class RecordStore:
             tmp_pages.unlink(missing_ok=True)
             raise
         self._fs.fsync_dir(self._directory)
-        state = {
-            "version": _PAGED_SNAPSHOT_VERSION,
-            "format": "paged",
-            "pages": pages_name,
-            "wal_seal": covered,
-            "record_count": record_count,
-            "checksum": checksum.hexdigest(),
-            "indexes": self._index_defs(),
-        }
-        payload = json.dumps(state, ensure_ascii=False).encode("utf-8")
-        tmp = self._snapshot_path.with_suffix(".json.tmp")
-        try:
-            fh = self._fs.open(tmp, "wb")
-            try:
-                self._retry.call(lambda: fh.write(payload), describe="checkpoint.write")
-                self._retry.call(lambda: self._fs.fsync(fh), describe="checkpoint.fsync")
-            finally:
-                fh.close()
-            self._verify_paged_manifest(tmp, state)
-            self._retry.call(
-                lambda: self._fs.replace(tmp, self._snapshot_path),
-                describe="checkpoint.replace",
-            )
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        self._fs.fsync_dir(self._directory)
+        publish_manifest(
+            self._snapshot_path,
+            pages=pages_name,
+            wal_seal=covered,
+            record_count=record_count,
+            checksum=checksum.hexdigest(),
+            indexes=self._index_defs(),
+            fs=self._fs,
+            retry=self._retry,
+        )
         removed = 0
         reclaimed = 0
         for seal, sealed in self._wal.sealed_segments():
@@ -1365,9 +1326,8 @@ class RecordStore:
                 reclaimed += sealed.stat().st_size
                 self._fs.remove(sealed)
                 removed += 1
-        old_map = self._records if isinstance(self._records, PagedRecordMap) else None
-        if old_map is not None:
-            old_map.close()
+        if isinstance(self._records, PagedRecordMap):
+            self._records.close()
         self._remove_pages_files(keep=pages_name)
         if removed:
             self._fs.fsync_dir(self._directory)
@@ -1387,7 +1347,6 @@ class RecordStore:
             "storage.checkpoint",
             wal_seal=covered,
             records=record_count,
-            format="paged",
             pages=pages_name,
             segments_removed=removed,
             bytes_reclaimed=reclaimed,
@@ -1397,9 +1356,8 @@ class RecordStore:
         """Deep read-back verification of a just-built pages file.
 
         Every reachable page is re-read and CRC-checked and the tree
-        structure validated — the paged analog of re-parsing the inline
-        snapshot — because the checkpoint is about to delete the WAL
-        segments that could rebuild this data.
+        structure validated, because the checkpoint is about to delete
+        the WAL segments that could rebuild this data.
         """
         verify_tree = PagedBTree(path, fs=self._fs, pool_pages=64)
         try:
@@ -1415,24 +1373,12 @@ class RecordStore:
                 f"expected {count} (crc {data_crc:08x})"
             )
 
-    def _verify_paged_manifest(self, path: Path, expected: dict[str, Any]) -> None:
-        try:
-            with open(path, "rb") as fh:
-                state = json.loads(fh.read().decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StorageError(f"checkpoint verification failed: {exc}") from exc
-        for field in ("version", "pages", "record_count", "checksum"):
-            if state.get(field) != expected[field]:
-                raise StorageError(
-                    f"checkpoint verification failed: manifest {field} mismatch"
-                )
-
-    def _remove_pages_files(self, keep: str | None) -> None:
+    def _remove_pages_files(self, keep: str) -> None:
         """Delete ``store.pages.*`` files except ``keep`` (and any tmps)."""
         assert self._directory is not None
         removed = False
         for path in sorted(self._directory.glob("store.pages.*")):
-            if keep is not None and path.name == keep:
+            if path.name == keep:
                 continue
             self._fs.remove(path)
             removed = True
@@ -1466,27 +1412,6 @@ class RecordStore:
         self.checkpoint()
         return True
 
-    def _verify_snapshot_file(self, path: Path, expected: dict[str, Any]) -> None:
-        """Read a just-written snapshot back and verify its manifest.
-
-        Catches in-flight corruption (a bad disk, a flipped bit in the
-        write path) *before* the rename publishes the snapshot and the
-        checkpoint deletes the WAL segments that could rebuild it.
-        """
-        try:
-            with open(path, "rb") as fh:
-                state = json.loads(fh.read().decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StorageError(f"checkpoint verification failed: {exc}") from exc
-        if state.get("record_count") != expected["record_count"]:
-            raise StorageError(
-                "checkpoint verification failed: record count mismatch"
-            )
-        if state.get("checksum") != expected["checksum"] or state.get(
-            "checksum"
-        ) != records_checksum(state.get("records", [])):
-            raise StorageError("checkpoint verification failed: checksum mismatch")
-
     @_metrics.get_default_registry().timed("storage.recovery.seconds")
     def _recover(self) -> None:
         """Rebuild in-memory state: snapshot, then surviving WAL segments.
@@ -1503,9 +1428,12 @@ class RecordStore:
             version = state.get("version")
             if version not in _SUPPORTED_SNAPSHOT_VERSIONS:
                 raise StorageError(f"unsupported snapshot version {version!r}")
-            if version == _PAGED_SNAPSHOT_VERSION:
+            index_defs = index_declarations(state)
+            if version == _SNAPSHOT_VERSION:
                 self._recover_paged(state)
             else:
+                # Legacy v1/v2 snapshot: records inline, loaded in full
+                # this once — the next checkpoint upgrades it to v3.
                 records = state["records"]
                 if version >= 2 and state.get("record_count") != len(records):
                     raise StorageError(
@@ -1515,13 +1443,8 @@ class RecordStore:
                 for record in records:
                     self.schema.validate(record)
                     self._records[self.schema.primary_key_of(record)] = dict(record)
-                for index_def in state.get("indexes", []):
-                    if "fields" in index_def:
-                        self.create_composite_index(index_def["fields"])
-                    else:
-                        self.create_index(
-                            index_def["field"], IndexKind(index_def["kind"])
-                        )
+            for index_def in index_defs:
+                self._declare_index(index_def)
             self._snapshot_seal = int(state.get("wal_seal", 0))
         chain = WriteAheadLog.scan_chain(self._wal_path, min_seal=self._snapshot_seal)
         # Buffer runs of consecutive puts so replay of a bulk ingest goes
@@ -1552,9 +1475,9 @@ class RecordStore:
 
         Only the tree's meta page is read: the manifest's record count
         and checksum are compared against the meta fields the checkpoint
-        stamped, records stay on disk until touched, and secondary
-        indexes are *declared* but not built (see
-        :meth:`_ensure_index_built`).  Deep page validation is
+        stamped, and records stay on disk until touched.  (Secondary
+        indexes, in either version, are *declared* but not built; see
+        :meth:`_ensure_index_built`.)  Deep page validation is
         ``repro fsck``'s job, exactly as chain validation is for the WAL.
         """
         assert self._directory is not None
@@ -1581,8 +1504,6 @@ class RecordStore:
                 "(corrupt checkpoint; run `repro fsck` for details)"
             )
         self._records = PagedRecordMap(tree)
-        for index_def in state.get("indexes", []):
-            self._declare_index(index_def)
 
     def _replay_op(
         self, payload: dict[str, Any], pending: list[dict[str, Any]]

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.errors import StorageError
 from repro.storage import RecordStore, fsck
 from repro.storage.faultfs import flip_bit_on_disk
 from repro.storage.fsck import FATAL, INFO, REPAIRABLE, REPAIRED
 from repro.storage.schema import Field, FieldType, Schema
+from tests.legacy_v2 import write_v2_store
 
 SCHEMA = Schema(
     [Field("id", FieldType.INT), Field("name", FieldType.STRING)],
@@ -26,6 +30,11 @@ def _build_store(directory, n: int = 10, *, checkpointed: bool = True):
         if checkpointed:
             store.checkpoint()
         store.insert(_rec(n))  # one live WAL entry beyond the snapshot
+
+
+def _build_v2_store(directory):
+    """A legacy v2 directory: records 0..9 inline plus one WAL entry."""
+    return write_v2_store(directory, [_rec(i) for i in range(10)], tail=[_rec(10)])
 
 
 def _severities(report):
@@ -127,10 +136,12 @@ class TestRepairs:
 
 
 class TestFatal:
+    # Record-level checksum/count checks exist only for the legacy v2
+    # snapshot (records inline), which fsck still verifies until the
+    # next checkpoint upgrades it.
     def test_snapshot_checksum_mismatch(self, tmp_path):
         directory = tmp_path / "db"
-        _build_store(directory)
-        snapshot = directory / "snapshot.json"
+        snapshot = _build_v2_store(directory)
         state = json.loads(snapshot.read_text())
         state["records"][0]["name"] = "tampered"
         snapshot.write_text(json.dumps(state))
@@ -143,8 +154,7 @@ class TestFatal:
 
     def test_snapshot_record_count_mismatch(self, tmp_path):
         directory = tmp_path / "db"
-        _build_store(directory)
-        snapshot = directory / "snapshot.json"
+        snapshot = _build_v2_store(directory)
         state = json.loads(snapshot.read_text())
         state["record_count"] = 99
         snapshot.write_text(json.dumps(state))
@@ -173,6 +183,47 @@ class TestFatal:
         report = fsck(directory, repair=True)
         assert report.exit_code() == 2
         assert first.read_bytes() == damaged  # untouched: repair refused
+
+
+class TestMalformedIndexDeclarations:
+    """A malformed ``indexes`` entry is a damaged snapshot: opening raises
+    ``StorageError`` (not a bare KeyError/ValueError/TypeError) in both
+    recovery branches, and fsck reports it with a non-zero exit code."""
+
+    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize(
+        "indexes",
+        [
+            [{"fielc": "name", "kind": "btree"}],
+            [{"field": "name", "kind": "btrea"}],
+            {"field": "name", "kind": "btree"},
+        ],
+        ids=["misspelled-key", "unknown-kind", "not-a-list"],
+    )
+    def test_rejected_on_open_and_by_fsck(self, tmp_path, indexes, version):
+        directory = tmp_path / "db"
+        if version == 2:
+            snapshot = _build_v2_store(directory)
+        else:
+            _build_store(directory)
+            snapshot = directory / "snapshot.json"
+        state = json.loads(snapshot.read_text())
+        assert state["version"] == version
+        state["indexes"] = indexes
+        snapshot.write_text(json.dumps(state))
+
+        with pytest.raises(StorageError, match="index"):
+            RecordStore(SCHEMA, directory)
+        report = fsck(directory)
+        assert report.exit_code() != 0
+        assert any("index" in i.message for i in report.issues)
+        if version == 3:
+            # The pages file is intact, so repair rolls the manifest back
+            # to it, dropping the declarations and keeping every record.
+            assert fsck(directory, repair=True).exit_code() == 0
+            with RecordStore(SCHEMA, directory) as store:
+                assert set(store.keys()) == set(range(11))
+                assert store.indexed_fields == ()
 
 
 class TestReportSurface:
@@ -214,6 +265,21 @@ class TestCli:
 
     def test_fsck_fatal_exit_2(self, tmp_path):
         assert main(["fsck", str(tmp_path / "nope")]) == 2
+
+    def test_checkpoint_verb_upgrades_v2(self, tmp_path):
+        from repro.corpus import PUBLICATION_SCHEMA, load_reference_records
+
+        directory = tmp_path / "db"
+        rows = [r.to_store_dict() for r in load_reference_records()]
+        write_v2_store(directory, rows[:-5], tail=rows[-5:])
+        assert main(["checkpoint", str(directory)]) == 0
+        manifest = json.loads((directory / "snapshot.json").read_text())
+        assert manifest["version"] == 3 and "records" not in manifest
+        assert main(["fsck", str(directory)]) == 0
+        with RecordStore(PUBLICATION_SCHEMA, directory) as store:
+            assert sorted(store.scan(), key=lambda r: r["id"]) == sorted(
+                rows, key=lambda r: r["id"]
+            )
 
     def test_checkpoint_verb_bounds_wal(self, tmp_path, capsys):
         from repro.corpus import PUBLICATION_SCHEMA, load_reference_records, populate_store

@@ -169,3 +169,52 @@ def test_meta_page_corruption_is_fatal(tmp_path):
     assert fsck(directory).exit_code() == 2
     with pytest.raises(StorageError):
         RecordStore(SCHEMA, directory, data_format="paged")
+
+
+def _indexed_baseline(directory) -> None:
+    """Ten records and a declared index, checkpointed, cleanly closed."""
+    with RecordStore(SCHEMA, directory, sync=True) as store:
+        store.put_many([_rec(i) for i in range(10)])
+        store.create_index("name")
+        store.checkpoint()
+
+
+@pytest.mark.parametrize(
+    "needle, offset",
+    [
+        ('"wal_seal": 2', len('"wal_seal": ')),  # the seal digit: 2 -> 3
+        ('"field": "name"', len('"field": "nam')),  # "name" -> "namd"
+    ],
+    ids=["wal_seal", "indexes"],
+)
+def test_manifest_read_back_checks_every_field(needle, offset, tmp_path):
+    """A bit flipped in flight anywhere in the manifest fails the
+    checkpoint — not only in the counted fields.  Published, a seal one
+    too high would make recovery skip a committed segment, and a flipped
+    index declaration would silently drop the index."""
+    # A twin run without faults writes the byte-identical manifest the
+    # faulty checkpoint will write; it locates the byte to flip.
+    twin = tmp_path / "twin"
+    _indexed_baseline(twin)
+    with RecordStore(SCHEMA, twin, sync=True) as store:
+        store.insert(_rec(100))
+        store.checkpoint()
+    manifest = (twin / "snapshot.json").read_text(encoding="utf-8")
+    byte = manifest.index(needle) + offset
+
+    directory = tmp_path / "db"
+    _indexed_baseline(directory)
+    fs = FaultFS()
+    store = RecordStore(SCHEMA, directory, sync=True, fs=fs)
+    store.insert(_rec(100))
+    fs.arm("bit_flip", path="snapshot", byte=byte)
+    with pytest.raises(StorageError, match="verification failed"):
+        store.checkpoint()
+    assert fs.fired("bit_flip") == 1
+    del store  # simulated crash
+
+    with RecordStore(SCHEMA, directory) as reopened:  # the prior state
+        assert set(reopened.keys()) == BASE_KEYS | {100}
+        assert reopened.has_index("name")
+    assert fsck(directory, repair=True).exit_code() == 0  # stray pages file
+    assert fsck(directory).exit_code() == 0

@@ -3,9 +3,9 @@
 Covers :class:`~repro.storage.paged_store.PagedRecordMap` (overlay
 semantics over a base tree), :class:`StreamingChecksum` (must hash
 exactly what :func:`records_checksum` hashes), and
-:class:`RecordStore`/:class:`ShardedStore` running ``data_format="paged"``:
-checkpoint → reopen identity, WAL replay on top of a pages file, lazy
-secondary indexes, and migration in both directions.
+:class:`RecordStore`/:class:`ShardedStore` checkpoints: checkpoint →
+reopen identity, WAL replay on top of a pages file, lazy secondary
+indexes, and the one-way upgrade of a legacy v2 snapshot.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RecordNotFoundError
+from repro.errors import RecordNotFoundError, StorageError
 from repro.storage import (
     IndexKind,
     PagedBTree,
@@ -29,6 +29,7 @@ from repro.storage.paged_store import (
     encode_record,
 )
 from repro.storage.schema import Field, FieldType, Schema
+from tests.legacy_v2 import write_v2_store
 
 SCHEMA = Schema(
     [
@@ -143,7 +144,6 @@ class TestPagedRecordStore:
                 store.insert(_rec(i))
             store.checkpoint()
             assert store.is_paged
-            assert store.data_format == "paged"
             before = sorted(store.scan(), key=lambda r: r["id"])
         manifest = json.loads((tmp_path / "snapshot.json").read_bytes())
         assert manifest["version"] == 3
@@ -197,46 +197,51 @@ class TestPagedRecordStore:
             ranged = store.range_by("year", 1990, 1991)
             assert {r["year"] for r in ranged} == {1990, 1991}
 
-    def test_migrate_memory_to_paged_and_back(self, tmp_path):
-        with RecordStore(SCHEMA, directory=tmp_path) as store:  # memory format
-            for i in range(40):
-                store.insert(_rec(i))
-            store.checkpoint()
-        assert json.loads((tmp_path / "snapshot.json").read_bytes())["version"] == 2
-
-        with RecordStore(SCHEMA, directory=tmp_path, data_format="paged") as store:
-            assert len(store) == 40
+    def test_upgrade_v2_snapshot_to_paged(self, tmp_path):
+        write_v2_store(
+            tmp_path,
+            [_rec(i) for i in range(40)],
+            indexes=[{"field": "year", "kind": "btree"}],
+            tail=[_rec(40, year=9), _rec(3, year=9)],
+        )
+        with RecordStore(SCHEMA, directory=tmp_path) as store:
+            assert not store.is_paged  # a v2 open loads everything
+            assert len(store) == 41
+            assert store.index_kind("year") is IndexKind.BTREE
+            assert {r["id"] for r in store.find_by("year", 1999)} == {3, 40}
             store.checkpoint()  # upgrade
             assert store.is_paged
-        assert json.loads((tmp_path / "snapshot.json").read_bytes())["version"] == 3
+        manifest = json.loads((tmp_path / "snapshot.json").read_bytes())
+        assert manifest["version"] == 3
+        assert manifest["indexes"] == [{"field": "year", "kind": "btree"}]
         assert list(tmp_path.glob("store.pages.*"))
-
-        with RecordStore(SCHEMA, directory=tmp_path, data_format="memory") as store:
-            assert len(store) == 40
-            assert not store.is_paged or store.data_format == "memory"
-            store.checkpoint()  # downgrade rewrites inline records
-        assert json.loads((tmp_path / "snapshot.json").read_bytes())["version"] == 2
-        assert not list(tmp_path.glob("store.pages.*"))
         with RecordStore(SCHEMA, directory=tmp_path) as store:
-            assert sorted(r["id"] for r in store.scan()) == list(range(40))
+            assert sorted(r["id"] for r in store.scan()) == list(range(41))
+            assert store.get(3)["year"] == 1999
+            assert {r["id"] for r in store.find_by("year", 1999)} == {3, 40}
 
     def test_checksum_identical_across_formats(self, tmp_path):
-        mem_dir, paged_dir = tmp_path / "mem", tmp_path / "paged"
-        for directory, fmt in ((mem_dir, "memory"), (paged_dir, "paged")):
-            with RecordStore(SCHEMA, directory=directory, data_format=fmt) as store:
-                for i in range(25):
-                    store.insert(_rec(i))
-                store.checkpoint()
-        mem = json.loads((mem_dir / "snapshot.json").read_bytes())
+        v2_dir, paged_dir = tmp_path / "v2", tmp_path / "paged"
+        records = [_rec(i) for i in range(25)]
+        write_v2_store(v2_dir, records)
+        with RecordStore(SCHEMA, directory=paged_dir) as store:
+            store.put_many(records)
+            store.checkpoint()
+        v2 = json.loads((v2_dir / "snapshot.json").read_bytes())
         paged = json.loads((paged_dir / "snapshot.json").read_bytes())
-        assert mem["checksum"] == paged["checksum"]
-        assert mem["record_count"] == paged["record_count"]
+        assert v2["checksum"] == paged["checksum"]
+        assert v2["record_count"] == paged["record_count"]
 
     def test_invalid_data_format_rejected(self, tmp_path):
-        from repro.errors import StorageError
-
-        with pytest.raises(StorageError):
-            RecordStore(SCHEMA, directory=tmp_path, data_format="parquet")
+        # "memory" is retired: the error names the v2 -> v3 upgrade path.
+        for data_format in ("parquet", "memory"):
+            with pytest.raises(StorageError, match="repro checkpoint DIR"):
+                RecordStore(SCHEMA, directory=tmp_path, data_format=data_format)
+            with pytest.raises(StorageError, match="repro checkpoint DIR"):
+                ShardedStore(
+                    SCHEMA, tmp_path / "sharded", shards=2, data_format=data_format
+                )
+        assert not (tmp_path / "sharded").exists()
 
     def test_transactions_on_paged_store(self, tmp_path):
         with RecordStore(SCHEMA, directory=tmp_path, data_format="paged") as store:

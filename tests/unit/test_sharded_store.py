@@ -12,6 +12,8 @@ from repro.storage import (
     shard_key_bytes,
     shard_of,
 )
+from repro.storage.faultfs import flip_bit_on_disk
+from repro.storage.pages import PAGE_SIZE
 from repro.storage.schema import Field, FieldType, Schema
 
 SCHEMA = Schema(
@@ -204,7 +206,12 @@ class TestShardedFsck:
         with ShardedStore(SCHEMA, root, shards=2, sync=True) as store:
             store.put_many([_rec(i) for i in range(20)])
             store.checkpoint()
-        (root / "shard-01" / "snapshot.json").write_text("{not json", encoding="utf-8")
+        shard = root / "shard-01"
+        (shard / "snapshot.json").write_text("{not json", encoding="utf-8")
+        # The pages file is the only other copy of the checkpointed data
+        # (its WAL segment was reclaimed): rot it too, so no rollback can
+        # repair the shard.
+        flip_bit_on_disk(next(shard.glob("store.pages.*")), PAGE_SIZE + 100)
         report = fsck_sharded(root)
         assert report.exit_code() == 2
 
