@@ -44,31 +44,43 @@ class TextRenderer(Renderer):
             raise TypeError("layout must be a PageLayout")
         paginated = bool(options.get("paginated", True))
 
+        wrapped: dict[tuple[str, int], list[str]] = {}
         if not paginated:
             lines = [layout.column_head(), ""]
             for entry in index:
-                lines.extend(_entry_lines(entry))
+                lines.extend(_entry_lines(entry, wrapped))
             return "\n".join(lines).rstrip() + "\n"
 
         blocks: list[str] = []
         for page in paginate(index, layout):
             lines = [page.header, "", page.column_head, ""]
             for entry in page.entries:
-                lines.extend(_entry_lines(entry))
+                lines.extend(_entry_lines(entry, wrapped))
             blocks.append("\n".join(lines).rstrip())
         return "\n\n".join(blocks) + "\n"
 
 
-def _entry_lines(entry: IndexEntry) -> list[str]:
+def _wrap(text: str, width: int, wrapped: dict[tuple[str, int], list[str]]) -> list[str]:
+    """``textwrap.wrap`` of ``text``, at least one line, done once per
+    distinct text in ``wrapped``: an author heading repeats on each of its
+    rows, and a co-authored title on each co-author's row."""
+    lines = wrapped.get((text, width))
+    if lines is None:
+        lines = wrapped[text, width] = textwrap.wrap(text, width) or [""]
+    return lines
+
+
+def _entry_lines(entry: IndexEntry, wrapped: dict[tuple[str, int], list[str]]) -> list[str]:
     """Lay one entry out across as many lines as its columns need."""
     author_text = entry.author.inverted() + ("*" if entry.is_student_work else "")
-    author_lines = textwrap.wrap(author_text, _AUTHOR_WIDTH) or [""]
-    title_lines = textwrap.wrap(entry.title, _TITLE_WIDTH) or [""]
+    author_lines = _wrap(author_text, _AUTHOR_WIDTH, wrapped)
+    title_lines = _wrap(entry.title, _TITLE_WIDTH, wrapped)
     cite_lines = [entry.citation.columnar()]
 
+    # The wrapped lists are shared between rows: pad copies, not them.
     height = max(len(author_lines), len(title_lines), len(cite_lines))
-    author_lines += [""] * (height - len(author_lines))
-    title_lines += [""] * (height - len(title_lines))
+    author_lines = author_lines + [""] * (height - len(author_lines))
+    title_lines = title_lines + [""] * (height - len(title_lines))
     cite_lines += [""] * (height - len(cite_lines))
 
     rows = []

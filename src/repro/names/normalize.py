@@ -19,15 +19,38 @@ _APOSTROPHE_VARIANTS = re.compile(r"[‘’ʼ`']")
 _MULTI_SPACE = re.compile(r"\s+")
 _NON_NAME_CHARS = re.compile(r"[^a-z0-9\- ]")
 
+# Latin letters NFKD leaves whole (a stroke or ligature is not a combining
+# mark), folded to the letters they file with.  Without this the matching
+# key would drop them outright: "Østergaard" -> "stergaard".
+_UNDECOMPOSABLE_LETTERS = str.maketrans({
+    "ø": "o", "Ø": "O",
+    "ł": "l", "Ł": "L",
+    "đ": "d", "Đ": "D",
+    "ð": "d", "Ð": "D",
+    "æ": "ae", "Æ": "AE",
+    "œ": "oe", "Œ": "OE",
+    "þ": "th", "Þ": "TH",
+    "ı": "i",
+})
+
 
 def strip_diacritics(text: str) -> str:
     """Remove combining marks: ``"Müller"`` → ``"Muller"``.
 
     Uses NFKD decomposition and drops combining code points, which covers
-    the Latin-script diacritics that occur in author names.
+    the Latin-script diacritics that occur in author names; letters with no
+    decomposition (``ø``, ``ł``, ``æ``, ``þ`` …) are then folded to their
+    base letters.  ASCII text is returned unchanged, since NFKD is the
+    identity on it.
+
+    >>> strip_diacritics("Łukasiewicz"), strip_diacritics("Østergaard")
+    ('Lukasiewicz', 'Ostergaard')
     """
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return stripped.translate(_UNDECOMPOSABLE_LETTERS)
 
 
 def fold_case(text: str) -> str:

@@ -14,6 +14,7 @@ bylines instead of index rows.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.errors import NameParseError
@@ -36,6 +37,11 @@ _ROMAN_CONFUSIONS = str.maketrans({"l": "I", "1": "I", "|": "I", "!": "I", "i": 
 
 _TRAILING_STUDENT = re.compile(r"\*\s*$")
 _COMMA_SPLIT = re.compile(r"\s*,\s*")
+
+#: Distinct (string, form) parses kept.  Index rows repeat their authors
+#: (a 10k-record corpus has ~2k distinct author strings), and a parse is
+#: a pure function of its input whose result is frozen, so rows share it.
+PARSE_CACHE_SIZE = 4096
 
 
 def _ocr_suffix(token: str) -> str | None:
@@ -93,8 +99,13 @@ def parse_name(raw: str, *, form: NameForm | None = None) -> PersonName:
     Raises
     ------
     NameParseError
-        If the string is empty or unparseable.
+        If the string is empty or unparseable.  Failures are not cached.
     """
+    return _parse_name_cached(raw, form)
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_name_cached(raw: str, form: NameForm | None) -> PersonName:
     original = raw
     text = strip_ocr_artifacts(raw)
     if not text:

@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.entry import PublicationRecord
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
 from repro.corpus.wvlr import load_reference_records
 from repro.storage.schema import Field, FieldType, Schema
 from repro.storage.store import RecordStore
+
+
+@pytest.hookimpl(trylast=True)  # after Hypothesis's plugin leaves its set-up phase
+def pytest_sessionstart(session: pytest.Session) -> None:
+    """Build Hypothesis's Unicode charmap once, before any test draws text.
+
+    An unrestricted ``st.text()`` makes Hypothesis build the charmap on its
+    first draw (~2 s on a 2-vCPU host) and cache it under ``.hypothesis/``.
+    A fresh checkout has no cache, so without this the first property test
+    to draw text fails the too-slow health check.
+    """
+    hypothesis.find(
+        st.text(min_size=1), lambda s: True, settings=hypothesis.settings(database=None)
+    )
 
 
 @pytest.fixture(scope="session")

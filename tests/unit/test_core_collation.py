@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.builder import build_index
 from repro.core.collation import (
     CollationOptions,
     collation_key,
@@ -148,6 +149,36 @@ class TestArtifactOrdering:
             ("Van Damme, Monique", "89:803 (1987)"),
         )
         assert got == ["Van Damme", "Van Tol", "VanCamp", "vanEgmond"]
+
+
+class TestUndecomposableLetters:
+    """Letters NFKD leaves whole must fold to their base letters, not
+    vanish from the key."""
+
+    @pytest.mark.parametrize("surname,expected", [
+        ("Østergaard", "ostergaard"),
+        ("Łukasiewicz", "lukasiewicz"),
+        ("Đorđević", "dordevic"),
+        ("Æsir", "aesir"),
+        ("Þórsson", "thorsson"),
+        ("Guðmundsson", "gudmundsson"),
+        ("Œhlenschläger", "oehlenschlager"),
+        ("Yıldız", "yildiz"),
+        ("Strauß", "strauss"),
+    ])
+    def test_surname_key(self, surname, expected):
+        assert surname_sort_key(surname) == expected
+
+    def test_build_files_among_the_os(self):
+        index = build_index([
+            PublicationRecord.create(1, "T1", ["Stein, C."], "90:1 (1987)"),
+            PublicationRecord.create(2, "T2", ["Smith, B."], "90:2 (1987)"),
+            PublicationRecord.create(3, "T3", ["Østergaard, Anne"], "90:3 (1987)"),
+            PublicationRecord.create(4, "T4", ["Oakes, D."], "90:4 (1987)"),
+        ])
+        assert [g.heading for g in index.groups()] == [
+            "Oakes, D.", "Østergaard, Anne", "Smith, B.", "Stein, C.",
+        ]
 
 
 class TestKeys:

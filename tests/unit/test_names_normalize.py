@@ -18,6 +18,11 @@ class TestStripDiacritics:
         ("Renée", "Renee"),
         ("Ångström", "Angstrom"),
         ("Dvořák", "Dvorak"),
+        ("Østergaard", "Ostergaard"),
+        ("Łódź", "Lodz"),
+        ("Đorđe", "Dorde"),
+        ("Æbeltoft", "AEbeltoft"),
+        ("Þór", "THor"),
         ("plain", "plain"),
         ("", ""),
     ])

@@ -148,6 +148,14 @@ class TestErrors:
         with pytest.raises(NameParseError):
             parse_name(",")
 
+    @pytest.mark.parametrize("raw", [",", "*"])
+    def test_failure_repeats(self, raw):
+        # Parses are memoized; a failure must not be, or a second call
+        # would return something other than the same error.
+        for _ in range(2):
+            with pytest.raises(NameParseError):
+                parse_name(raw)
+
 
 class TestOcrCleanup:
     def test_curly_apostrophe_normalized(self):

@@ -66,6 +66,18 @@ class TestTextRenderer:
         output = index.render("text", paginated=False)
         assert "The Public Trust Doctrine: A New" in output  # wrapped line 1
 
+    def test_text_wraps_to_its_own_column(self):
+        # The same string as a heading and as a title wraps at each
+        # column's width: 26 for the author, 36 for the title.
+        text = "Abernathy-Whitcombe, Jonathan Q."
+        output = build_index([
+            PublicationRecord.create(1, text, [text], "90:1 (1987)"),
+        ]).render("text", paginated=False)
+        assert output.splitlines()[2:] == [
+            f"{'Abernathy-Whitcombe,':<26} {text:<36} {'90:1 (1987)':>16}",
+            "Jonathan Q.",
+        ]
+
     def test_citation_column_right_aligned(self, index):
         output = index.render("text", paginated=False)
         line = next(l for l in output.splitlines() if "69:293" in l)
