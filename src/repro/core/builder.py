@@ -15,7 +15,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.collation import CollationOptions, DEFAULT_OPTIONS, collation_key
 from repro.core.entry import IndexEntry, PublicationRecord, explode
@@ -177,8 +177,8 @@ class AuthorIndexBuilder:
                 ]
             exploded = len(entries)
             if self._resolver is not None:
-                with _tracing.span("build.resolve", entries=len(entries)):
-                    entries = self._canonicalize(entries)
+                with _tracing.span("build.resolve", entries=len(entries)) as span:
+                    entries = self._canonicalize(entries, span)
             with _tracing.span("build.dedupe", entries=len(entries)):
                 entries = _dedupe(entries)
             with _tracing.span("build.collate", entries=len(entries)):
@@ -190,9 +190,12 @@ class AuthorIndexBuilder:
             build_span.set_attribute("entries", len(entries))
             return AuthorIndex(entries, self.options)
 
-    def _canonicalize(self, entries: list[IndexEntry]) -> list[IndexEntry]:
+    def _canonicalize(self, entries: list[IndexEntry], span: Any) -> list[IndexEntry]:
         assert self._resolver is not None
         report = self._resolver.resolve([e.author for e in entries])
+        span.set_attribute("spellings", report.spelling_count)
+        span.set_attribute("pairs_scored", report.pairs_scored)
+        span.set_attribute("clusters", len(report.clusters))
         replacement: dict[tuple, PersonName] = {}
         for cluster in report.clusters:
             for member in cluster.members:

@@ -4,8 +4,9 @@ OCR'd front matter spells the same author several ways (the paper text
 contains *Herdon/Hemdon*, *Johnson/Johson*, *Cumutte/Curnutte*).  The
 resolver blocks candidate pairs by phonetic surname key, scores them with
 :func:`repro.names.similarity.name_similarity`, and merges matches with a
-union–find structure.  The result is a set of clusters with a canonical
-representative each.
+union–find structure, once per distinct spelling rather than once per
+input name.  The result is a set of clusters with a canonical
+representative each, holding every input name.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 
 from repro.names.model import PersonName
 from repro.names.normalize import surname_key
-from repro.names.similarity import name_similarity, soundex
+from repro.names.similarity import key_similarity, similarity_key, soundex
 
 
 class UnionFind:
@@ -46,13 +47,6 @@ class UnionFind:
         self._size[ra] += self._size[rb]
         return True
 
-    def groups(self) -> dict[int, list[int]]:
-        """Map each representative to the sorted members of its set."""
-        out: dict[int, list[int]] = defaultdict(list)
-        for i in range(len(self._parent)):
-            out[self.find(i)].append(i)
-        return dict(out)
-
 
 @dataclass(frozen=True, slots=True)
 class NameCluster:
@@ -73,10 +67,18 @@ class ResolutionReport:
 
     ``assignments[i]`` is the cluster index (into :attr:`clusters`) of the
     i-th *input* name, preserving the caller's ordering for scoring.
+
+    The resolver works on distinct spellings, names equal in
+    ``(surname, given, suffix)``: ``spelling_count`` is how many the
+    input held, ``pairs_scored`` counts the pairs of distinct spellings
+    that shared a block and were scored, and ``pairs_merged`` the scored
+    pairs that joined two clusters.  Repeats of one spelling are never
+    scored against each other; they always share a cluster.
     """
 
     clusters: list[NameCluster]
     assignments: list[int]
+    spelling_count: int
     pairs_scored: int
     pairs_merged: int
 
@@ -145,9 +147,26 @@ class NameResolver:
         self.block_by_initial = block_by_initial
 
     def resolve(self, names: Sequence[PersonName]) -> ResolutionReport:
-        """Cluster ``names`` and return a :class:`ResolutionReport`."""
-        blocks = self._build_blocks(names)
-        uf = UnionFind(len(names))
+        """Cluster ``names`` and return a :class:`ResolutionReport`.
+
+        Blocking and scoring read only ``(surname, given, suffix)``, and
+        two names equal in those share every block and score exactly 1.0,
+        so they always merge.  Each distinct spelling is therefore
+        blocked, folded and scored once; every input name is then a
+        member of its spelling's cluster, in input order.
+        """
+        spelling_ids: dict[tuple[str, str, str], int] = {}
+        spellings: list[PersonName] = []
+        row_spelling: list[int] = []
+        for name in names:
+            spelling = (name.surname, name.given, name.suffix)
+            if spelling not in spelling_ids:
+                spelling_ids[spelling] = len(spellings)
+                spellings.append(name)
+            row_spelling.append(spelling_ids[spelling])
+        keys = [similarity_key(name) for name in spellings]
+        blocks = self._build_blocks(spellings, [key.surname for key in keys])
+        uf = UnionFind(len(spellings))
         seen_pairs: set[tuple[int, int]] = set()
         scored = 0
         merged = 0
@@ -160,18 +179,22 @@ class NameResolver:
                         continue
                     seen_pairs.add(pair)
                     scored += 1
-                    if name_similarity(names[i], names[j]) >= self.threshold:
+                    if key_similarity(keys[i], keys[j]) >= self.threshold:
                         if uf.union(i, j):
                             merged += 1
 
+        # Input rows by their spelling's set, in order of each set's first row.
+        rows_by_root: dict[int, list[int]] = defaultdict(list)
+        for i, spelling in enumerate(row_spelling):
+            rows_by_root[uf.find(spelling)].append(i)
         clusters: list[NameCluster] = []
         member_indexes: list[list[int]] = []
-        for members in uf.groups().values():
+        for members in rows_by_root.values():
             group = [names[i] for i in members]
             clusters.append(
                 NameCluster(canonical=_pick_canonical(group), members=tuple(group))
             )
-            member_indexes.append(list(members))
+            member_indexes.append(members)
         order = sorted(
             range(len(clusters)),
             key=lambda c: (
@@ -188,11 +211,14 @@ class NameResolver:
         return ResolutionReport(
             clusters=clusters,
             assignments=assignments,
+            spelling_count=len(spellings),
             pairs_scored=scored,
             pairs_merged=merged,
         )
 
-    def _build_blocks(self, names: Sequence[PersonName]) -> dict[str, list[int]]:
+    def _build_blocks(
+        self, names: Sequence[PersonName], surname_keys: Sequence[str]
+    ) -> dict[str, list[int]]:
         """Candidate blocks: phonetic key ∪ surname-prefix key.
 
         Soundex alone misses OCR confusions that change a consonant's
@@ -201,8 +227,7 @@ class NameResolver:
         key meets; union–find makes double-counted pairs harmless.
         """
         blocks: dict[str, list[int]] = defaultdict(list)
-        for i, name in enumerate(names):
-            skey = surname_key(name.surname)
+        for i, (name, skey) in enumerate(zip(names, surname_keys)):
             keys = [f"sx:{soundex(skey)}", f"pf:{skey[:2]}"]
             if self.block_by_initial:
                 initial = name.initials[:1]
@@ -221,7 +246,9 @@ def _pick_canonical(group: Iterable[PersonName]) -> PersonName:
     """Choose the representative spelling for a cluster.
 
     Preference order: the most frequent identity key, ties broken toward the
-    longest given name (fullest information), then lexicographic stability.
+    longest given name (fullest information), then toward the
+    lexicographically greatest inverted spelling (``Smyth, Ann`` over
+    ``Smith, Ann``), so the choice does not depend on input order.
     """
     members = list(group)
     counts = Counter(m.identity_key() for m in members)
@@ -230,7 +257,7 @@ def _pick_canonical(group: Iterable[PersonName]) -> PersonName:
         return (
             counts[name.identity_key()],
             len(name.given),
-            # invert for deterministic ascending tie-break on the name itself
+            # max() prefers the greatest spelling on a tie, whatever the order
             name.inverted(),
         )
 

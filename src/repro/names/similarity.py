@@ -8,6 +8,8 @@ single score over :class:`~repro.names.model.PersonName` pairs.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.names.model import PersonName
 from repro.names.normalize import normalization_key, surname_key
 
@@ -215,13 +217,35 @@ def soundex(text: str) -> str:
     return "".join(code).ljust(4, "0")
 
 
+class SimilarityKey(NamedTuple):
+    """The folded fields of one name that :func:`key_similarity` reads."""
+
+    suffix: str
+    surname: str  #: :func:`~repro.names.normalize.surname_key` of the surname
+    given: str  #: :func:`~repro.names.normalize.normalization_key` of the given name
+    first: str  #: first token of ``given``, or ``""``
+
+
+def similarity_key(name: PersonName) -> SimilarityKey:
+    """Fold ``name`` once for scoring against many others.
+
+    >>> similarity_key(PersonName("O'Brien", "J. Davitt", "Jr."))
+    SimilarityKey(suffix='Jr.', surname='obrien', given='j davitt', first='j')
+    """
+    given = normalization_key(name.given)
+    return SimilarityKey(
+        name.suffix, surname_key(name.surname), given, given.split()[0] if given else ""
+    )
+
+
 def name_similarity(a: PersonName, b: PersonName) -> float:
     """Composite similarity in [0, 1] between two parsed names.
 
     Weighted blend: surname Jaro–Winkler (dominant), given-name Jaro–Winkler
     over normalized keys, an initials-compatibility term, and a suffix
     agreement gate.  Different generational suffixes denote different people
-    and clamp the score to 0.
+    and clamp the score to 0.  Callers scoring one name against many fold
+    it once with :func:`similarity_key` and call :func:`key_similarity`.
 
     >>> from repro.names.parser import parse_name
     >>> herdon = parse_name("Herdon, Judith")
@@ -233,11 +257,19 @@ def name_similarity(a: PersonName, b: PersonName) -> float:
     >>> name_similarity(jr, iii)
     0.0
     """
-    if a.suffix and b.suffix and a.suffix != b.suffix:
+    return key_similarity(similarity_key(a), similarity_key(b))
+
+
+def key_similarity(a: SimilarityKey, b: SimilarityKey) -> float:
+    """:func:`name_similarity` over two names' :func:`similarity_key`.
+
+    Equal keys score exactly 1.0, so identical spellings always match.
+    """
+    suffix_a, s_a, g_a, first_a = a
+    suffix_b, s_b, g_b, first_b = b
+    if suffix_a and suffix_b and suffix_a != suffix_b:
         return 0.0
 
-    s_a = surname_key(a.surname)
-    s_b = surname_key(b.surname)
     # OCR damage is a small number of character edits; surnames further
     # apart than that are different names no matter how high Jaro–Winkler
     # runs on their shared prefix ("Whisker" vs "White").
@@ -245,14 +277,9 @@ def name_similarity(a: PersonName, b: PersonName) -> float:
         return 0.0
     surname_score = jaro_winkler(s_a, s_b)
 
-    g_a = normalization_key(a.given)
-    g_b = normalization_key(b.given)
-
     # Two clearly different full first names denote different people even
     # under an identical surname ("Johnson, Earl" vs "Johnson, Edward");
     # only small edit distances are plausible OCR variants.
-    first_a = g_a.split()[0] if g_a else ""
-    first_b = g_b.split()[0] if g_b else ""
     if (
         len(first_a) > 2
         and len(first_b) > 2

@@ -4,7 +4,9 @@ span tree and moves every metric family end-to-end."""
 import pytest
 
 from repro.core.builder import AuthorIndexBuilder
+from repro.core.entry import explode
 from repro.corpus.wvlr import PUBLICATION_SCHEMA, populate_store
+from repro.names.resolution import NameResolver
 from repro.obs import metrics, tracing
 from repro.query.executor import QueryEngine, QueryProfile
 from repro.query.parser import parse_query
@@ -48,6 +50,15 @@ class TestBuildSpanTree:
             "build.dedupe",
             "build.collate",
         ]
+        report = NameResolver().resolve(
+            [e.author for record in reference_records for e in explode(record)]
+        )
+        attributes = root.children[1].attributes
+        assert attributes["entries"] == report.input_count
+        assert attributes["spellings"] == report.spelling_count
+        assert attributes["pairs_scored"] == report.pairs_scored
+        assert attributes["clusters"] == len(report.clusters)
+        assert attributes["entries"] > attributes["spellings"] > attributes["clusters"]
 
     def test_build_metrics_move_with_the_span(self, reference_records):
         AuthorIndexBuilder().add_records(reference_records).build()

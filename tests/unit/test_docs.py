@@ -6,7 +6,8 @@ Three layers of enforcement, run by the CI ``docs`` job:
   least compile; blocks written as doctest sessions (``>>>``) are
   executed and their outputs checked;
 * every docstring doctest in the storage modules runs (the WAL and
-  transaction docstrings carry executable examples);
+  transaction docstrings carry executable examples), and so do those of
+  the name and core modules the index build goes through;
 * every relative Markdown link in the docs points at a file that exists.
 """
 
@@ -77,6 +78,11 @@ DOCTEST_MODULES = [
     "repro.storage.bufferpool",
     "repro.storage.paged_btree",
     "repro.storage.paged_store",
+    "repro.names.similarity",
+    "repro.names.normalize",
+    "repro.names.parser",
+    "repro.core.collation",
+    "repro.core.builder",
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.names.model import PersonName
 from repro.names.parser import parse_name
 from repro.names.resolution import NameResolver, UnionFind, resolve_names
+from repro.names.similarity import name_similarity
 
 
 class TestUnionFind:
@@ -29,12 +30,6 @@ class TestUnionFind:
         uf.union(1, 2)
         assert uf.find(0) == uf.find(2)
         assert uf.find(3) != uf.find(0)
-
-    def test_groups(self):
-        uf = UnionFind(4)
-        uf.union(0, 2)
-        groups = uf.groups()
-        assert sorted(map(sorted, groups.values())) == [[0, 2], [1], [3]]
 
 
 def _names(*raw: str) -> list[PersonName]:
@@ -109,6 +104,52 @@ class TestResolver:
         report = NameResolver().resolve(names)
         assert report.pairs_merged == 1
         assert report.pairs_scored >= 1
+
+    def test_tie_picks_greatest_spelling_in_either_order(self):
+        # Equal counts and given-name lengths: max() over inverted() wins.
+        for raw in (("Smith, Ann", "Smyth, Ann"), ("Smyth, Ann", "Smith, Ann")):
+            report = resolve_names(_names(*raw))
+            assert len(report.clusters) == 1
+            assert report.clusters[0].canonical.inverted() == "Smyth, Ann"
+
+
+class TestDistinctSpellings:
+    """Repeats of one (surname, given, suffix) are blocked and scored once."""
+
+    def test_counters_count_pairs_of_spellings(self):
+        names = _names(*["Herdon, Judith"] * 50, *["Hemdon, Judith"] * 50, "Areen, Judith")
+        report = NameResolver().resolve(names)
+        assert report.pairs_scored == 1
+        assert report.pairs_merged == 1
+        assert report.spelling_count == 3
+        big = [c for c in report.clusters if len(c.members) == 100]
+        assert len(big) == 1
+        assert big[0].variant_count == 2
+        assert len(report.clusters) == 2
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["Herdon, Judith", "Herdon", "Smith, John, Jr.", "Smith, III", "Ng, J. T."],
+    )
+    def test_a_spelling_scores_one_against_itself(self, raw):
+        name = parse_name(raw)
+        assert name_similarity(name, name) == 1.0
+
+    def test_repeats_share_a_cluster_at_the_strictest_threshold(self):
+        names = _names("Herdon, Judith", "Areen, Judith", "Herdon, Judith", "Herdon, Judith")
+        report = NameResolver(threshold=1.0).resolve(names)
+        assert report.assignments[0] == report.assignments[2] == report.assignments[3]
+        assert report.assignments[1] != report.assignments[0]
+
+    def test_members_keep_their_own_names(self):
+        plain = PersonName("Herdon", "Judith", raw="Herdon, Judith")
+        honored = PersonName("Herdon", "Judith", honorific="Hon.", raw="Hon. Judith Herdon")
+        student = PersonName("Herdon", "Judith", is_student=True, raw="Herdon, Judith*")
+        report = NameResolver().resolve([plain, honored, student])
+        assert len(report.clusters) == 1
+        members = report.clusters[0].members
+        assert len(members) == 3
+        assert all(m is n for m, n in zip(members, (plain, honored, student)))
 
 
 class TestScoring:
