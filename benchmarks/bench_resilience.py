@@ -6,8 +6,7 @@ Two contracts from ``docs/resilience.md`` are measured:
   through the executor with a :class:`~repro.resilience.Guard` (deadline
   + cancel token armed, never tripping) versus the same query unguarded
   (the seed executor's code path), interleaved per round so clock drift
-  hits both arms equally.  The acceptance bound is < 2 %.  The raw
-  storage scan is reported alongside for the per-row tick cost.
+  hits both arms equally.  The acceptance bound is < 2 %.
 * **Shed-response latency** — with every execution slot occupied and a
   zero-depth queue, the admission gate must answer "come back later" in
   microseconds.  Reported as p50/p99 over a synthetic overload: worker
@@ -135,13 +134,7 @@ def _scan_overhead(store: RecordStore, repeats: int) -> dict:
         len(store),
         repeats,
     )
-    raw = _overhead(
-        lambda: sum(1 for _ in store.scan(guard=_fresh_guard())),
-        lambda: sum(1 for _ in store.scan()),
-        len(store),
-        repeats,
-    )
-    return {"executor_full_scan": executor, "storage_scan": raw}
+    return {"executor_full_scan": executor}
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:

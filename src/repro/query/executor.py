@@ -19,7 +19,12 @@ touched (sampled estimate), and rows-examined/rows-returned counts.
 Profiled execution materializes stage by stage so each node's cost is
 attributable; the unprofiled path stays streaming and is instrumented only
 with bulk counters (``query.executions``, ``query.rows.returned``) and a
-latency histogram (``query.seconds``).
+latency histogram (``query.seconds``).  Both read the access path only as
+far as the output needs: when no sort stands between the scan and LIMIT
+(no ORDER BY, or an index-ordered plan — see
+:attr:`~repro.query.planner.Plan.index_ordered`), the scan stops at
+LIMIT, and the rows examined that both report are the rows the access
+path actually yielded.
 
 Every execution (profiled or not) is additionally attributed to its query
 *fingerprint* (:mod:`repro.query.fingerprint`) in the process-wide
@@ -41,7 +46,8 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import (
@@ -60,7 +66,7 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.resilience.deadline import CancelToken, Deadline, Guard
 from repro.resilience.retry import RetryPolicy
 from repro.storage.bufferpool import PageStats, page_stats_scope
-from repro.query.ast_nodes import Query
+from repro.query.ast_nodes import Expr, Query
 from repro.query.parser import parse_query
 from repro.query.planner import (
     CompositeLookup,
@@ -304,6 +310,79 @@ def _decode_cursor(cursor: str) -> tuple[Any, Any]:
     return sort_value, primary_key
 
 
+class _StageClock:
+    """Wall and thread-CPU time of one operator, summed over the
+    ``with`` blocks that do its work."""
+
+    __slots__ = ("seconds", "cpu_ns", "_wall", "_cpu")
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.cpu_ns = 0
+
+    def __enter__(self) -> "_StageClock":
+        self._wall = time.perf_counter()
+        self._cpu = time.thread_time_ns()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.seconds += time.perf_counter() - self._wall
+        self.cpu_ns += time.thread_time_ns() - self._cpu
+
+    def profile(
+        self,
+        op: str,
+        detail: str,
+        examined: int,
+        rows: list[dict[str, Any]],
+        child: OpProfile | None = None,
+        *,
+        nbytes: int | None = None,
+    ) -> OpProfile:
+        """The node of an operator that examined ``examined`` rows and
+        returned ``rows`` (bytes estimated from ``rows`` unless given)."""
+        return OpProfile(
+            op=op,
+            detail=detail,
+            rows_examined=examined,
+            rows_returned=len(rows),
+            seconds=self.seconds,
+            cpu_ns=self.cpu_ns,
+            bytes=_estimate_bytes(rows) if nbytes is None else nbytes,
+            children=() if child is None else (child,),
+        )
+
+
+def _pull_to_limit(
+    candidates: Iterator[dict[str, Any]],
+    residual: Expr | None,
+    limit: int,
+    access_clock: _StageClock,
+    filter_clock: _StageClock,
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """``(pulled, passed)``: candidates read only as far as LIMIT needs.
+
+    Each round pulls as many candidates as passing rows are still
+    missing, rows a lazy pipeline must read in any case, and then
+    filters them.  So the access path yields exactly the rows an
+    unprofiled run reads, while access and filter time stay apart.
+    """
+    pulled: list[dict[str, Any]] = []
+    passed: list[dict[str, Any]] = []
+    while len(passed) < limit:
+        with access_clock:
+            batch = list(islice(candidates, limit - len(passed)))
+        if not batch:
+            break
+        pulled += batch
+        if residual is None:
+            passed += batch
+        else:
+            with filter_clock:
+                passed += [r for r in batch if residual.evaluate(r)]
+    return pulled, passed
+
+
 class QueryEngine:
     """Plans and executes query strings (or pre-parsed :class:`Query`).
 
@@ -417,9 +496,11 @@ class QueryEngine:
                         plan, plan_cached=cached, guard=guard, fingerprint=fp
                     )
                     rows, seconds = len(result.rows), result.seconds
+                    *_, access_node = result.root.iter_nodes()
+                    examined = access_node.rows_examined
                     ran_profile: QueryProfile | None = result
                 else:
-                    plain = self.run_plan(plan, guard=guard)
+                    plain, examined = self._run_plan(plan, guard)
                     rows, seconds = len(plain), time.perf_counter() - start
                     ran_profile = None
             except QueryInterrupted as exc:
@@ -432,12 +513,6 @@ class QueryEngine:
                     ))
                 raise
             if fp is not None:
-                if guard is not None:
-                    examined = guard.rows_examined
-                elif isinstance(plan.access, FullScan):
-                    examined = len(self.store)
-                else:
-                    examined = rows
                 if cpu_start < 0:
                     cpu_ns = -1
                 else:
@@ -630,40 +705,45 @@ class QueryEngine:
         """Execute a :class:`Plan` produced by the planner.
 
         ``guard`` bounds the execution (deadline / cancellation / row
-        budget), ticked once per candidate row the access path examines.
+        budget), charged once per candidate row the access path yields.
         """
+        return self._run_plan(plan, guard)[0]
+
+    def _run_plan(
+        self, plan: Plan, guard: Guard | None
+    ) -> tuple[list[dict[str, Any]], int]:
+        """:meth:`run_plan`'s rows and the rows the access path yielded."""
         start = time.perf_counter()
         if guard is not None:
             # Fail fast on a pre-expired deadline or pre-cancelled token
             # instead of after the first check stride.
             guard.check()
-        rows = self._candidates(plan, guard)
-        if plan.residual is not None:
-            residual = plan.residual
-            rows = (r for r in rows if residual.evaluate(r))
-        if plan.group_by is not None:
-            rows = iter(self._aggregate(rows, plan.group_by))
-        if plan.order_by is not None:
-            self._check_order_field(plan)
-            field = plan.order_by
-            materialized = sorted(
-                rows,
-                key=lambda r: _sort_key(r.get(field)),
-                reverse=plan.descending,
-            )
-            rows = iter(materialized)
-        if plan.limit is not None:
-            out: list[dict[str, Any]] = []
-            for record in rows:
-                if len(out) == plan.limit:
-                    break
-                out.append(record)
-        else:
-            out = list(rows)
+        examined = [0]
+        candidates = self._candidates(plan, guard, examined)
+        try:
+            rows: Iterator[dict[str, Any]] = candidates
+            if plan.residual is not None:
+                residual = plan.residual
+                rows = (r for r in rows if residual.evaluate(r))
+            if plan.group_by is not None:
+                rows = iter(self._aggregate(rows, plan.group_by))
+            if plan.order_by is not None:
+                self._check_order_field(plan)
+                if not plan.index_ordered:
+                    field = plan.order_by
+                    rows = iter(sorted(
+                        rows,
+                        key=lambda r: _sort_key(r.get(field)),
+                        reverse=plan.descending,
+                    ))
+            out = list(rows if plan.limit is None else islice(rows, plan.limit))
+        finally:
+            # Ends a scan that LIMIT stopped, which settles its count.
+            candidates.close()
         _EXECUTIONS.inc()
         _ROWS_RETURNED.inc(len(out))
         _QUERY_SECONDS.observe(time.perf_counter() - start)
-        return out
+        return out, examined[0]
 
     def run_plan_profiled(
         self,
@@ -676,7 +756,9 @@ class QueryEngine:
         """Execute ``plan`` stage by stage, timing and counting each node.
 
         Unlike :meth:`run_plan` this materializes every stage so each
-        operator's cost is attributable; results are identical.
+        operator's cost is attributable; results are identical, and as
+        in :meth:`run_plan` a LIMIT with no sort before it reads the
+        access path only as far as it needs.
         ``plan_cached`` is recorded in the profile so EXPLAIN ANALYZE
         shows whether the plan came from the cache, and ``fingerprint``
         (when known) is stamped on the profile and its span.  When a
@@ -729,94 +811,75 @@ class QueryEngine:
                 qspan.set_attribute("fingerprint", fingerprint)
             if guard is not None:
                 guard.check()
-            start = time.perf_counter()
-            cpu_start = time.thread_time_ns()
+            residual = plan.residual
+            access_clock, filter_clock = _StageClock(), _StageClock()
+            examined = [0]
+            candidates = self._candidates(plan, guard, examined)
             # Pool pages are only touched while the access path streams
             # candidate records off the paged tree, so the attribution
             # scope need not cover the later (pure in-memory) stages.
             pstats = PageStats()
-            with page_stats_scope(pstats):
-                candidates = list(self._candidates(plan, guard))
-            examined = len(self.store) if isinstance(plan.access, FullScan) else len(candidates)
-            node = OpProfile(
-                op=plan.access.op,
-                detail=plan.access.describe(),
-                rows_examined=examined,
-                rows_returned=len(candidates),
-                seconds=time.perf_counter() - start,
-                cpu_ns=time.thread_time_ns() - cpu_start,
-                bytes=_estimate_bytes(candidates, examined),
+            try:
+                with page_stats_scope(pstats):
+                    if plan.limit is not None and plan.group_by is None and (
+                        plan.order_by is None or plan.index_ordered
+                    ):
+                        pulled, rows = _pull_to_limit(
+                            candidates, residual, plan.limit, access_clock, filter_clock
+                        )
+                    else:
+                        with access_clock:
+                            pulled = rows = list(candidates)
+                        if residual is not None:
+                            with filter_clock:
+                                rows = [r for r in pulled if residual.evaluate(r)]
+            finally:
+                candidates.close()
+            detail = plan.access.describe()
+            if plan.index_ordered:
+                detail += f"; index order serves ORDER BY {plan.order_by} ASC"
+            node = access_clock.profile(
+                plan.access.op, detail, examined[0], pulled,
+                nbytes=_estimate_bytes(pulled, examined[0]),
             )
-            rows = candidates
-            if plan.residual is not None:
-                residual = plan.residual
-                start = time.perf_counter()
-                cpu_start = time.thread_time_ns()
-                filtered = [r for r in rows if residual.evaluate(r)]
-                node = OpProfile(
-                    op="filter",
-                    detail=str(residual),
-                    rows_examined=len(rows),
-                    rows_returned=len(filtered),
-                    seconds=time.perf_counter() - start,
-                    cpu_ns=time.thread_time_ns() - cpu_start,
-                    bytes=_estimate_bytes(rows),
-                    children=(node,),
+            if residual is not None:
+                node = filter_clock.profile(
+                    "filter", str(residual), len(pulled), rows, node,
+                    nbytes=_estimate_bytes(pulled),
                 )
-                rows = filtered
             if plan.group_by is not None:
-                start = time.perf_counter()
-                cpu_start = time.thread_time_ns()
-                grouped = self._aggregate(iter(rows), plan.group_by)
-                node = OpProfile(
-                    op="aggregate",
-                    detail=f"GROUP BY {plan.group_by} (COUNT)",
-                    rows_examined=len(rows),
-                    rows_returned=len(grouped),
-                    seconds=time.perf_counter() - start,
-                    cpu_ns=time.thread_time_ns() - cpu_start,
-                    bytes=_estimate_bytes(rows),
-                    children=(node,),
+                with _StageClock() as clock:
+                    grouped = self._aggregate(iter(rows), plan.group_by)
+                node = clock.profile(
+                    "aggregate", f"GROUP BY {plan.group_by} (COUNT)", len(rows),
+                    grouped, node, nbytes=_estimate_bytes(rows),
                 )
                 rows = grouped
             if plan.order_by is not None:
                 self._check_order_field(plan)
-                order_field = plan.order_by
-                start = time.perf_counter()
-                cpu_start = time.thread_time_ns()
-                rows = sorted(
-                    rows,
-                    key=lambda r: _sort_key(r.get(order_field)),
-                    reverse=plan.descending,
-                )
-                node = OpProfile(
-                    op="sort",
-                    detail=f"ORDER BY {order_field} {'DESC' if plan.descending else 'ASC'}",
-                    rows_examined=len(rows),
-                    rows_returned=len(rows),
-                    seconds=time.perf_counter() - start,
-                    cpu_ns=time.thread_time_ns() - cpu_start,
-                    bytes=_estimate_bytes(rows),
-                    children=(node,),
-                )
+                if not plan.index_ordered:
+                    order_field = plan.order_by
+                    with _StageClock() as clock:
+                        rows = sorted(
+                            rows,
+                            key=lambda r: _sort_key(r.get(order_field)),
+                            reverse=plan.descending,
+                        )
+                    node = clock.profile(
+                        "sort",
+                        f"ORDER BY {order_field} {'DESC' if plan.descending else 'ASC'}",
+                        len(rows), rows, node,
+                    )
             if plan.limit is not None:
-                start = time.perf_counter()
-                cpu_start = time.thread_time_ns()
-                limited = rows[: plan.limit]
-                node = OpProfile(
-                    op="limit",
-                    detail=f"LIMIT {plan.limit}",
-                    rows_examined=len(rows),
-                    rows_returned=len(limited),
-                    seconds=time.perf_counter() - start,
-                    cpu_ns=time.thread_time_ns() - cpu_start,
-                    bytes=_estimate_bytes(limited),
-                    children=(node,),
+                with _StageClock() as clock:
+                    limited = rows[: plan.limit]
+                node = clock.profile(
+                    "limit", f"LIMIT {plan.limit}", len(rows), limited, node
                 )
                 rows = limited
             _EXECUTIONS.inc()
             _PROFILED.inc()
-            _ROWS_EXAMINED.inc(examined)  # base-table rows touched by the access path
+            _ROWS_EXAMINED.inc(examined[0])  # base-table rows the access path yielded
             _ROWS_RETURNED.inc(len(rows))
             seconds = time.perf_counter() - total_start
             _QUERY_SECONDS.observe(seconds)
@@ -866,101 +929,106 @@ class QueryEngine:
 
     # -- candidates from the access path ------------------------------------------
 
-    @staticmethod
-    def _ticked(
-        rows: Iterator[dict[str, Any]], guard: Guard | None
-    ) -> Iterator[dict[str, Any]]:
-        """``rows`` with every record examined charged to ``guard``.
-
-        Rows are charged in blocks of up to ``guard.stride``, clipped to
-        the remaining row budget so a violation still reports
-        ``used == limit + 1`` exactly, keeping the per-row cost of an
-        armed guard to a few nanoseconds.
-        """
-        if guard is None:
-            yield from rows
-            return
-        rows = iter(rows)
-        stride = guard.stride
-        while True:
-            budget = guard.max_rows
-            size = (
-                stride
-                if budget is None
-                else min(stride, budget - guard.rows_examined + 1)
-            )
-            chunk = tuple(islice(rows, size if size > 0 else 1))
-            if not chunk:
-                return
-            guard.tick(len(chunk))
-            yield from chunk
-
     def _candidates(
-        self, plan: Plan, guard: Guard | None = None
+        self,
+        plan: Plan,
+        guard: Guard | None = None,
+        examined: list[int] | None = None,
     ) -> Iterator[dict[str, Any]]:
+        """The access path's records, pulled lazily from the store.
+
+        Every row the access path yields is charged to ``guard`` as it is
+        taken, and added to ``examined[0]`` once the stream is drained or
+        closed: the rows examined that the workload table and EXPLAIN
+        ANALYZE report.  Each primary key is yielded once.
+        """
         access = plan.access
+        store = self.store
+        rows: Any
         if isinstance(access, FullScan):
-            # The store's scan loop charges every record examined
-            # (predicate-filtered ones included) to the guard so huge
-            # scans stay interruptible.
-            yield from self.store.scan(guard=guard)
-            return
-        if isinstance(access, IndexLookup):
-            yield from self._ticked(self.store.find_by(access.field, access.value), guard)
-            return
-        if isinstance(access, IndexMultiLookup):
-            seen: set[Any] = set()
-            for value in access.values:
-                for record in self._ticked(
-                    self.store.find_by(access.field, value), guard
-                ):
-                    key = self.store.schema.primary_key_of(record)
-                    if key not in seen:
-                        seen.add(key)
-                        yield record
-            return
-        if isinstance(access, CompositeLookup):
-            yield from self._ticked(
-                self.store.find_by_composite(access.fields, access.values), guard
+            rows = store.scan()
+        elif isinstance(access, IndexLookup):
+            rows = store.find_by(access.field, access.value)
+        elif isinstance(access, IndexMultiLookup):
+            rows = chain.from_iterable(
+                store.find_by(access.field, value) for value in access.values
             )
-            return
-        if isinstance(access, CompositeRange):
-            yield from self._ticked(
-                self.store.range_by_composite(
-                    access.fields,
-                    access.prefix,
-                    access.low,
-                    access.high,
-                    include_low=access.include_low,
-                    include_high=access.include_high,
-                ),
-                guard,
+        elif isinstance(access, CompositeLookup):
+            rows = store.find_by_composite(access.fields, access.values)
+        elif isinstance(access, CompositeRange):
+            rows = store.range_by_composite(
+                access.fields,
+                access.prefix,
+                access.low,
+                access.high,
+                include_low=access.include_low,
+                include_high=access.include_high,
             )
-            return
-        if isinstance(access, IndexRange):
-            seen: set[Any] = set()
-            for record in self._ticked(
-                self.store.range_by(
-                    access.field,
-                    access.low,
-                    access.high,
-                    include_low=access.include_low,
-                    include_high=access.include_high,
-                ),
-                guard,
-            ):
-                key = self.store.schema.primary_key_of(record)
-                if key not in seen:
-                    seen.add(key)
+        elif isinstance(access, IndexRange):
+            rows = map(itemgetter(1), store.iter_range(
+                access.field,
+                access.low,
+                access.high,
+                include_low=access.include_low,
+                include_high=access.include_high,
+            ))
+        else:  # pragma: no cover
+            raise QueryPlanError(f"unknown access path {access!r}")
+        # The guard is ticked once per block of rows taken (_block_end),
+        # so nothing is read ahead of the consumer; rows taken since the
+        # last tick are settled when the stream is closed early.
+        pulled = charged = 0
+        due = 0 if guard is None else _block_end(guard, 0)
+        # A list field's range or an IN list can meet one record twice.
+        seen: set[Any] | None = (
+            set() if isinstance(access, (IndexMultiLookup, IndexRange)) else None
+        )
+        primary_key_of = store.schema.primary_key_of
+        try:
+            if guard is None and seen is None:
+                # Only the count: two checks per row cost an unguarded
+                # full scan about a tenth of its time.
+                for record in rows:
+                    pulled += 1
                     yield record
-            return
-        raise QueryPlanError(f"unknown access path {access!r}")  # pragma: no cover
+                return
+            for record in rows:
+                pulled += 1
+                if pulled == due:
+                    block, charged = pulled - charged, pulled
+                    guard.tick(block)
+                    due = _block_end(guard, pulled)
+                if seen is not None:
+                    key = primary_key_of(record)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                yield record
+            if guard is not None:
+                block, charged = pulled - charged, pulled
+                guard.tick(block)  # drained: the last block, checked
+        finally:
+            if guard is not None:
+                guard.settle(pulled - charged)
+            if examined is not None:
+                examined[0] += pulled
 
     @staticmethod
     def _parse(query: str | Query) -> Query:
         if isinstance(query, Query):
             return query
         return parse_query(query)
+
+
+def _block_end(guard: Guard, taken: int) -> int:
+    """The row count at which a loop that has taken ``taken`` rows next
+    ticks ``guard``: a stride on, clipped to the remaining row budget, so
+    the row that crosses the budget ends a block and the violation
+    reports ``used == max_rows + 1`` before that row is handed on."""
+    block = guard.stride
+    if guard.max_rows is not None:
+        block = max(1, min(block, guard.max_rows - guard.rows_examined + 1))
+    return taken + block
 
 
 def _sort_key(value: Any) -> tuple[int, Any]:
@@ -1016,6 +1084,8 @@ class _SharedRowBudget:
     the shared ledger is charged in the same stride-sized blocks the
     workers already tick in — the budget still trips within one stride
     per worker of the limit, it just cannot promise ``used == limit + 1``.
+    A worker that LIMIT stops between ticks adds its last rows unchecked
+    (:meth:`_ShardGuard.settle`); the scatter checks its total at the end.
     """
 
     __slots__ = ("max_rows", "rows", "_lock")
@@ -1086,6 +1156,14 @@ class _ShardGuard(Guard):
         if self._until_check <= 0:
             self._until_check = self.stride
             self.check()
+
+    def settle(self, rows: int) -> None:
+        # Unchecked, as on a plain guard, but into the shared ledger too
+        # so siblings still scanning count these rows; the scatter holds
+        # its total to the budget once every worker is done.
+        self.rows_examined += rows
+        if self._ledger is not None:
+            self._ledger.add(rows)
 
 
 @dataclass(slots=True)
@@ -1257,8 +1335,9 @@ class ShardedQueryEngine:
         :class:`Guard` or the convenience knobs — except that the bound
         covers the *whole scatter*: the deadline and cancel token are
         shared by every shard worker, and ``max_rows`` limits the total
-        rows examined across all shards (enforced at stride granularity;
-        see :class:`_SharedRowBudget`).
+        rows examined across all shards (enforced at stride granularity
+        while the workers run and on the total once they are done; see
+        :class:`_SharedRowBudget`).
 
         ``partial=True`` opts into graceful degradation: quarantined
         shards are skipped up front, a shard whose worker fails is
@@ -1671,25 +1750,24 @@ class ShardedQueryEngine:
             wguard = worker_guards[idx]
             stats = PageStats()
             shard_start = time.perf_counter()
+            examined = [0]
             with page_stats_scope(stats):
-                rows = engine._candidates(splan.shard_plan, wguard)
-                residual = splan.shard_plan.residual
-                if residual is not None:
-                    rows = (r for r in rows if residual.evaluate(r))
-                part = fold(rows)
+                candidates = engine._candidates(splan.shard_plan, wguard, examined)
+                try:
+                    rows: Iterator[dict[str, Any]] = candidates
+                    residual = splan.shard_plan.residual
+                    if residual is not None:
+                        rows = (r for r in rows if residual.evaluate(r))
+                    part = fold(rows)
+                finally:
+                    candidates.close()
             elapsed = time.perf_counter() - shard_start
             n = part.count if isinstance(part, PartialAggregate) else len(part)
-            if wguard is not None:
-                shard_examined = wguard.rows_examined
-            elif isinstance(splan.shard_plan.access, FullScan):
-                shard_examined = len(self.store.shards[idx])
-            else:
-                shard_examined = n
             metas[idx] = {
                 "shard": idx,
                 "rows": n,
                 "seconds": elapsed,
-                "examined": shard_examined,
+                "examined": examined[0],
                 "page_hits": stats.hits,
                 "page_misses": stats.misses,
             }
@@ -1771,33 +1849,16 @@ class ShardedQueryEngine:
                 self._raise_first(errors, worker_guards)
         parts = [part for part in parts if part is not skipped]
 
-        if failed and worker_guards[0] is None:
-            # A skipped shard's rows cannot be counted as examined — sum
-            # what the surviving workers actually reported instead of
-            # the whole-store estimate.
-            examined = sum(m["examined"] for m in metas if m is not None)
-        else:
-            examined = self._examined(splan, parts, worker_guards)
+        examined = sum(m["examined"] for m in metas if m is not None)
         if guard is not None:
             # Fold the workers' progress back into the caller's guard so
             # its stats()/partial-progress reporting covers the scatter.
             guard.rows_examined += examined
+            # A worker that LIMIT stopped between ticks settled its rows
+            # unchecked, so no worker need have seen the shared budget
+            # crossed: the scatter's total is held to it here.
+            guard.check_rows()
         return parts, examined, metas, tuple(sorted(failed))
-
-    def _examined(
-        self,
-        splan: ScatterPlan,
-        parts: list[Any],
-        worker_guards: list[Guard | None],
-    ) -> int:
-        if worker_guards[0] is not None:
-            return sum(g.rows_examined for g in worker_guards if g is not None)
-        if isinstance(splan.shard_plan.access, FullScan):
-            return len(self.store)
-        return sum(
-            part.count if isinstance(part, PartialAggregate) else len(part)
-            for part in parts
-        )
 
     def _raise_first(
         self, errors: list[BaseException], worker_guards: list[Guard | None]

@@ -19,6 +19,12 @@ Whatever access path is chosen, all conjuncts that the path does not fully
 answer stay in the residual filter, so plans are always *correct* and at
 worst *unhelpful* — the property the planner/scan equivalence tests assert.
 
+The planner is also the one place that decides when a plan's rows already
+come in ``ORDER BY`` order (:func:`_index_orders`): an ascending
+``ORDER BY`` on the scalar field an index range scans, with no
+``GROUP BY``.  Such a plan (``Plan.index_ordered``) skips the sort and
+stops its scan at ``LIMIT``.
+
 Repeated queries skip the rule search entirely via :class:`PlanCache`, an
 LRU keyed on the (hashable, normalized) query AST plus the store's
 ``index_epoch`` — the epoch bumps on index create/drop and bulk writes, so
@@ -180,6 +186,9 @@ class Plan:
     order_by: str | None = None
     descending: bool = False
     limit: int | None = None
+    #: The access path yields rows in ``order_by`` order already (see
+    #: :func:`_index_orders`): execution skips the sort and stops at LIMIT.
+    index_ordered: bool = False
 
     def explain(self) -> str:
         """Human-readable plan, one clause per line."""
@@ -188,7 +197,9 @@ class Plan:
             lines.append(f"FILTER {self.residual}")
         if self.group_by:
             lines.append(f"GROUP BY {self.group_by} (COUNT)")
-        if self.order_by:
+        if self.index_ordered:
+            lines.append(f"ORDER BY {self.order_by} ASC (index order, no sort)")
+        elif self.order_by:
             lines.append(f"ORDER BY {self.order_by} {'DESC' if self.descending else 'ASC'}")
         if self.limit is not None:
             lines.append(f"LIMIT {self.limit}")
@@ -389,6 +400,33 @@ def plan_query(query: Query, store: "RecordStore") -> Plan:
         order_by=query.order_by,
         descending=query.descending,
         limit=query.limit,
+        index_ordered=_index_orders(access, query, store),
+    )
+
+
+def _index_orders(access: AccessPath, query: Query, store: "RecordStore") -> bool:
+    """Whether ``access`` yields rows already in ``query``'s ORDER BY order.
+
+    True for an index range over the ``ORDER BY`` field when the order is
+    ascending, the field is scalar and nothing regroups the rows.  A
+    range scan yields keys ascending and, under one key, the index's
+    order, which is the order a stable sort of the same rows keeps.  A
+    list field is indexed per element, not by the value ORDER BY sorts
+    on, and a reversed scan would reverse the order of ties, so both
+    keep the sort.
+    """
+    if not isinstance(access, IndexRange) or access.field != query.order_by:
+        return False
+    if query.descending or query.group_by is not None:
+        return False
+    # Imported here: loading storage while the planner module loads
+    # reorders package start-up, which raised peak RSS by ~0.7 MB.
+    from repro.storage.schema import FieldType
+
+    schema = store.schema
+    return (
+        schema.has_field(access.field)
+        and schema.field(access.field).type is not FieldType.STRING_LIST
     )
 
 

@@ -3,7 +3,8 @@
 Long-running work threads a single :class:`Guard` through its row loops
 and charges every row examined via :meth:`Guard.tick`.  A tick is one
 integer add and one compare; hot loops additionally batch their ticks
-(``tick(n)`` for a block of rows, clipped to the remaining row budget)
+(``tick(n)`` for a block of rows, clipped to the remaining row budget,
+and :meth:`Guard.settle` for the rows of a block a consumer abandoned)
 so an armed guard costs single-digit nanoseconds per row.  Only every
 ``stride`` rows (default 256) does the guard pay for the real checks:
 wall-clock deadline and cooperative cancellation.  On violation the guard raises the matching typed error
@@ -165,7 +166,19 @@ class Guard:
             self._until_check = self.stride
             self.check()
 
+    def settle(self, rows: int) -> None:
+        """Count ``rows`` a loop took after its last :meth:`tick`, when its
+        consumer stopped early (``LIMIT``).  Unchecked: a loop whose
+        blocks are clipped to the remaining row budget ticks at the row
+        that crosses it, so these rows stay within the budget."""
+        self.rows_examined += rows
+
     # -- full checks ------------------------------------------------------
+
+    def check_rows(self) -> None:
+        """Enforce the row budget on rows counted without a check."""
+        if self.max_rows is not None and self.rows_examined > self.max_rows:
+            self._raise_budget("rows", self.max_rows, self.rows_examined)
 
     def check(self) -> None:
         """Run the deadline and cancellation checks immediately."""

@@ -56,11 +56,13 @@ on ``/progressz``.
 
 from __future__ import annotations
 
+import heapq
 import json
 import threading
 import time
 import zlib
 from concurrent.futures import Future, ThreadPoolExecutor
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -75,7 +77,6 @@ from repro.storage.schema import Schema
 from repro.storage.store import IndexKind, RecordStore, _check_data_format
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.resilience.deadline import Guard
     from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ShardedStore", "SHARD_MANIFEST", "shard_key_bytes"]
@@ -355,15 +356,11 @@ class ShardedStore:
             yield from shard.keys()
 
     def scan(
-        self,
-        predicate: Callable[[Mapping[str, Any]], bool] | None = None,
-        *,
-        guard: "Guard | None" = None,
+        self, predicate: Callable[[Mapping[str, Any]], bool] | None = None
     ) -> Iterator[dict[str, Any]]:
-        """Iterate all shards' records in shard order; ``guard`` is charged
-        for every record examined, exactly as on a single store."""
+        """Iterate all shards' records in shard order."""
         for shard in self.shards:
-            yield from shard.scan(predicate, guard=guard)
+            yield from shard.scan(predicate)
 
     # -- single-record mutations ------------------------------------------
 
@@ -599,20 +596,46 @@ class ShardedStore:
         include_low: bool = True,
         include_high: bool = True,
     ) -> list[dict[str, Any]]:
-        """Range matches from every shard, concatenated in shard order.
+        """Range matches from every shard, in field order (all of
+        :meth:`iter_range`, without its keys).
 
-        Unlike the single store this is *not* globally field-ordered —
-        every consumer that needs order re-sorts (the executor's ORDER BY
-        path) or merges (:class:`~repro.query.executor.ShardedQueryEngine`).
+        Records under equal keys come shard by shard, each shard's in
+        its index order: the order a stable sort by ``field`` of the
+        shards' results concatenated shard by shard gives, so a result
+        ordered by ``field`` is the same either way.  A consumer that
+        keeps the stream's order instead (a plain
+        :class:`~repro.query.executor.QueryEngine` over this store with
+        no ORDER BY, with ties under an ORDER BY on another field, or
+        with a LIMIT and no ORDER BY) sees this merged field order, not
+        shard order.
         """
-        out: list[dict[str, Any]] = []
-        for shard in self.shards:
-            out.extend(
-                shard.range_by(
+        return [
+            record
+            for _, record in self.iter_range(
+                field, low, high, include_low=include_low, include_high=include_high
+            )
+        ]
+
+    def iter_range(
+        self,
+        field: str,
+        low: Any = None,
+        high: Any = None,
+        *,
+        include_low: bool = True,
+        include_high: bool = True,
+    ) -> Iterator[tuple[Any, dict[str, Any]]]:
+        """The shards' :meth:`RecordStore.iter_range` streams, lazily
+        merged into key order; ties go to the lower shard first."""
+        return heapq.merge(
+            *(
+                shard.iter_range(
                     field, low, high, include_low=include_low, include_high=include_high
                 )
-            )
-        return out
+                for shard in self.shards
+            ),
+            key=itemgetter(0),
+        )
 
     def find_by_composite(
         self, fields: Sequence[str], values: Sequence[Any]

@@ -67,12 +67,8 @@ import json
 import threading
 import zlib
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.resilience.deadline import Guard
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import (
     DuplicateKeyError,
@@ -547,48 +543,16 @@ class RecordStore:
             raise RecordNotFoundError(key) from None
 
     def scan(
-        self,
-        predicate: Callable[[Mapping[str, Any]], bool] | None = None,
-        *,
-        guard: "Guard | None" = None,
+        self, predicate: Callable[[Mapping[str, Any]], bool] | None = None
     ) -> Iterator[dict[str, Any]]:
-        """Iterate over (copies of) all records, optionally filtered.
-
-        ``guard`` (a :class:`repro.resilience.Guard`) accounts every
-        record examined — filtered-out records included — so a deadline,
-        cancellation, or row budget interrupts the scan mid-stream.  To
-        keep the guarded loop within a few percent of the unguarded one,
-        rows are charged in blocks of up to ``guard.stride``, clipped to
-        the remaining row budget (a budget violation still reports
-        ``used == limit + 1`` exactly); the deadline/cancellation check
-        runs at least once per stride.
-        """
+        """Iterate over (copies of) all records, optionally filtered."""
         _SCAN_COUNT.inc()
         examined = 0
         try:
-            if guard is None:
-                for record in self._records.values():
-                    examined += 1
-                    if predicate is None or predicate(record):
-                        yield dict(record)
-                return
-            rows = iter(self._records.values())
-            stride = guard.stride
-            while True:
-                budget = guard.max_rows
-                size = (
-                    stride
-                    if budget is None
-                    else min(stride, budget - guard.rows_examined + 1)
-                )
-                chunk = tuple(islice(rows, size if size > 0 else 1))
-                if not chunk:
-                    return
-                guard.tick(len(chunk))
-                examined += len(chunk)
-                for record in chunk:
-                    if predicate is None or predicate(record):
-                        yield dict(record)
+            for record in self._records.values():
+                examined += 1
+                if predicate is None or predicate(record):
+                    yield dict(record)
         finally:
             # One bulk increment per scan (not per record) keeps the hot
             # loop free of metric calls even on abandoned iterations.
@@ -1132,21 +1096,50 @@ class RecordStore:
         include_low: bool = True,
         include_high: bool = True,
     ) -> list[dict[str, Any]]:
-        """Records with ``field`` in the given range, in field order.
+        """Records with ``field`` in the given range, in field order
+        (all of :meth:`iter_range`, without its keys)."""
+        return [
+            record
+            for _, record in self.iter_range(
+                field, low, high, include_low=include_low, include_high=include_high
+            )
+        ]
 
-        Uses a B-tree index when available; falls back to scan+sort.
+    def iter_range(
+        self,
+        field: str,
+        low: Any = None,
+        high: Any = None,
+        *,
+        include_low: bool = True,
+        include_high: bool = True,
+    ) -> Iterator[tuple[Any, dict[str, Any]]]:
+        """``(key, record)`` for every index key of ``field`` in the range.
+
+        Pairs come in key order, and records under one key in the
+        index's order.  A list field yields a record once per element in
+        range.  With a B-tree index the scan is lazy: each record is
+        copied only when the consumer pulls it, so a consumer that stops
+        early (``LIMIT``) reads no further, and the key-usage table
+        records the rows actually pulled.  Without one, the store is
+        scanned and sorted by key up front.
         """
         _RANGE_BY_COUNT.inc()
         index = self._indexes.get(field)
         if index is not None and index.supports_range:
             structure = self._ensure_index_built(index)
             assert isinstance(structure, BTree)
-            pairs = structure.range(
-                low, high, include_low=include_low, include_high=include_high
-            )
-            out = [dict(self._records[pk]) for _, pk in pairs]
-            _KU_RECORD(field, _range_label(low, high), len(out))
-            return out
+            records = self._records
+            pulled = 0
+            try:
+                for key, pk in structure.range(
+                    low, high, include_low=include_low, include_high=include_high
+                ):
+                    pulled += 1
+                    yield key, dict(records[pk])
+            finally:
+                _KU_RECORD(field, _range_label(low, high), pulled)
+            return
 
         def in_range(value: Any) -> bool:
             if low is not None and (value < low or (value == low and not include_low)):
@@ -1162,7 +1155,7 @@ class RecordStore:
             if in_range(key_value)
         ]
         hits.sort(key=lambda pair: pair[0])
-        return [record for _, record in hits]
+        yield from hits
 
     # -- internal application ------------------------------------------------------
 

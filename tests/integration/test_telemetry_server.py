@@ -267,7 +267,10 @@ class TestSlowQueryCorrelation:
             path = tmp_path / "slow.jsonl"
             slow_log = SlowQueryLog(path, threshold_s=0.0)  # everything is slow
             engine = self._seeded_engine(reference_records, slow_log)
-            engine.execute("year >= 1900 ORDER BY year")
+            # DESC keeps a sort node: an ascending ORDER BY on the
+            # indexed field is served in index order, with no operator
+            # above the range scan.
+            engine.execute("year >= 1900 ORDER BY year DESC")
         finally:
             logger.set_level(previous)
 

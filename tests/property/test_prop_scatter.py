@@ -8,15 +8,18 @@ the answer:
   (int values keep sums exact, so equality is strict).
 * A :class:`ShardedQueryEngine` over a hypothesis-chosen shard count
   returns byte-identical sorted scans and aggregates to the 1-shard case,
-  which is itself checked against a plain-Python ground truth.
+  which is itself checked against a plain-Python ground truth.  Its
+  top-k queries run on a ``year`` index, read lazily in index order.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query import PartialAggregate, ShardedQueryEngine
-from repro.storage import ShardedStore
+from repro.query import PartialAggregate, QueryEngine, ShardedQueryEngine
+from repro.query.parser import parse_query
+from repro.storage import IndexKind, ShardedStore
 from repro.storage.schema import Field, FieldType, Schema
+from tests.property.test_prop_query import _oracle
 
 SCHEMA = Schema(
     [
@@ -72,20 +75,39 @@ records_strategy = st.lists(
         st.integers(min_value=0, max_value=5),  # volume
     ),
     max_size=50,
+).flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(range(len(rows)))))
+
+
+@given(
+    rows_and_order=records_strategy,
+    shards=st.integers(min_value=2, max_value=8),
+    year=st.integers(min_value=1900, max_value=1940),
+    volume=st.integers(min_value=0, max_value=5),
+    k=st.integers(min_value=0, max_value=12),
 )
-
-
-@given(rows=records_strategy, shards=st.integers(min_value=2, max_value=8))
 @settings(max_examples=50, deadline=None)
-def test_scatter_gather_matches_single_shard(rows, shards):
-    records = [
-        {"id": i, "year": year, "volume": volume}
-        for i, (year, volume) in enumerate(rows)
-    ]
+def test_scatter_gather_matches_single_shard(rows_and_order, shards, year, volume, k):
+    rows, order = rows_and_order
+    # Inserted in a shuffled primary-key order, so each shard's index
+    # order among equal years is not primary-key order.
+    records = [{"id": i, "year": rows[i][0], "volume": rows[i][1]} for i in order]
+    topk = f"year >= {year} ORDER BY year LIMIT {k}"
+    topk_filtered = f"year >= {year} AND volume = {volume} ORDER BY year LIMIT {k}"
+    topk_desc = f"year >= {year} ORDER BY year DESC LIMIT {k}"
+
+    def truth(keep, *, reverse=False):
+        ordered = sorted(
+            (r for r in records if keep(r)),
+            key=lambda r: (r["year"], r["id"]),
+            reverse=reverse,
+        )
+        return ordered[:k]
+
     engines = []
     try:
         for n in (1, shards):
             store = ShardedStore(SCHEMA, shards=n)
+            store.create_index("year", IndexKind.BTREE)
             store.put_many(records)
             engines.append(ShardedQueryEngine(store))
         one, many = engines
@@ -94,8 +116,22 @@ def test_scatter_gather_matches_single_shard(rows, shards):
             "* ORDER BY year DESC LIMIT 7",
             "* GROUP BY volume",
             "year >= 1920 ORDER BY volume",
+            topk,
+            topk_filtered,
+            topk_desc,
         ):
             assert many.execute(query) == one.execute(query), query
+        assert one.execute(topk) == truth(lambda r: r["year"] >= year)
+        assert one.execute(topk_filtered) == truth(
+            lambda r: r["year"] >= year and r["volume"] == volume
+        )
+        assert one.execute(topk_desc) == truth(lambda r: r["year"] >= year, reverse=True)
+        # A plain engine over the sharded store keeps the sort-everything
+        # order: ties shard by shard, each shard's in index order.
+        plain = QueryEngine(many.store)
+        for query in (topk, topk_filtered, topk_desc, f"year >= {year} ORDER BY year"):
+            plan, _ = plain._plan(parse_query(query))
+            assert plain.execute(query) == _oracle(plain, plan), query
         if records:
             agg = many.aggregate("*", "year")
             years = [r["year"] for r in records]

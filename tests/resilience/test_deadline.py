@@ -7,12 +7,14 @@ raised errors (including the partial EXPLAIN ANALYZE tree).
 """
 
 import time
+from itertools import islice
 
 import pytest
 
 from repro.errors import BudgetExceeded, QueryCancelled, QueryTimeout
 from repro.obs import metrics
 from repro.query.executor import QueryEngine
+from repro.query.parser import parse_query
 from repro.resilience import CancelToken, Deadline, Guard
 
 
@@ -125,6 +127,47 @@ class TestGuard:
         assert cancelled.value == 1
         assert budget.value == 1
 
+    @pytest.fixture()
+    def ten_rows(self, memory_store):
+        memory_store.put_many(
+            [{"id": i, "name": f"r{i}", "year": 1900} for i in range(10)]
+        )
+        return QueryEngine(memory_store)
+
+    @staticmethod
+    def _full_scan(engine, guard):
+        # The executor's access-path stream, which charges each row to
+        # the guard as its consumer takes it.
+        plan, _ = engine._plan(parse_query("*"))
+        return engine._candidates(plan, guard)
+
+    def test_stream_charges_the_rows_taken(self, ten_rows):
+        guard = Guard(stride=4)
+        assert len(ten_rows.execute("* LIMIT 6", guard=guard)) == 6
+        # LIMIT stopped the scan: nothing read ahead is charged.
+        assert guard.rows_examined == 6
+        assert len(ten_rows.execute("*", guard=guard)) == 10
+        assert guard.rows_examined == 16
+
+    def test_stream_budget_is_exact(self, ten_rows):
+        guard = Guard(max_rows=5, stride=4)
+        taken = []
+        with pytest.raises(BudgetExceeded) as exc_info:
+            for row in self._full_scan(ten_rows, guard):
+                taken.append(row)
+        # The sixth row crosses the budget and is never handed out.
+        assert len(taken) == 5
+        assert exc_info.value.used == 6
+        assert guard.rows_examined == 6
+
+    def test_stream_checks_the_deadline_once_per_stride(self, ten_rows):
+        guard = Guard(deadline=Deadline.after(0.0), stride=4)
+        stream = self._full_scan(ten_rows, guard)
+        assert len(list(islice(stream, 3))) == 3
+        with pytest.raises(QueryTimeout) as exc_info:
+            next(stream)
+        assert exc_info.value.rows_examined == 4
+
     @pytest.mark.parametrize(
         "kwargs", [{"stride": 0}, {"max_rows": -1}, {"max_bytes": -1}]
     )
@@ -156,6 +199,27 @@ class TestExecutorIntegration:
         exc = exc_info.value
         assert exc.limit == 100
         assert exc.used == 101
+
+    def test_limit_stops_a_guarded_scan(self, engine):
+        # The guard charges rows as LIMIT takes them: no stride-sized
+        # read-ahead, so a small LIMIT fits a small row budget.
+        rows = engine.execute("year >= 1900 LIMIT 50", max_rows=100)
+        assert len(rows) == 50
+
+    def test_limit_stops_a_guarded_index_ordered_scan(self, engine, memory_store):
+        from repro.obs import workload
+        from repro.storage.store import IndexKind
+
+        memory_store.create_index("year", IndexKind.BTREE)
+        query = "year >= 1950 ORDER BY year LIMIT 5"
+        guard = Guard(deadline=Deadline.after(60.0))  # what timeout_s builds
+        rows = engine.execute(query, guard=guard)
+        assert [r["year"] for r in rows] == [1950] * 5
+        assert guard.rows_examined == 5
+        workload.reset()
+        assert engine.execute(query, timeout_s=60.0) == rows
+        (row,) = workload.top(5)
+        assert row["rows_examined"] == 5
 
     def test_generous_bounds_leave_results_identical(self, engine):
         plain = engine.execute("year >= 1950 LIMIT 20")

@@ -130,3 +130,96 @@ class TestListFieldDedup:
         engine = QueryEngine(memory_store)
         rows = engine.execute('tags >= "a" AND tags <= "z"')
         assert len(rows) == 1
+
+
+class TestIndexOrder:
+    """ORDER BY on the field an index range scans: no sort, and LIMIT
+    stops the scan."""
+
+    @pytest.fixture()
+    def years(self, memory_store):
+        memory_store.put_many(
+            [
+                {"id": i, "name": f"n{i % 7}", "year": 1950 + (i * 7) % 40}
+                for i in range(200)
+            ]
+        )
+        memory_store.create_index("name", IndexKind.HASH)
+        memory_store.create_index("year", IndexKind.BTREE)
+        memory_store.create_index("tags", IndexKind.BTREE)
+        return QueryEngine(memory_store)
+
+    @pytest.mark.parametrize(
+        "query, ordered",
+        [
+            ("year >= 1980 ORDER BY year LIMIT 5", True),
+            ("year >= 1980 AND year < 1985 ORDER BY year", True),
+            ('year >= 1980 AND name != "n3" ORDER BY year LIMIT 5', True),
+            ("year >= 1980 ORDER BY year DESC LIMIT 5", False),
+            ("year >= 1980 ORDER BY name LIMIT 5", False),
+            ('tags >= "a" ORDER BY tags LIMIT 5', False),
+            ("year >= 1980 GROUP BY year ORDER BY year", False),
+            ('name = "n3" AND year >= 1980 ORDER BY year', False),
+            ("* ORDER BY year LIMIT 5", False),
+        ],
+    )
+    def test_planner_marks_index_ordered_plans(self, years, query, ordered):
+        plan, _ = years._plan(parse_query(query))
+        assert plan.index_ordered is ordered
+        assert ("index order" in years.explain(query)) is ordered
+
+    def test_limit_stops_the_scan_without_a_sort(self, years):
+        query = "year >= 1980 ORDER BY year LIMIT 5"
+        profile = years.execute(query, profile=True)
+        assert [n.op for n in profile.root.iter_nodes()] == ["limit", "index-range"]
+        access = profile.root.children[0]
+        assert access.rows_examined == 5
+        assert "index order serves ORDER BY year ASC" in access.detail
+        assert profile.rows == years.execute(query)
+        assert profile.rows == years.execute_without_indexes(query)
+
+    def test_residual_reads_only_as_far_as_limit_needs(self, years):
+        from repro.obs import workload
+        from repro.query.fingerprint import fingerprint_of
+
+        query = 'year >= 1980 AND name != "n3" ORDER BY year LIMIT 4'
+        in_range = sorted(
+            (r for r in years.store.scan() if r["year"] >= 1980),
+            key=lambda r: (r["year"], r["id"]),
+        )
+        passing = [i for i, r in enumerate(in_range) if r["name"] != "n3"]
+        needed = passing[3] + 1  # the scan stops at the 4th passing row
+        workload.reset()
+        plain = years.execute(query)
+        profile = years.execute(query, profile=True)
+        assert plain == profile.rows == [in_range[i] for i in passing[:4]]
+        *_, filtered, access = profile.root.iter_nodes()
+        assert (filtered.op, access.op) == ("filter", "index-range")
+        assert access.rows_examined == filtered.rows_examined == needed
+        fingerprint = fingerprint_of(parse_query(query))[0]
+        (row,) = [r for r in workload.top(50) if r["fingerprint"] == fingerprint]
+        assert row["rows_examined"] == 2 * needed
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("year >= 1980 ORDER BY year LIMIT 5", 5),
+            ("* LIMIT 5", 5),
+            ('name = "n3"', 29),
+        ],
+    )
+    def test_workload_row_counts_the_rows_the_access_path_read(
+        self, years, query, expected
+    ):
+        from repro.obs import workload
+        from repro.query.fingerprint import fingerprint_of
+
+        workload.reset()
+        years.execute(query)
+        fingerprint = fingerprint_of(parse_query(query))[0]
+        (row,) = [r for r in workload.top(50) if r["fingerprint"] == fingerprint]
+        *_, access = years.execute(query, profile=True).root.iter_nodes()
+        assert row["rows_examined"] == access.rows_examined == expected
+        if query.startswith("year"):
+            usage = workload.get_default_key_usage().histogram("year")
+            assert usage["rows"] == 2 * expected  # both runs, 5 rows each

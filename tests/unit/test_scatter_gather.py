@@ -185,6 +185,22 @@ class TestGuards:
             engine.close()
             engine.store.close()
 
+    def test_limit_scatter_is_held_to_the_budget(self):
+        engine = _sharded(4)
+        try:
+            # Every shard stops at LIMIT 50 before its first tick, so no
+            # worker sees the shared ledger pass 100; the scatter's total
+            # (4 x 50 rows) is checked once the workers are done.
+            with pytest.raises(BudgetExceeded) as exc_info:
+                engine.execute("* LIMIT 50", max_rows=100)
+            assert exc_info.value.used == 200
+            guard = Guard(max_rows=100)
+            assert len(engine.execute("* LIMIT 20", guard=guard)) == 20
+            assert guard.rows_examined == 80
+        finally:
+            engine.close()
+            engine.store.close()
+
     def test_budget_larger_than_corpus_passes(self):
         engine = _sharded(4)
         try:
