@@ -11,10 +11,11 @@ Two experiments, written to ``BENCH_shard.json``:
   that term ~N×.  Target: ≥ 2.5x records/s at 4 shards vs 1 on the
   full 100k-record run.
 * **query** — p50/p99 latency of a sorted scan and a numeric aggregate
-  through :class:`ShardedQueryEngine` scatter-gather at each shard
-  count, plus a byte-identity check of every result against the
-  1-shard baseline.  (Single-core box: this measures merge overhead,
-  not parallel speedup — the ingest arm is where sharding pays here.)
+  through :class:`QueryEngine` at each shard count, plus a byte-identity
+  check of every result against the 1-shard baseline.  The engine reads
+  the shards one after another in the calling thread, so this measures
+  the per-shard cost of the exchange, not a parallel speedup — the
+  ingest arm is where sharding pays.
 
 Standalone-runnable (pytest not required)::
 
@@ -23,25 +24,28 @@ Standalone-runnable (pytest not required)::
     PYTHONPATH=src python benchmarks/bench_shard.py --output BENCH_shard.json
 
 ``--quick`` shrinks the corpus and repeat counts so CI can smoke-test the
-harness in seconds; the checked-in baseline comes from a full run.
+harness in seconds; the checked-in baseline comes from a full run.  The
+host block and percentiles come from ``bench_e2e/harness.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from repro import obs
-from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
-from repro.corpus.wvlr import PUBLICATION_SCHEMA
-from repro.query.executor import ShardedQueryEngine
-from repro.storage.sharded import ShardedStore
-from repro.storage.store import IndexKind
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench_e2e"))
+
+import harness  # noqa: E402
+from repro import obs  # noqa: E402
+from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig  # noqa: E402
+from repro.corpus.wvlr import PUBLICATION_SCHEMA  # noqa: E402
+from repro.query.executor import QueryEngine  # noqa: E402
+from repro.storage.sharded import ShardedStore  # noqa: E402
+from repro.storage.store import IndexKind  # noqa: E402
 
 SHARD_COUNTS = (1, 2, 4, 8)
 FULL_SIZE = 100_000
@@ -125,15 +129,8 @@ def bench_shard_ingest(size: int, scratch: Path) -> dict:
     return results
 
 
-def _percentiles(samples: list[float]) -> tuple[float, float]:
-    ordered = sorted(samples)
-    p50 = ordered[len(ordered) // 2]
-    p99 = ordered[min(len(ordered) - 1, round(0.99 * (len(ordered) - 1)))]
-    return p50, p99
-
-
 def bench_shard_query(size: int, repeats: int) -> dict:
-    """Sorted-scan and aggregate latency through scatter-gather, with a
+    """Sorted-scan and aggregate latency over each shard count, with a
     byte-identity check of every shard count against 1 shard."""
     rows = _records(min(size, 20_000))
     results: dict[str, dict] = {}
@@ -142,7 +139,7 @@ def bench_shard_query(size: int, repeats: int) -> dict:
         store = ShardedStore(PUBLICATION_SCHEMA, shards=shards)
         store.put_many(rows)
         _add_indexes(store)
-        engine = ShardedQueryEngine(store)
+        engine = QueryEngine(store)
         try:
             sorted_out = engine.execute(QUERY_SORTED)
             agg_out = engine.aggregate(QUERY_AGG_FILTER, QUERY_AGG_FIELD)
@@ -164,10 +161,9 @@ def bench_shard_query(size: int, repeats: int) -> dict:
                 engine.aggregate(QUERY_AGG_FILTER, QUERY_AGG_FIELD)
                 agg_samples.append(perf_counter() - start)
         finally:
-            engine.close()
             store.close()
-        s50, s99 = _percentiles(sorted_samples)
-        a50, a99 = _percentiles(agg_samples)
+        s50, s99 = (harness.percentile(sorted_samples, p) for p in (50, 99))
+        a50, a99 = (harness.percentile(agg_samples, p) for p in (50, 99))
         results[str(shards)] = {
             "sorted_p50_ms": round(s50 * 1e3, 3),
             "sorted_p99_ms": round(s99 * 1e3, 3),
@@ -200,11 +196,10 @@ def main(argv=None) -> int:
         query = bench_shard_query(size, repeats)
     doc = {
         "benchmark": "bench_shard",
-        "python": sys.version.split()[0],
         # The ingest speedup is checkpoint-bound on one core; the
         # thread-pool commit headroom only shows with cores to spare,
         # so a result is only comparable to runs on similar hardware.
-        "host": {"cpu_count": os.cpu_count()},
+        "host": harness.host_block(),
         "quick": args.quick,
         "targets": {"ingest_speedup_4_shards_vs_1": INGEST_SPEEDUP_TARGET},
         "config": {

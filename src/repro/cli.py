@@ -124,20 +124,18 @@ def _load_corpus(path: str | None) -> list[PublicationRecord]:
 
 
 def _records_via_shards(records: list[PublicationRecord], shards: int) -> list[PublicationRecord]:
-    """Round-trip ``records`` through an N-shard store's scatter-gather path.
+    """Round-trip ``records`` through an N-shard store and a sorted query.
 
-    The records come back via a sorted scan merged across shards —
-    byte-identical to the input corpus order (primary keys are unique),
-    so the built index is the same; the point is running the real
-    partition + merge machinery when ``--shards`` is requested.
+    The records come back in primary-key order, byte-identical to the
+    input corpus order (primary keys are unique), so the built index is
+    the same; the point is running the real partitioning and shard reads
+    when ``--shards`` is requested.
     """
-    from repro.query import ShardedQueryEngine
     from repro.storage import ShardedStore
 
     with ShardedStore(PUBLICATION_SCHEMA, shards=shards) as store:
         populate_store(store, records)
-        with ShardedQueryEngine(store) as engine:
-            rows = engine.execute("* ORDER BY id")
+        rows = QueryEngine(store).execute("* ORDER BY id")
     return [PublicationRecord.from_store_dict(row) for row in rows]
 
 
@@ -215,89 +213,59 @@ def _print_rows(rows: list[dict]) -> None:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    records = _load_corpus(args.corpus)
-    if args.shards:
-        return _cmd_query_sharded(args, records)
-    store = RecordStore(PUBLICATION_SCHEMA)
-    populate_store(store, records)
-    store.create_index("surnames", IndexKind.HASH)
-    store.create_index("year", IndexKind.BTREE)
-    store.create_index("volume", IndexKind.BTREE)
-    slow_log = None
-    if args.slow_log or args.slow_ms is not None:
-        from repro.obs.slowlog import DEFAULT_THRESHOLD_S, SlowQueryLog
-
-        threshold = (
-            args.slow_ms / 1000.0 if args.slow_ms is not None else DEFAULT_THRESHOLD_S
-        )
-        slow_log = SlowQueryLog(args.slow_log, threshold_s=threshold)
-    engine = QueryEngine(store, slow_log=slow_log)
-    if args.explain:
-        print(engine.explain(args.query))
-        return 0
-    bounds: dict = {}
-    if args.timeout_ms is not None:
-        bounds["timeout_s"] = args.timeout_ms / 1000.0
-    if args.max_rows is not None:
-        bounds["max_rows"] = args.max_rows
-    if args.profile:
-        profile = engine.execute(args.query, profile=True, **bounds)
-        if args.json:
-            print(json.dumps(
-                {"rows": profile.rows, "profile": profile.to_dict()},
-                indent=2, ensure_ascii=False,
-            ))
-        else:
-            print(profile.render())
-            print()
-            _print_rows(profile.rows)
-        return 0
-    _print_rows(engine.execute(args.query, **bounds))
-    return 0
-
-
-def _cmd_query_sharded(args: argparse.Namespace, records: list[PublicationRecord]) -> int:
-    """``query --shards N``: scatter-gather across an N-shard store."""
-    from repro.query import ShardedQueryEngine
     from repro.storage import ShardedStore
 
-    with ShardedStore(PUBLICATION_SCHEMA, shards=args.shards) as store:
+    records = _load_corpus(args.corpus)
+    store: RecordStore | ShardedStore
+    if args.shards:
+        store = ShardedStore(PUBLICATION_SCHEMA, shards=args.shards)
+    else:
+        store = RecordStore(PUBLICATION_SCHEMA)
+    with store:
         populate_store(store, records)
         store.create_index("surnames", IndexKind.HASH)
         store.create_index("year", IndexKind.BTREE)
         store.create_index("volume", IndexKind.BTREE)
-        with ShardedQueryEngine(store) as engine:
-            if args.explain:
-                print(engine.explain(args.query))
-                return 0
-            bounds: dict = {}
-            if args.timeout_ms is not None:
-                bounds["timeout_s"] = args.timeout_ms / 1000.0
-            if args.max_rows is not None:
-                bounds["max_rows"] = args.max_rows
-            if args.partial_ok:
-                bounds["partial"] = True
-            if args.profile:
-                profile = engine.execute(args.query, profile=True, **bounds)
-                if args.json:
-                    print(json.dumps(
-                        {"rows": profile.rows, "profile": profile.to_dict()},
-                        indent=2, ensure_ascii=False,
-                    ))
-                else:
-                    print(profile.render())
-                    print()
-                    _print_rows(profile.rows)
-                return 0
-            result = engine.execute(args.query, **bounds)
-            _print_rows(result)
-            if getattr(result, "partial", False):
-                failed = ", ".join(str(s) for s in result.shards_failed)
-                print(
-                    f"warning: partial result — shard(s) {failed} "
-                    "failed or quarantined and were skipped",
-                    file=sys.stderr,
-                )
+        slow_log = None
+        if args.slow_log or args.slow_ms is not None:
+            from repro.obs.slowlog import DEFAULT_THRESHOLD_S, SlowQueryLog
+
+            threshold = (
+                args.slow_ms / 1000.0 if args.slow_ms is not None else DEFAULT_THRESHOLD_S
+            )
+            slow_log = SlowQueryLog(args.slow_log, threshold_s=threshold)
+        engine = QueryEngine(store, slow_log=slow_log)
+        if args.explain:
+            print(engine.explain(args.query))
+            return 0
+        bounds: dict = {}
+        if args.timeout_ms is not None:
+            bounds["timeout_s"] = args.timeout_ms / 1000.0
+        if args.max_rows is not None:
+            bounds["max_rows"] = args.max_rows
+        if args.partial_ok:
+            bounds["partial"] = True
+        if args.profile:
+            profile = engine.execute(args.query, profile=True, **bounds)
+            if args.json:
+                print(json.dumps(
+                    {"rows": profile.rows, "profile": profile.to_dict()},
+                    indent=2, ensure_ascii=False,
+                ))
+            else:
+                print(profile.render())
+                print()
+                _print_rows(profile.rows)
+            return 0
+        result = engine.execute(args.query, **bounds)
+        _print_rows(result)
+        if getattr(result, "partial", False):
+            failed = ", ".join(str(s) for s in result.shards_failed)
+            print(
+                f"warning: partial result — shard(s) {failed} "
+                "failed or quarantined and were skipped",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -707,25 +675,22 @@ def _cmd_serve_query(args: argparse.Namespace) -> int:
     from repro.obs.server import TelemetryServer
     from repro.resilience import AdmissionController, CircuitBreaker, QueryService
 
-    from repro.query import ShardedQueryEngine
     from repro.storage import is_sharded_root
 
     records = _load_corpus(args.corpus)
     if args.store is not None and is_sharded_root(args.store):
-        # A sharded root gets the scatter-gather engine: health-gated
-        # strict reads, and `partial_ok=1` degrading to the healthy
-        # shards with an HTTP 206.
+        # A sharded root serves health-gated strict reads, and
+        # `partial_ok=1` degrades to the healthy shards with an HTTP 206.
         store = _open_sharded_root(args.store)
         if store is None:
             return 2
-        engine = ShardedQueryEngine(store)
     else:
         store = RecordStore(PUBLICATION_SCHEMA, directory=args.store)
         if len(store) == 0:
             populate_store(store, records)
             if args.store is not None:
                 store.checkpoint()
-        engine = QueryEngine(store)
+    engine = QueryEngine(store)
     try:
         store.create_index("surnames", IndexKind.HASH)
         store.create_index("year", IndexKind.BTREE)
@@ -757,8 +722,6 @@ def _cmd_serve_query(args: argparse.Namespace) -> int:
         )
         server.serve_forever()
     finally:
-        if isinstance(engine, ShardedQueryEngine):
-            engine.close()
         store.close()
     return 0
 
@@ -1176,9 +1139,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         metavar="N",
-        help="round-trip the corpus through an N-shard store's "
-             "scatter-gather path before building (result is identical; "
-             "exercises the partition + merge machinery)",
+        help="round-trip the corpus through an N-shard store and a "
+             "sorted query before building (result is identical; "
+             "exercises partitioning and the shard reads)",
     )
     p_build.set_defaults(func=_cmd_build)
 
@@ -1209,8 +1172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         metavar="N",
-        help="load the corpus into an N-shard store and execute via "
-             "scatter-gather (one worker per shard)",
+        help="load the corpus into an N-shard store and query every "
+             "shard",
     )
     p_query.add_argument(
         "--partial-ok",

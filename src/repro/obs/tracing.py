@@ -18,19 +18,20 @@ Cross-thread propagation
 ------------------------
 
 The span stack is per-thread, so work handed to a pool thread would
-normally start a *new* root there — detaching per-shard work from its
-query's trace and littering the ring with orphan roots.
+normally start a *new* root there — detaching per-shard work (a sharded
+store's parallel writes and checkpoints) from its caller's trace and
+littering the ring with orphan roots.
 :class:`TraceContext` fixes that: ``TraceContext.capture()`` on the
 submitting thread grabs the current trace id and span, and
 ``ctx.attach()`` on the worker re-binds both — the captured span is
 pushed as a **foreign frame** (new spans nest under it; it is never
 finished or retained by the worker), and the trace id is re-bound so
-the worker's log lines join the query's trace::
+the worker's log lines join the caller's trace::
 
     ctx = TraceContext.capture()
     def worker():
         with ctx.attach():
-            with span("query.shard", shard=3):   # child of the query root
+            with span("ingest.shard", shard=3):   # child of the caller's span
                 ...
 """
 

@@ -9,8 +9,9 @@ database::
 
 Pipeline: :mod:`lexer` → :mod:`parser` (AST in :mod:`ast_nodes`) →
 :mod:`planner` (chooses an index access path and a residual filter) →
-:mod:`executor` (streams records out of the store).  ``explain()`` renders
-the chosen plan, which the E3/E4 experiments rely on.
+:mod:`executor` (streams records out of the store, or out of every shard
+of a sharded store).  ``explain()`` renders the chosen plan, which the
+E3/E4 experiments rely on.
 """
 
 from repro.query.ast_nodes import (
@@ -34,16 +35,17 @@ from repro.query.planner import (
     IndexMultiLookup,
     IndexRange,
     Plan,
-    ScatterPlan,
     plan_query,
-    plan_scatter,
 )
 from repro.query.executor import (
     PartialAggregate,
     PartialResult,
     QueryEngine,
-    ShardedQueryEngine,
 )
+
+#: The engine's old name for sharded stores, which the benchmark under
+#: ``bench_e2e/`` still imports; it is the one engine.
+ShardedQueryEngine = QueryEngine
 
 __all__ = [
     "Expr",
@@ -67,8 +69,6 @@ __all__ = [
     "CompositeLookup",
     "CompositeRange",
     "plan_query",
-    "plan_scatter",
-    "ScatterPlan",
     "PartialAggregate",
     "PartialResult",
     "QueryEngine",

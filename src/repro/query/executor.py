@@ -5,16 +5,28 @@ records, the residual expression filters them, and ORDER BY / LIMIT shape
 the output.  Records coming from list-field index probes are de-duplicated
 by primary key (a list may contain the probe value twice).
 
-:class:`QueryEngine` is the public entry point::
+:class:`QueryEngine` is the public entry point, over a
+:class:`~repro.storage.store.RecordStore` or a
+:class:`~repro.storage.sharded.ShardedStore` alike::
 
     engine = QueryEngine(store)
     rows = engine.execute('author:"McAteer" AND year >= 1978')
     print(engine.explain('year >= 1978'))
 
+A sharded store is read through an inline exchange (:class:`_Exchange`):
+each serving shard's access-path stream is read in the calling thread,
+chained in shard order, or merged on ``(index key, primary key)`` when
+the plan is index-ordered.  The one stream then goes through the same
+filter → group → sort → limit pipeline as a single store's, under one
+guard.  ``ORDER BY`` sorts record rows by ``(value, primary key)`` on
+every store, so stores of one shard or of many return the same rows for
+every ordered or grouped query.
+
 ``execute(..., profile=True)`` is the ``EXPLAIN ANALYZE`` surface: instead
 of a bare row list it returns a :class:`QueryProfile` whose operator tree
 annotates every node (seq-scan, index lookups/ranges, filter, aggregate,
-sort, limit) with wall time, CPU time (``time.thread_time_ns``), bytes
+sort, limit, and on a sharded store one shard child per shard under the
+access node) with wall time, CPU time (``time.thread_time_ns``), bytes
 touched (sampled estimate), and rows-examined/rows-returned counts.
 Profiled execution materializes stage by stage so each node's cost is
 attributable; the unprofiled path stays streaming and is instrumented only
@@ -42,13 +54,12 @@ from __future__ import annotations
 import base64
 import heapq
 import json
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.errors import (
     BudgetExceeded,
@@ -66,6 +77,7 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.resilience.deadline import CancelToken, Deadline, Guard
 from repro.resilience.retry import RetryPolicy
 from repro.storage.bufferpool import PageStats, page_stats_scope
+from repro.storage.sharded import ShardedStore, merge_key_ordered
 from repro.query.ast_nodes import Expr, Query
 from repro.query.parser import parse_query
 from repro.query.planner import (
@@ -77,12 +89,10 @@ from repro.query.planner import (
     IndexRange,
     Plan,
     PlanCache,
-    ScatterPlan,
-    plan_scatter,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.sharded import ShardedStore
+    from repro.storage.health import ShardHealthMachine
     from repro.storage.store import RecordStore
 
 _EXECUTIONS = _metrics.counter("query.executions")
@@ -232,10 +242,10 @@ class QueryProfile:
 
     ``page_hits`` / ``page_misses`` are the buffer-pool pages this query
     touched (thread-attributed through
-    :func:`repro.storage.bufferpool.page_stats_scope`; summed across
-    shard workers on a scatter).  Both stay 0 against a store with no
-    checkpoint yet (in-memory, or not yet checkpointed) — there is no
-    pool to hit.
+    :func:`repro.storage.bufferpool.page_stats_scope`; on a sharded
+    store, the sum of the access node's per-shard children).  Both stay
+    0 against a store with no checkpoint yet (in-memory, or not yet
+    checkpointed) — there is no pool to hit.
     """
 
     rows: list[dict[str, Any]]
@@ -246,7 +256,7 @@ class QueryProfile:
     fingerprint: str | None = None  #: workload fingerprint of the query shape
     page_hits: int = 0  #: buffer-pool hits attributed to this query
     page_misses: int = 0  #: buffer-pool misses attributed to this query
-    partial: bool = False  #: a partial-mode scatter skipped shard(s)
+    partial: bool = False  #: a partial-mode execution skipped shard(s)
     shards_failed: tuple[int, ...] = ()  #: skipped shard indexes
 
     def render(self) -> str:
@@ -335,8 +345,7 @@ class _StageClock:
         detail: str,
         examined: int,
         rows: list[dict[str, Any]],
-        child: OpProfile | None = None,
-        *,
+        *children: OpProfile,
         nbytes: int | None = None,
     ) -> OpProfile:
         """The node of an operator that examined ``examined`` rows and
@@ -349,7 +358,7 @@ class _StageClock:
             seconds=self.seconds,
             cpu_ns=self.cpu_ns,
             bytes=_estimate_bytes(rows) if nbytes is None else nbytes,
-            children=() if child is None else (child,),
+            children=children,
         )
 
 
@@ -384,13 +393,26 @@ def _pull_to_limit(
 
 
 class QueryEngine:
-    """Plans and executes query strings (or pre-parsed :class:`Query`).
+    """Plans and executes query strings (or pre-parsed :class:`Query`)
+    over a :class:`~repro.storage.store.RecordStore` or a
+    :class:`~repro.storage.sharded.ShardedStore`.
 
     Plans are memoized in a per-engine :class:`PlanCache` (LRU of
     ``plan_cache_size`` entries, keyed on the parsed AST plus the store's
     ``index_epoch``) — a repeated query skips the planner's rule search
     entirely, and any index create/drop or bulk write retires every
     cached plan by bumping the epoch.
+
+    On a sharded store the engine answers to ``store.health``.  By
+    default (strict) a shard that is not serving raises
+    :class:`~repro.errors.ShardUnavailableError` before anything is
+    read, and a shard's read error is recorded there and propagates.
+    ``execute(..., partial=True)`` skips such shards instead, and a shard
+    whose rows still fail to read under ``retry`` (bounded: transient
+    faults recover in place, a persistent fault costs ``max_attempts``
+    tries) is skipped too.  The rows then come back as a
+    :class:`PartialResult`, and a profile carries the same ``partial``
+    and ``shards_failed`` fields.
 
     Every :meth:`execute` runs under a trace ID (see
     :func:`repro.obs.logging.trace`): its log events, its spans, and —
@@ -403,14 +425,18 @@ class QueryEngine:
 
     def __init__(
         self,
-        store: "RecordStore",
+        store: "RecordStore | ShardedStore",
         *,
         plan_cache_size: int = 256,
         slow_log: SlowQueryLog | None = None,
+        retry: RetryPolicy | None = None,
     ):
         self.store = store
         self.plan_cache = PlanCache(maxsize=plan_cache_size)
         self.slow_log = slow_log
+        #: Retry of a failing shard's read in partial mode; strict mode
+        #: never retries.
+        self.retry = retry if retry is not None else RetryPolicy(max_attempts=2)
         # Cached per-row byte estimate for workload attribution: rows
         # share one schema, so a periodically refreshed average is as
         # good as sampling every execution at a fraction of the cost.
@@ -421,6 +447,9 @@ class QueryEngine:
         # a single attribute decrement on the per-execution path.
         self._probe = 0  # executions until the next thread-CPU sample
         self._bytes_rounds = 0  # sample trips until the next byte resample
+
+    def close(self) -> None:
+        """Nothing to release: shards are read in the calling thread."""
 
     # -- public API ---------------------------------------------------------
 
@@ -433,6 +462,7 @@ class QueryEngine:
         timeout_s: float | None = None,
         cancel: CancelToken | None = None,
         max_rows: int | None = None,
+        partial: bool = False,
     ) -> list[dict[str, Any]] | QueryProfile:
         """Run ``query`` and return the matching records.
 
@@ -443,11 +473,18 @@ class QueryEngine:
         Execution can be bounded: pass a pre-built
         :class:`~repro.resilience.Guard`, or let the convenience knobs
         (``timeout_s`` wall clock, ``cancel`` token, ``max_rows`` row
-        budget) build one.  A violated bound unwinds with the matching
+        budget) build one.  The bound covers every shard of a sharded
+        store: ``max_rows`` counts the rows examined across all of them.
+        A violated bound unwinds with the matching
         :class:`~repro.errors.QueryInterrupted` subclass carrying
         partial-progress stats; a profiled run additionally attaches the
         partial EXPLAIN ANALYZE tree as ``exc.partial``.  An explicit
         ``guard`` takes precedence over the knobs.
+
+        ``partial=True`` lets a sharded store degrade instead of failing
+        (see the class docstring); the rows come back as a
+        :class:`PartialResult`.  Interruptions still raise in both modes:
+        they bound the caller's resources, not a shard's health.
         """
         if guard is None and (
             timeout_s is not None or cancel is not None or max_rows is not None
@@ -458,7 +495,7 @@ class QueryEngine:
                 max_rows=max_rows,
             )
         try:
-            return self._execute(query, profile=profile, guard=guard)
+            return self._execute(query, profile=profile, guard=guard, partial=partial)
         except Exception:
             _FAILURES.inc()
             raise
@@ -469,6 +506,7 @@ class QueryEngine:
         *,
         profile: bool,
         guard: Guard | None,
+        partial: bool,
     ) -> list[dict[str, Any]] | QueryProfile:
         with _logging.trace() as trace_id:
             parsed = self._parse(query)
@@ -493,14 +531,19 @@ class QueryEngine:
             try:
                 if profile:
                     result: QueryProfile = self.run_plan_profiled(
-                        plan, plan_cached=cached, guard=guard, fingerprint=fp
+                        plan, plan_cached=cached, guard=guard, fingerprint=fp,
+                        partial=partial,
                     )
                     rows, seconds = len(result.rows), result.seconds
-                    *_, access_node = result.root.iter_nodes()
-                    examined = access_node.rows_examined
+                    examined = next(
+                        node.rows_examined
+                        for node in result.root.iter_nodes()
+                        if node.op == plan.access.op
+                    )
+                    failed = result.shards_failed
                     ran_profile: QueryProfile | None = result
                 else:
-                    plain, examined = self._run_plan(plan, guard)
+                    plain, examined, failed = self._run_plan(plan, guard, partial)
                     rows, seconds = len(plain), time.perf_counter() - start
                     ran_profile = None
             except QueryInterrupted as exc:
@@ -539,6 +582,13 @@ class QueryEngine:
                         fp, template, rows, examined, cpu_ns, seconds,
                         examined * self._bytes_per_row, cached,
                     ))
+            if partial:
+                if failed:
+                    _PARTIAL.inc()
+                if not profile:
+                    plain = PartialResult(
+                        plain, partial=bool(failed), shards_failed=failed
+                    )
             if _logging.would_log("debug"):
                 _logging.debug(
                     "query.execute",
@@ -551,7 +601,8 @@ class QueryEngine:
                     profiled=profile,
                 )
             self._maybe_slow_log(
-                query_text, plan, cached, rows, seconds, ran_profile, trace_id, fp
+                query_text, plan, cached, rows, seconds, ran_profile, trace_id, fp,
+                partial,
             )
             return result if profile else plain
 
@@ -559,10 +610,23 @@ class QueryEngine:
         """The plan that :meth:`execute` would use, as text."""
         parsed = self._parse(query)
         plan, _ = self._plan(parsed)
-        return plan.explain()
+        return self._explain(plan)
 
     def _plan(self, parsed: Query) -> tuple[Plan, bool]:
         return self.plan_cache.get_or_plan(parsed, self.store)
+
+    def _explain(self, plan: Plan) -> str:
+        """``plan.explain()`` with, on a sharded store, the exchange that
+        collects the shards' access-path streams after the access line."""
+        lines = plan.explain().split("\n")
+        store = self.store
+        if isinstance(store, ShardedStore):
+            if plan.index_ordered:
+                how = f"merge on ({plan.order_by}, {store.schema.primary_key})"
+            else:
+                how = "chain in shard order"
+            lines.insert(1, f"EXCHANGE {store.shard_count} shards, {how}")
+        return "\n".join(lines)
 
     def _refresh_bytes_per_row(self, out_rows: list[dict[str, Any]]) -> None:
         """Resample the cached per-row byte estimate from live rows.
@@ -587,6 +651,7 @@ class QueryEngine:
         profile: QueryProfile | None,
         trace_id: str,
         fingerprint: str | None = None,
+        partial: bool = False,
     ) -> None:
         slow = self.slow_log
         if slow is None or seconds < slow.threshold_s:
@@ -596,12 +661,13 @@ class QueryEngine:
             # Re-run profiled (same plan, same trace ID) so the entry has
             # an operator tree; only queries already past the threshold pay.
             profile = self.run_plan_profiled(
-                plan, plan_cached=plan_cached, fingerprint=fingerprint
+                plan, plan_cached=plan_cached, fingerprint=fingerprint,
+                partial=partial,
             )
             reexecuted = True
         slow.record(
             query=query_text,
-            plan=plan.explain(),
+            plan=self._explain(plan),
             plan_cached=plan_cached,
             rows=rows,
             seconds=seconds,
@@ -636,6 +702,51 @@ class QueryEngine:
         for _ in rows:
             total += 1
         return total
+
+    def aggregate(
+        self,
+        query: str | Query,
+        field: str,
+        *,
+        guard: Guard | None = None,
+    ) -> dict[str, Any]:
+        """Numeric aggregate of ``field`` over the records ``query`` matches.
+
+        One :class:`PartialAggregate` folds the non-None values into a
+        row of ``{"count", "sum", "min", "max", "avg"}``.  ``query`` must
+        be a bare filter: GROUP BY COUNT goes through :meth:`execute`.
+        """
+        parsed = self._parse(query)
+        if parsed.group_by or parsed.order_by or parsed.limit is not None:
+            raise QueryPlanError(
+                "aggregate() accepts a bare filter (no GROUP BY/ORDER BY/LIMIT)"
+            )
+        schema = self.store.schema
+        if not schema.has_field(field):
+            raise QueryPlanError(f"cannot aggregate unknown field {field!r}")
+        kind = schema.field(field).type.value
+        if kind not in ("int", "float"):
+            raise QueryPlanError(
+                f"aggregate needs a numeric field; {field!r} is {kind}"
+            )
+        plan, _ = self._plan(parsed)
+        if guard is not None:
+            guard.check()
+        aggregate = PartialAggregate()
+        candidates = self._candidates(plan, guard)
+        try:
+            rows: Iterator[dict[str, Any]] = candidates
+            if plan.residual is not None:
+                residual = plan.residual
+                rows = (r for r in rows if residual.evaluate(r))
+            for row in rows:
+                value = row.get(field)
+                if value is not None:
+                    aggregate.add(value)
+        finally:
+            candidates.close()
+        _EXECUTIONS.inc()
+        return aggregate.finalize()
 
     def execute_paged(
         self, query: str | Query, *, page_size: int, cursor: str | None = None
@@ -710,16 +821,18 @@ class QueryEngine:
         return self._run_plan(plan, guard)[0]
 
     def _run_plan(
-        self, plan: Plan, guard: Guard | None
-    ) -> tuple[list[dict[str, Any]], int]:
-        """:meth:`run_plan`'s rows and the rows the access path yielded."""
+        self, plan: Plan, guard: Guard | None, partial: bool = False
+    ) -> tuple[list[dict[str, Any]], int, tuple[int, ...]]:
+        """:meth:`run_plan`'s rows, the rows the access path yielded and
+        the shards a partial run skipped."""
         start = time.perf_counter()
+        exchange = _Exchange(self.store, partial=partial, retry=self.retry)
         if guard is not None:
             # Fail fast on a pre-expired deadline or pre-cancelled token
             # instead of after the first check stride.
             guard.check()
         examined = [0]
-        candidates = self._candidates(plan, guard, examined)
+        candidates = self._candidates(plan, guard, examined, exchange)
         try:
             rows: Iterator[dict[str, Any]] = candidates
             if plan.residual is not None:
@@ -730,12 +843,7 @@ class QueryEngine:
             if plan.order_by is not None:
                 self._check_order_field(plan)
                 if not plan.index_ordered:
-                    field = plan.order_by
-                    rows = iter(sorted(
-                        rows,
-                        key=lambda r: _sort_key(r.get(field)),
-                        reverse=plan.descending,
-                    ))
+                    rows = iter(self._ordered(rows, plan))
             out = list(rows if plan.limit is None else islice(rows, plan.limit))
         finally:
             # Ends a scan that LIMIT stopped, which settles its count.
@@ -743,7 +851,7 @@ class QueryEngine:
         _EXECUTIONS.inc()
         _ROWS_RETURNED.inc(len(out))
         _QUERY_SECONDS.observe(time.perf_counter() - start)
-        return out, examined[0]
+        return out, examined[0], exchange.shards_failed
 
     def run_plan_profiled(
         self,
@@ -752,13 +860,17 @@ class QueryEngine:
         plan_cached: bool = False,
         guard: Guard | None = None,
         fingerprint: str | None = None,
+        partial: bool = False,
     ) -> QueryProfile:
         """Execute ``plan`` stage by stage, timing and counting each node.
 
         Unlike :meth:`run_plan` this materializes every stage so each
         operator's cost is attributable; results are identical, and as
         in :meth:`run_plan` a LIMIT with no sort before it reads the
-        access path only as far as it needs.
+        access path only as far as it needs.  On a sharded store the
+        access node has one child per shard: the rows read from it, the
+        time spent reading them and its buffer-pool page hits and misses
+        (a ``SKIPPED`` child for a shard a partial run skipped).
         ``plan_cached`` is recorded in the profile so EXPLAIN ANALYZE
         shows whether the plan came from the cache, and ``fingerprint``
         (when known) is stamped on the profile and its span.  When a
@@ -774,6 +886,7 @@ class QueryEngine:
                 guard=guard,
                 total_start=total_start,
                 fingerprint=fingerprint,
+                partial=partial,
             )
         except QueryInterrupted as exc:
             seconds = time.perf_counter() - total_start
@@ -787,7 +900,7 @@ class QueryEngine:
             exc.partial = QueryProfile(
                 rows=[],
                 root=root,
-                plan_text=plan.explain(),
+                plan_text=self._explain(plan),
                 seconds=seconds,
                 plan_cached=plan_cached,
                 fingerprint=fingerprint,
@@ -802,6 +915,7 @@ class QueryEngine:
         guard: Guard | None,
         total_start: float,
         fingerprint: str | None = None,
+        partial: bool = False,
     ) -> QueryProfile:
         with _tracing.span("query.execute", access=plan.access.op, profiled=True) as qspan:
             trace_id = _logging.current_trace_id()
@@ -809,21 +923,22 @@ class QueryEngine:
                 qspan.set_attribute("trace_id", trace_id)
             if fingerprint is not None:
                 qspan.set_attribute("fingerprint", fingerprint)
+            # Pool pages are only touched while the access path streams
+            # candidate records off the paged tree, so the attribution
+            # scope need not cover the later (pure in-memory) stages.
+            pstats = PageStats()
+            exchange = _Exchange(
+                self.store, partial=partial, retry=self.retry, pages=pstats
+            )
             if guard is not None:
                 guard.check()
             residual = plan.residual
             access_clock, filter_clock = _StageClock(), _StageClock()
             examined = [0]
-            candidates = self._candidates(plan, guard, examined)
-            # Pool pages are only touched while the access path streams
-            # candidate records off the paged tree, so the attribution
-            # scope need not cover the later (pure in-memory) stages.
-            pstats = PageStats()
+            candidates = self._candidates(plan, guard, examined, exchange)
             try:
                 with page_stats_scope(pstats):
-                    if plan.limit is not None and plan.group_by is None and (
-                        plan.order_by is None or plan.index_ordered
-                    ):
+                    if plan.stops_at_limit:
                         pulled, rows = _pull_to_limit(
                             candidates, residual, plan.limit, access_clock, filter_clock
                         )
@@ -839,7 +954,7 @@ class QueryEngine:
             if plan.index_ordered:
                 detail += f"; index order serves ORDER BY {plan.order_by} ASC"
             node = access_clock.profile(
-                plan.access.op, detail, examined[0], pulled,
+                plan.access.op, detail, examined[0], pulled, *exchange.nodes(),
                 nbytes=_estimate_bytes(pulled, examined[0]),
             )
             if residual is not None:
@@ -858,18 +973,14 @@ class QueryEngine:
             if plan.order_by is not None:
                 self._check_order_field(plan)
                 if not plan.index_ordered:
-                    order_field = plan.order_by
                     with _StageClock() as clock:
-                        rows = sorted(
-                            rows,
-                            key=lambda r: _sort_key(r.get(order_field)),
-                            reverse=plan.descending,
-                        )
+                        ordered = self._ordered(rows, plan)
                     node = clock.profile(
                         "sort",
-                        f"ORDER BY {order_field} {'DESC' if plan.descending else 'ASC'}",
-                        len(rows), rows, node,
+                        f"ORDER BY {plan.order_by} {'DESC' if plan.descending else 'ASC'}",
+                        len(rows), ordered, node,
                     )
+                    rows = ordered
             if plan.limit is not None:
                 with _StageClock() as clock:
                     limited = rows[: plan.limit]
@@ -887,15 +998,20 @@ class QueryEngine:
             if pstats.hits or pstats.misses:
                 qspan.set_attribute("page_hits", pstats.hits)
                 qspan.set_attribute("page_misses", pstats.misses)
+            failed = exchange.shards_failed
+            if failed:
+                qspan.set_attribute("shards_failed", list(failed))
             return QueryProfile(
                 rows=rows,
                 root=node,
-                plan_text=plan.explain(),
+                plan_text=self._explain(plan),
                 seconds=seconds,
                 plan_cached=plan_cached,
                 fingerprint=fingerprint,
                 page_hits=pstats.hits,
                 page_misses=pstats.misses,
+                partial=bool(failed),
+                shards_failed=failed,
             )
 
     def _check_order_field(self, plan: Plan) -> None:
@@ -905,6 +1021,32 @@ class QueryEngine:
             known = field in (plan.group_by, "count")
         if not known:
             raise QueryPlanError(f"cannot ORDER BY unknown field {field!r}")
+
+    def _ordered(
+        self, rows: Iterable[dict[str, Any]], plan: Plan
+    ) -> list[dict[str, Any]]:
+        """``rows`` in ``plan``'s ORDER BY order, cut to its LIMIT if it has
+        one.  Under a LIMIT a heap holds only the rows kept; it returns
+        what the stable sort's first ``limit`` rows would be."""
+        key = self._order_key(plan)
+        if plan.limit is None:
+            return sorted(rows, key=key, reverse=plan.descending)
+        top = heapq.nlargest if plan.descending else heapq.nsmallest
+        return top(plan.limit, rows, key=key)
+
+    def _order_key(self, plan: Plan) -> Callable[[dict[str, Any]], Any]:
+        """The sort key of ``plan``'s ORDER BY.
+
+        Record rows sort by ``(value, primary key)`` on every store, so
+        ties have one order; DESC reverses both parts.  GROUP BY rows sort
+        by the value alone and, the sort being stable, keep their
+        group-value order among ties.
+        """
+        field = plan.order_by
+        if plan.group_by is not None:
+            return lambda row: _sort_key(row.get(field))
+        pk = self.store.schema.primary_key
+        return lambda row: (_sort_key(row.get(field)), _sort_key(row.get(pk)))
 
     def _aggregate(
         self, rows: Iterator[dict[str, Any]], field: str
@@ -934,46 +1076,26 @@ class QueryEngine:
         plan: Plan,
         guard: Guard | None = None,
         examined: list[int] | None = None,
+        exchange: "_Exchange | None" = None,
     ) -> Iterator[dict[str, Any]]:
-        """The access path's records, pulled lazily from the store.
+        """The access path's records over every shard ``exchange`` reads
+        (a strict one by default), pulled lazily.
 
         Every row the access path yields is charged to ``guard`` as it is
-        taken, and added to ``examined[0]`` once the stream is drained or
-        closed: the rows examined that the workload table and EXPLAIN
-        ANALYZE report.  Each primary key is yielded once.
+        taken (in partial mode, as the exchange reads it), and added to
+        ``examined[0]`` once the stream is drained or closed: the rows
+        examined that the workload table and EXPLAIN ANALYZE report.  One
+        guard covers every shard, so the row budget is exact across them.
+        Each primary key is yielded once.
         """
+        if exchange is None:
+            exchange = _Exchange(self.store)
         access = plan.access
-        store = self.store
-        rows: Any
-        if isinstance(access, FullScan):
-            rows = store.scan()
-        elif isinstance(access, IndexLookup):
-            rows = store.find_by(access.field, access.value)
-        elif isinstance(access, IndexMultiLookup):
-            rows = chain.from_iterable(
-                store.find_by(access.field, value) for value in access.values
-            )
-        elif isinstance(access, CompositeLookup):
-            rows = store.find_by_composite(access.fields, access.values)
-        elif isinstance(access, CompositeRange):
-            rows = store.range_by_composite(
-                access.fields,
-                access.prefix,
-                access.low,
-                access.high,
-                include_low=access.include_low,
-                include_high=access.include_high,
-            )
-        elif isinstance(access, IndexRange):
-            rows = map(itemgetter(1), store.iter_range(
-                access.field,
-                access.low,
-                access.high,
-                include_low=access.include_low,
-                include_high=access.include_high,
-            ))
-        else:  # pragma: no cover
-            raise QueryPlanError(f"unknown access path {access!r}")
+        rows = exchange.rows(plan, guard)
+        if exchange.partial:
+            # Partial mode charges and counts each shard's rows as it
+            # reads them, before any is handed on (_Exchange._read).
+            guard = None
         # The guard is ticked once per block of rows taken (_block_end),
         # so nothing is read ahead of the consumer; rows taken since the
         # last tick are settled when the stream is closed early.
@@ -983,7 +1105,7 @@ class QueryEngine:
         seen: set[Any] | None = (
             set() if isinstance(access, (IndexMultiLookup, IndexRange)) else None
         )
-        primary_key_of = store.schema.primary_key_of
+        primary_key_of = self.store.schema.primary_key_of
         try:
             if guard is None and seen is None:
                 # Only the count: two checks per row cost an unguarded
@@ -1011,7 +1133,7 @@ class QueryEngine:
             if guard is not None:
                 guard.settle(pulled - charged)
             if examined is not None:
-                examined[0] += pulled
+                examined[0] += exchange.read if exchange.partial else pulled
 
     @staticmethod
     def _parse(query: str | Query) -> Query:
@@ -1044,17 +1166,15 @@ def _sort_key(value: Any) -> tuple[int, Any]:
     return (4, str(value))
 
 
-# -- scatter-gather execution across a sharded store ------------------------
+# -- partial results and numeric aggregates -------------------------------
 
-_SCATTER_COUNT = _metrics.counter("query.scatter.count")
-_SCATTER_MERGE_SECONDS = _metrics.histogram("query.scatter.merge.seconds")
-# Partial-mode scatters that actually returned a degraded (incomplete)
-# result — the numerator of a "how often are we serving partial" SLO.
-_SCATTER_PARTIAL = _metrics.counter("query.scatter.partial.count")
+# Partial-mode executions that returned a degraded (incomplete) result —
+# the numerator of a "how often are we serving partial" SLO.
+_PARTIAL = _metrics.counter("query.scatter.partial.count")
 
 
 class PartialResult(list):
-    """Rows from a partial-mode scatter, plus degradation metadata.
+    """Rows from a partial-mode execution, plus degradation metadata.
 
     A plain ``list`` subclass, so every caller that just iterates rows is
     unaffected; ``partial`` is ``True`` when at least one shard was
@@ -1076,105 +1196,12 @@ class PartialResult(list):
         self.shards_failed = shards_failed
 
 
-class _SharedRowBudget:
-    """One row budget shared by every shard worker of a scatter.
-
-    The single-store guard enforces ``max_rows`` exactly; across
-    concurrently scanning workers exactness would need a lock per row, so
-    the shared ledger is charged in the same stride-sized blocks the
-    workers already tick in — the budget still trips within one stride
-    per worker of the limit, it just cannot promise ``used == limit + 1``.
-    A worker that LIMIT stops between ticks adds its last rows unchecked
-    (:meth:`_ShardGuard.settle`); the scatter checks its total at the end.
-    """
-
-    __slots__ = ("max_rows", "rows", "_lock")
-
-    def __init__(self, max_rows: int):
-        self.max_rows = max_rows
-        self.rows = 0
-        self._lock = threading.Lock()
-
-    def add(self, n: int) -> int:
-        with self._lock:
-            self.rows += n
-            return self.rows
-
-
-class _EitherCancelled:
-    """Duck-typed :class:`CancelToken` view over caller + scatter tokens.
-
-    A worker must stop when either the caller cancelled the query or a
-    sibling worker failed (the scatter's internal abort); :class:`Guard`
-    only reads ``.cancelled``, so a two-token view slots straight in.
-    """
-
-    __slots__ = ("_caller", "_abort")
-
-    def __init__(self, caller: CancelToken | None, abort: CancelToken):
-        self._caller = caller
-        self._abort = abort
-
-    @property
-    def cancelled(self) -> bool:
-        return (
-            self._caller is not None and self._caller.cancelled
-        ) or self._abort.cancelled
-
-
-class _ShardGuard(Guard):
-    """Per-worker guard charging a scatter-shared row budget.
-
-    A :class:`Guard` is single-execution state and must not be shared
-    across threads, but its deadline and cancellation *inputs* are
-    thread-safe — so every worker gets its own guard wired to the shared
-    :class:`Deadline` / cancel tokens, and the row budget moves to a
-    locked :class:`_SharedRowBudget` so all workers draw from one limit.
-    """
-
-    __slots__ = ("_ledger",)
-
-    def __init__(
-        self,
-        *,
-        deadline: Deadline | None,
-        cancel: "_EitherCancelled | CancelToken | None",
-        ledger: _SharedRowBudget | None,
-        stride: int,
-    ):
-        super().__init__(deadline=deadline, cancel=cancel, stride=stride)  # type: ignore[arg-type]
-        self._ledger = ledger
-
-    def tick(self, rows: int = 1) -> None:
-        self.rows_examined += rows
-        ledger = self._ledger
-        if ledger is not None:
-            total = ledger.add(rows)
-            if total > ledger.max_rows:
-                self._raise_budget("rows", ledger.max_rows, total)
-        self._until_check -= rows
-        if self._until_check <= 0:
-            self._until_check = self.stride
-            self.check()
-
-    def settle(self, rows: int) -> None:
-        # Unchecked, as on a plain guard, but into the shared ledger too
-        # so siblings still scanning count these rows; the scatter holds
-        # its total to the budget once every worker is done.
-        self.rows_examined += rows
-        if self._ledger is not None:
-            self._ledger.add(rows)
-
-
 @dataclass(slots=True)
 class PartialAggregate:
-    """Mergeable aggregate state over one numeric field.
+    """Running aggregate state over one numeric field.
 
     Carries the classic decomposable set — count, sum, min, max — from
-    which avg derives as ``sum / count``, so per-shard partials combine
-    into exactly the whole-corpus aggregate (for ints bit-for-bit; float
-    sums can differ in the last ulp across groupings, as any
-    order-changing summation does).
+    which avg derives as ``sum / count``.
     """
 
     count: int = 0
@@ -1190,16 +1217,6 @@ class PartialAggregate:
         if self.maximum is None or value > self.maximum:
             self.maximum = value
 
-    def merge(self, other: "PartialAggregate") -> None:
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.total += other.total
-        if self.minimum is None or other.minimum < self.minimum:
-            self.minimum = other.minimum
-        if self.maximum is None or other.maximum > self.maximum:
-            self.maximum = other.maximum
-
     def finalize(self) -> dict[str, Any]:
         """The aggregate row: count/sum/min/max/avg (None-valued on empty)."""
         if self.count == 0:
@@ -1213,763 +1230,293 @@ class PartialAggregate:
         }
 
 
-class ShardedQueryEngine:
-    """Scatter-gather query execution over a :class:`ShardedStore`.
+# -- the inline exchange -------------------------------------------------------
 
-    Planning happens once, at the facade: the sharded store exposes the
-    same index metadata surface as a single store (epochs, kinds,
-    summed statistics), so the ordinary planner — and this engine's
-    :class:`PlanCache` — work unchanged.  The chosen plan is then split by
-    :func:`~repro.query.planner.plan_scatter`: every shard runs the access
-    path + residual against its own partition on a worker thread, and the
-    gather phase reassembles the output:
 
-    * **sorted scans** — shards return runs pre-sorted by
-      ``(ORDER BY value, primary key)`` and the gather k-way-merges them
-      lazily (:func:`heapq.merge`), stopping at LIMIT.  The primary-key
-      tiebreak totalizes the order, so the result is identical for any
-      shard count.  (It can differ from a *plain* :class:`QueryEngine` on
-      duplicate sort keys only: the plain engine's stable sort keeps
-      insertion order among ties where this engine uses primary-key
-      order.)
-    * **aggregates** — shards return partial per-value counts; the gather
-      sums and formats them exactly like
-      :meth:`QueryEngine._aggregate`, so GROUP BY output is byte-identical
-      to single-store execution.
-    * **LIMIT pushdown** — without aggregation each shard produces at most
-      LIMIT rows (bounded top-k heap when sorted, early-exit scan when
-      not) and the merged stream is trimmed again.  As in SQL, a query
-      *without* ORDER BY returns its matches in unspecified order (here:
-      shard-major), and LIMIT without ORDER BY picks an unspecified
-      subset — both depend on the shard count.  Sorted scans and
-      aggregates are the deterministic surfaces.
+def _access_rows(store: "RecordStore", access: Any) -> Iterable[Any]:
+    """One store's rows for ``access``: records, or ``(key, record)``
+    pairs in ``(key, primary key)`` order for an index range."""
+    if isinstance(access, FullScan):
+        return store.scan()
+    if isinstance(access, IndexLookup):
+        return store.find_by(access.field, access.value)
+    if isinstance(access, IndexMultiLookup):
+        return chain.from_iterable(
+            store.find_by(access.field, value) for value in access.values
+        )
+    if isinstance(access, CompositeLookup):
+        return store.find_by_composite(access.fields, access.values)
+    if isinstance(access, CompositeRange):
+        return store.range_by_composite(
+            access.fields,
+            access.prefix,
+            access.low,
+            access.high,
+            include_low=access.include_low,
+            include_high=access.include_high,
+        )
+    if isinstance(access, IndexRange):
+        return store.iter_range(
+            access.field,
+            access.low,
+            access.high,
+            include_low=access.include_low,
+            include_high=access.include_high,
+        )
+    raise QueryPlanError(f"unknown access path {access!r}")  # pragma: no cover
 
-    Deadlines, cancellation, and row budgets span the whole scatter: the
-    caller's :class:`Deadline` / :class:`CancelToken` are shared by every
-    worker directly (both are thread-safe), while the row budget moves
-    into a locked ledger all workers draw down together.  The first
-    failing worker aborts its siblings through an internal cancel token;
-    the first *root-cause* error (anything but the induced cancellation)
-    is what propagates, with ``rows_examined`` summed across workers.
 
-    Reads only — run ingest and queries from different phases, exactly as
-    with a single :class:`RecordStore`.
+def _recorded(
+    health: "ShardHealthMachine", idx: int, shard: "RecordStore", access: Any
+) -> Iterator[Any]:
+    """Shard ``idx``'s rows for ``access``, with the outcome recorded on
+    ``health``: a read error before it propagates, a success once the
+    rows are drained (a read that LIMIT stops counts as neither)."""
+    try:
+        yield from _access_rows(shard, access)
+    except Exception as exc:
+        health.record_error(idx, exc, source="query")
+        raise
+    health.record_success(idx)
 
-    Observability: every execution runs under one trace ID that the
-    shard workers adopt — the scatter emits a ``query.scatter`` root
-    span with one ``query.shard`` child per shard (``shard`` / ``rows``
-    / ``seconds`` attributes), worker log lines carry the caller's trace
-    ID, and a slow execution lands one slow-log entry covering the whole
-    fan-out.  ``execute(..., profile=True)`` returns a
-    :class:`QueryProfile` whose root ``scatter`` node has one ``shard``
-    child per shard (rows, per-shard wall time, buffer-pool page
-    hits/misses attributed through
-    :func:`~repro.storage.bufferpool.page_stats_scope`).
+
+_END = object()
+
+
+class _ShardMeter(_StageClock):
+    """One shard's rows, time and buffer-pool pages in a profiled run.
+
+    Its pages are what the query's own :class:`PageStats` gained while
+    the shard was read, so the query's totals count them too.
     """
 
-    def __init__(
-        self,
-        store: "ShardedStore",
-        *,
-        plan_cache_size: int = 256,
-        slow_log: SlowQueryLog | None = None,
-        retry: RetryPolicy | None = None,
-    ):
-        self.store = store
-        self.plan_cache = PlanCache(maxsize=plan_cache_size)
-        self.slow_log = slow_log
-        #: Bounded per-shard retry used by partial mode before a failing
-        #: shard is given up on (transient faults recover in place; a
-        #: persistent fault costs max_attempts tries, then the shard is
-        #: skipped).  Strict mode never retries — its semantics are
-        #: byte-for-byte the pre-partial behaviour.
-        self.retry = retry if retry is not None else RetryPolicy(max_attempts=2)
-        self._engines = tuple(QueryEngine(shard) for shard in store.shards)
-        self._engines_for = store.shards  # tuple identity watched for reopens
-        self._pool: ThreadPoolExecutor | None = None
-        self._shard_rows = tuple(
-            _metrics.counter("query.scatter.shard.rows", shard=str(i))
-            for i in range(store.shard_count)
-        )
-        self._shard_skipped = tuple(
-            _metrics.counter("query.scatter.shard.skipped", shard=str(i))
-            for i in range(store.shard_count)
-        )
-        self._bytes_per_row = 0.0
+    __slots__ = ("shard", "rows", "hits", "misses", "_pages", "_at")
 
-    def _refresh_engines(self) -> None:
-        """Rebuild per-shard engines for shards the store swapped out
-        (``ShardedStore.reopen_shard`` after a repair).  Identity check
-        only — the no-change case costs one ``is``."""
-        shards = self.store.shards
-        if shards is self._engines_for:
-            return
-        engines = list(self._engines)
-        for i, shard in enumerate(shards):
-            if engines[i].store is not shard:
-                engines[i] = QueryEngine(shard)
-        self._engines = tuple(engines)
-        self._engines_for = shards
+    def __init__(self, shard: int, pages: PageStats):
+        super().__init__()
+        self.shard = shard
+        self.rows = self.hits = self.misses = 0
+        self._pages = pages
 
-    # -- public API --------------------------------------------------------
-
-    def execute(
-        self,
-        query: str | Query,
-        *,
-        profile: bool = False,
-        guard: Guard | None = None,
-        timeout_s: float | None = None,
-        cancel: CancelToken | None = None,
-        max_rows: int | None = None,
-        partial: bool = False,
-    ) -> list[dict[str, Any]] | QueryProfile:
-        """Run ``query`` across all shards and return the merged records.
-
-        With ``profile=True``, returns a :class:`QueryProfile` instead:
-        the merged rows plus a two-level operator tree — a ``scatter``
-        root with one ``shard`` child per shard carrying that worker's
-        rows, wall time, and buffer-pool page hits/misses.
-
-        Bounds work as on :meth:`QueryEngine.execute` — pass a pre-built
-        :class:`Guard` or the convenience knobs — except that the bound
-        covers the *whole scatter*: the deadline and cancel token are
-        shared by every shard worker, and ``max_rows`` limits the total
-        rows examined across all shards (enforced at stride granularity
-        while the workers run and on the total once they are done; see
-        :class:`_SharedRowBudget`).
-
-        ``partial=True`` opts into graceful degradation: quarantined
-        shards are skipped up front, a shard whose worker fails is
-        retried (bounded, via the engine's :class:`RetryPolicy`) and
-        then skipped instead of failing the whole query, and the rows
-        come back as a :class:`PartialResult` whose ``partial`` /
-        ``shards_failed`` attributes say exactly what is missing (the
-        profile carries the same fields).  Interruptions — deadline,
-        cancellation, row budget — still raise: they bound the *caller's*
-        resources, not a shard's health.  The default (strict) mode is
-        all-or-nothing: a worker failure propagates, and a quarantined
-        shard raises :class:`~repro.errors.ShardUnavailableError` up
-        front — its bytes cannot be trusted, so strict refuses to read
-        around (or from) it.
-        """
-        if guard is None and (
-            timeout_s is not None or cancel is not None or max_rows is not None
-        ):
-            guard = Guard(
-                deadline=Deadline.after(timeout_s) if timeout_s is not None else None,
-                cancel=cancel,
-                max_rows=max_rows,
-            )
-        try:
-            return self._execute(
-                query, profile=profile, guard=guard, partial=partial
-            )
-        except Exception:
-            _FAILURES.inc()
-            raise
-
-    def execute_partial(
-        self, query: str | Query, **kwargs: Any
-    ) -> PartialResult | QueryProfile:
-        """:meth:`execute` with ``partial=True`` (convenience alias)."""
-        return self.execute(query, partial=True, **kwargs)  # type: ignore[return-value]
-
-    def _execute(
-        self,
-        query: str | Query,
-        *,
-        profile: bool,
-        guard: Guard | None,
-        partial: bool = False,
-    ) -> list[dict[str, Any]] | QueryProfile:
-        with _logging.trace() as trace_id:
-            parsed = self._parse(query)
-            plan, fp, template, cached = self.plan_cache.get_or_plan_fingerprinted(
-                parsed, self.store  # type: ignore[arg-type]
-            )
-            splan = plan_scatter(plan)
-            self._check_clause_fields(splan)
-            if not _WORKLOAD_TABLE.enabled:
-                fp = None
-            query_text = query if isinstance(query, str) else str(query)
-            start = time.perf_counter()
-            with _tracing.span(
-                "query.scatter",
-                access=plan.access.op,
-                shards=self.store.shard_count,
-            ) as sspan:
-                sspan.set_attribute("trace_id", trace_id)
-                try:
-                    out, examined, metas, shards_failed = self._run_scatter(
-                        splan, guard, partial=partial
-                    )
-                except QueryInterrupted as exc:
-                    if fp is not None:
-                        _RECORD_PACKED((
-                            fp, template, 0, exc.rows_examined, -1,
-                            time.perf_counter() - start,
-                            0, cached, _interruption_kind(exc), False, None,
-                        ))
-                    raise
-                seconds = time.perf_counter() - start
-                sspan.set_attribute("rows", len(out))
-                if shards_failed:
-                    sspan.set_attribute("shards_failed", list(shards_failed))
-            if partial:
-                out = PartialResult(
-                    out,
-                    partial=bool(shards_failed),
-                    shards_failed=shards_failed,
-                )
-                if shards_failed:
-                    _SCATTER_PARTIAL.inc()
-            _QUERY_SECONDS.observe(seconds)
-            if fp is not None:
-                # Worker CPU burns on pool threads, invisible to this
-                # thread's CPU clock — record the execution unsampled
-                # (cpu_ns = -1) rather than attribute only merge cost.
-                _RECORD_PACKED((
-                    fp, template, len(out), examined, -1, seconds,
-                    _estimate_bytes(out, examined), cached,
-                ))
-            result: QueryProfile | None = None
-            if profile:
-                _PROFILED.inc()
-                result = self._scatter_profile(
-                    splan, out, examined, metas, seconds, cached, fp,
-                    shards_failed=shards_failed if partial else (),
-                )
-            if _logging.would_log("debug"):
-                _logging.debug(
-                    "query.scatter.execute",
-                    query=query_text,
-                    access=plan.access.op,
-                    shards=self.store.shard_count,
-                    plan_cached=cached,
-                    fingerprint=fp,
-                    rows=len(out),
-                    seconds=round(seconds, 6),
-                    partial=bool(shards_failed),
-                )
-            self._maybe_slow_log(
-                query_text, splan, cached, len(out), seconds, result, trace_id, fp
-            )
-            return result if result is not None else out
-
-    def _scatter_profile(
-        self,
-        splan: ScatterPlan,
-        out: list[dict[str, Any]],
-        examined: int,
-        metas: list[dict[str, Any] | None],
-        seconds: float,
-        plan_cached: bool,
-        fingerprint: str | None,
-        shards_failed: tuple[int, ...] = (),
-    ) -> QueryProfile:
-        """Assemble the EXPLAIN ANALYZE tree of one scatter execution."""
-        children: list[OpProfile] = []
-        hits = misses = 0
-        for idx in shards_failed:
-            children.append(
-                OpProfile(
-                    op="shard",
-                    detail=f"shard {idx}  SKIPPED (failed or quarantined)",
-                    rows_examined=0,
-                    rows_returned=0,
-                    seconds=0.0,
-                )
-            )
-        for meta in metas:
-            if meta is None:
-                continue
-            hits += meta["page_hits"]
-            misses += meta["page_misses"]
-            children.append(
-                OpProfile(
-                    op="shard",
-                    detail=(
-                        f"shard {meta['shard']}  pages "
-                        f"hit={meta['page_hits']} miss={meta['page_misses']}"
-                    ),
-                    rows_examined=meta["examined"],
-                    rows_returned=meta["rows"],
-                    seconds=meta["seconds"],
-                )
-            )
-        root = OpProfile(
-            op="scatter",
-            detail=(
-                f"{splan.shard_plan.access.describe()} "
-                f"over {self.store.shard_count} shards"
-            ),
-            rows_examined=examined,
-            rows_returned=len(out),
-            seconds=seconds,
-            children=tuple(children),
-        )
-        return QueryProfile(
-            rows=out,
-            root=root,
-            plan_text=splan.explain(),
-            seconds=seconds,
-            plan_cached=plan_cached,
-            fingerprint=fingerprint,
-            page_hits=hits,
-            page_misses=misses,
-            partial=bool(shards_failed),
-            shards_failed=shards_failed,
-        )
-
-    def _maybe_slow_log(
-        self,
-        query_text: str,
-        splan: ScatterPlan,
-        plan_cached: bool,
-        rows: int,
-        seconds: float,
-        profile: QueryProfile | None,
-        trace_id: str,
-        fingerprint: str | None,
-    ) -> None:
-        """One slow-log entry for the whole fan-out (no profiled re-run:
-        re-scattering would double every shard's work — the per-shard
-        spans already attribute the time)."""
-        slow = self.slow_log
-        if slow is None or seconds < slow.threshold_s:
-            return
-        slow.record(
-            query=query_text,
-            plan=splan.explain(),
-            plan_cached=plan_cached,
-            rows=rows,
-            seconds=seconds,
-            profile=profile,
-            reexecuted=False,
-            trace_id=trace_id,
-            fingerprint=fingerprint,
-        )
-
-    def explain(self, query: str | Query) -> str:
-        """The scatter plan :meth:`execute` would use, as text."""
-        parsed = self._parse(query)
-        plan, _, _, _ = self.plan_cache.get_or_plan_fingerprinted(
-            parsed, self.store  # type: ignore[arg-type]
-        )
-        return plan_scatter(plan).explain()
-
-    def count(self, query: str | Query) -> int:
-        """Number of records matching ``query`` (clauses beyond the filter
-        are rejected, as on :meth:`QueryEngine.count`)."""
-        parsed = self._parse(query)
-        if parsed.group_by or parsed.order_by or parsed.limit is not None:
-            raise QueryPlanError(
-                "COUNT accepts a bare filter (no GROUP BY/ORDER BY/LIMIT)"
-            )
-        return len(self.execute(parsed))
-
-    def aggregate(
-        self,
-        query: str | Query,
-        field: str,
-        *,
-        guard: Guard | None = None,
-    ) -> dict[str, Any]:
-        """Scatter-gather numeric aggregate of ``field`` over the filter.
-
-        Each shard folds its matching records into a
-        :class:`PartialAggregate`; the partials merge into one row of
-        ``{"count", "sum", "min", "max", "avg"}`` over the non-None
-        values.  ``query`` must be a bare filter — GROUP BY COUNT goes
-        through :meth:`execute`; this is the programmatic surface for the
-        remaining decomposable aggregates.
-        """
-        parsed = self._parse(query)
-        if parsed.group_by or parsed.order_by or parsed.limit is not None:
-            raise QueryPlanError(
-                "aggregate() accepts a bare filter (no GROUP BY/ORDER BY/LIMIT)"
-            )
-        schema = self.store.schema
-        if not schema.has_field(field):
-            raise QueryPlanError(f"cannot aggregate unknown field {field!r}")
-        kind = schema.field(field).type.value
-        if kind not in ("int", "float"):
-            raise QueryPlanError(
-                f"aggregate needs a numeric field; {field!r} is {kind}"
-            )
-        plan, _, _, _ = self.plan_cache.get_or_plan_fingerprinted(
-            parsed, self.store  # type: ignore[arg-type]
-        )
-        splan = plan_scatter(plan)
-
-        def fold(rows: Iterator[dict[str, Any]]) -> PartialAggregate:
-            partial = PartialAggregate()
-            add = partial.add
-            for row in rows:
-                value = row.get(field)
-                if value is not None:
-                    add(value)
-            return partial
-
-        partials, _, _, _ = self._scatter(splan, guard, fold)
-        merged = PartialAggregate()
-        for partial in partials:
-            merged.merge(partial)
-        _EXECUTIONS.inc()
-        _SCATTER_COUNT.inc()
-        return merged.finalize()
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; shards stay open)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ShardedQueryEngine":
+    def __enter__(self) -> "_ShardMeter":
+        self._at = (self._pages.hits, self._pages.misses)
+        super().__enter__()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        super().__exit__(*exc_info)
+        hits, misses = self._at
+        self.hits += self._pages.hits - hits
+        self.misses += self._pages.misses - misses
 
-    # -- scatter/gather internals ------------------------------------------
+    def stream(self, rows: Iterator[Any]) -> Iterator[Any]:
+        """``rows``, each pull timed and counted."""
+        while True:
+            with self:
+                row = next(rows, _END)
+            if row is _END:
+                return
+            self.rows += 1
+            yield row
 
-    @staticmethod
-    def _parse(query: str | Query) -> Query:
-        if isinstance(query, Query):
-            return query
-        return parse_query(query)
-
-    def _check_clause_fields(self, splan: ScatterPlan) -> None:
-        schema = self.store.schema
-        if splan.group_by is not None and not schema.has_field(splan.group_by):
-            raise QueryPlanError(f"cannot GROUP BY unknown field {splan.group_by!r}")
-        if splan.order_by is not None:
-            known = schema.has_field(splan.order_by)
-            if splan.group_by is not None:
-                known = splan.order_by in (splan.group_by, "count")
-            if not known:
-                raise QueryPlanError(
-                    f"cannot ORDER BY unknown field {splan.order_by!r}"
-                )
-
-    def _run_scatter(
-        self, splan: ScatterPlan, guard: Guard | None, *, partial: bool = False
-    ) -> tuple[
-        list[dict[str, Any]], int, list[dict[str, Any] | None], tuple[int, ...]
-    ]:
-        """Execute the scatter plan; returns (rows, rows_examined,
-        per-shard metadata in shard order, failed shard indexes)."""
-        if splan.group_by is not None:
-            worker = self._fold_counts(splan.group_by)
-        elif splan.order_by is not None:
-            worker = self._fold_sorted(splan)
-        else:
-            worker = self._fold_plain(splan)
-        parts, examined, metas, failed = self._scatter(
-            splan, guard, worker, partial=partial
+    def node(self) -> OpProfile:
+        return OpProfile(
+            op="shard",
+            detail=f"shard {self.shard}  pages hit={self.hits} miss={self.misses}",
+            rows_examined=self.rows,
+            rows_returned=self.rows,
+            seconds=self.seconds,
+            cpu_ns=self.cpu_ns,
         )
 
-        merge_start = time.perf_counter()
-        if splan.group_by is not None:
-            out = self._gather_counts(splan, parts)
-        elif splan.order_by is not None:
-            out = self._gather_sorted(splan, parts)
-        else:
-            out = self._gather_plain(splan, parts)
-        _SCATTER_MERGE_SECONDS.observe(time.perf_counter() - merge_start)
-        for meta in metas:
-            if meta is not None:
-                self._shard_rows[meta["shard"]].inc(meta["rows"])
-        _EXECUTIONS.inc()
-        _SCATTER_COUNT.inc()
-        _ROWS_RETURNED.inc(len(out))
-        return out, examined, metas, failed
 
-    def _scatter(
+class _Exchange:
+    """The shards one execution reads, and one stream of their rows.
+
+    Every shard is read inline, in the calling thread.  A
+    :class:`~repro.storage.store.RecordStore` is one shard with no health
+    to consult.  On a :class:`~repro.storage.sharded.ShardedStore`,
+    strict mode raises :class:`~repro.errors.ShardUnavailableError` for a
+    shard that is not serving before anything is read, and records a
+    shard's read error on ``store.health``.  Partial mode skips shards
+    that are not serving, reads each other shard whole (or as far as the
+    plan's LIMIT needs) under the engine's :class:`RetryPolicy` before
+    handing on its rows, and skips a shard that still fails, so a skipped
+    shard contributes no row; :attr:`shards_failed` names the skipped
+    shards, and :attr:`read` counts the rows those reads took, each
+    charged to the guard as it was read.  Given the ``pages`` of a
+    profiled run, a sharded store's exchange measures each shard's rows,
+    time and pages.
+    """
+
+    __slots__ = (
+        "shards", "health", "partial", "retry", "primary_key", "failed", "meters", "read"
+    )
+
+    def __init__(
         self,
-        splan: ScatterPlan,
-        guard: Guard | None,
-        fold: Any,
+        store: "RecordStore | ShardedStore",
         *,
         partial: bool = False,
-    ) -> tuple[list[Any], int, list[dict[str, Any] | None], tuple[int, ...]]:
-        """Run ``fold`` over every shard's candidate rows, in parallel.
+        retry: RetryPolicy | None = None,
+        pages: PageStats | None = None,
+    ):
+        self.primary_key = store.schema.primary_key
+        self.failed: dict[int, BaseException] = {}
+        self.meters: list[_ShardMeter] | None = None
+        self.read = 0
+        self.retry = retry
+        if not isinstance(store, ShardedStore):
+            self.shards: list[tuple[int, RecordStore]] = [(0, store)]
+            self.health = None
+            self.partial = False
+            return
+        self.health = health = store.health
+        self.partial = partial
+        self.shards = []
+        for idx, shard in enumerate(store.shards):
+            if health.is_serving(idx):
+                self.shards.append((idx, shard))
+                continue
+            exc = ShardUnavailableError(idx, health.state(idx), health.reason(idx))
+            if not partial:
+                # A quarantined shard's bytes cannot be trusted: strict
+                # mode refuses to read around it, or from it.
+                raise exc
+            self._skip(idx, exc)
+        if pages is not None:
+            self.meters = [_ShardMeter(idx, pages) for idx, _ in self.shards]
 
-        ``fold(rows_iterator) -> part`` consumes one shard's
-        residual-filtered candidates; the per-shard parts come back in
-        shard order.  Returns ``(parts, total_rows_examined, metas,
-        failed)`` where ``metas[i]`` describes shard ``i``'s work (rows,
-        wall time, buffer-pool page touches) — ``None`` for a worker
-        that failed — and ``failed`` is the tuple of skipped shard
-        indexes (always empty in strict mode, which raises instead).
-        Workers adopt the caller's trace context, so their
-        ``query.shard`` spans nest under the ``query.scatter`` root and
-        their log lines carry the same trace ID.
+    @property
+    def shards_failed(self) -> tuple[int, ...]:
+        return tuple(sorted(self.failed)) if self.failed else ()
 
-        In partial mode a quarantined shard is skipped without being
-        touched, a shard whose worker raises gets a bounded retry (the
-        engine's :class:`RetryPolicy` — only transient faults actually
-        re-run) and is then skipped, and sibling workers are *not*
-        aborted by a skippable failure.  Interruptions (deadline /
-        cancel / budget) abort the scatter in both modes.
-        """
-        self._refresh_engines()
-        if guard is not None:
-            guard.check()  # fail fast before spawning workers
-        abort = CancelToken()
-        worker_guards: list[Guard | None]
-        if guard is None:
-            worker_guards = [None] * self.store.shard_count
+    def rows(self, plan: Plan, guard: Guard | None = None) -> Iterable[dict[str, Any]]:
+        """Every serving shard's access-path records for ``plan``, as one
+        stream: chained in shard order, or merged on ``(index key,
+        primary key)`` when the plan is index-ordered.  No shard is read
+        before the stream first pulls from it, so a LIMIT that the first
+        shards fill leaves the rest unread."""
+        access = plan.access
+        streams = []
+        for i, (idx, shard) in enumerate(self.shards):
+            meter = None if self.meters is None else self.meters[i]
+            if self.partial:
+                stream = self._read_whole(idx, shard, plan, guard, meter)
+            elif self.health is None:
+                stream = _access_rows(shard, access)
+            else:
+                stream = _recorded(self.health, idx, shard, access)
+                if meter is not None:
+                    stream = meter.stream(stream)
+            streams.append(stream)
+        rows: Iterable[Any]
+        if len(streams) == 1:
+            rows = streams[0]
+        elif plan.index_ordered:
+            rows = merge_key_ordered(streams, self.primary_key)
         else:
-            ledger = (
-                _SharedRowBudget(guard.max_rows)
-                if guard.max_rows is not None
-                else None
-            )
-            cancel = _EitherCancelled(guard.cancel, abort)
-            worker_guards = [
-                _ShardGuard(
-                    deadline=guard.deadline,
-                    cancel=cancel,
-                    ledger=ledger,
-                    stride=guard.stride,
-                )
-                for _ in range(self.store.shard_count)
-            ]
+            rows = chain.from_iterable(streams)
+        return map(itemgetter(1), rows) if isinstance(access, IndexRange) else rows
 
-        ctx = _tracing.TraceContext.capture()
-        metas: list[dict[str, Any] | None] = [None] * self.store.shard_count
-        health = getattr(self.store, "health", None)
-        failed: dict[int, BaseException] = {}
-        failed_lock = threading.Lock()
-        skipped = object()  # sentinel part for a shard given up on
-
-        def attempt(idx: int) -> Any:
-            engine = self._engines[idx]
-            wguard = worker_guards[idx]
-            stats = PageStats()
-            shard_start = time.perf_counter()
-            examined = [0]
-            with page_stats_scope(stats):
-                candidates = engine._candidates(splan.shard_plan, wguard, examined)
-                try:
-                    rows: Iterator[dict[str, Any]] = candidates
-                    residual = splan.shard_plan.residual
-                    if residual is not None:
-                        rows = (r for r in rows if residual.evaluate(r))
-                    part = fold(rows)
-                finally:
-                    candidates.close()
-            elapsed = time.perf_counter() - shard_start
-            n = part.count if isinstance(part, PartialAggregate) else len(part)
-            metas[idx] = {
-                "shard": idx,
-                "rows": n,
-                "seconds": elapsed,
-                "examined": examined[0],
-                "page_hits": stats.hits,
-                "page_misses": stats.misses,
-            }
-            return part
-
-        def run_shard(idx: int) -> Any:
-            with ctx.attach(), _tracing.span("query.shard", shard=idx) as sspan:
-                try:
-                    if partial:
-                        part = self.retry.call(
-                            lambda: attempt(idx), describe=f"query.shard{idx}"
-                        )
-                    else:
-                        part = attempt(idx)
-                except QueryInterrupted:
-                    # The caller's bound tripped (or a sibling's abort
-                    # propagated) — not a shard fault, in either mode.
-                    abort.cancel()
-                    raise
-                except BaseException as exc:
-                    if health is not None:
-                        health.record_error(idx, exc, source="query")
-                    if not partial:
-                        abort.cancel()  # stop the sibling workers promptly
-                        raise
-                    with failed_lock:
-                        failed[idx] = exc
-                    self._shard_skipped[idx].inc()
-                    sspan.set_attribute("skipped", True)
-                    _logging.warn(
-                        "query.scatter.shard_skipped",
-                        shard=idx,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    return skipped
-                if health is not None:
-                    health.record_success(idx)
-                meta = metas[idx]
-                if meta is not None:
-                    sspan.set_attribute("rows", meta["rows"])
-                    sspan.set_attribute("seconds", round(meta["seconds"], 6))
-                return part
-
-        count = self.store.shard_count
-        indexes = list(range(count))
-        if health is not None:
-            for idx in list(indexes):
-                if not health.is_serving(idx):
-                    if not partial:
-                        # Strict queries must not read a shard pulled
-                        # out of service — a corruption quarantine means
-                        # its bytes cannot be trusted.  Fail fast with
-                        # the typed error instead of fanning out.
-                        raise ShardUnavailableError(
-                            idx, health.state(idx), health.reason(idx)
-                        )
-                    indexes.remove(idx)
-                    failed[idx] = ShardUnavailableError(
-                        idx, health.state(idx), health.reason(idx)
-                    )
-                    self._shard_skipped[idx].inc()
-        if len(indexes) == 1:
-            parts = [run_shard(indexes[0])]
-        else:
-            pool = self._pool
-            if pool is None:
-                pool = self._pool = ThreadPoolExecutor(
-                    max_workers=count, thread_name_prefix="repro-scatter"
-                )
-            futures: list[Future] = [pool.submit(run_shard, i) for i in indexes]
-            parts = []
-            errors: list[BaseException] = []
-            for future in futures:
-                try:
-                    parts.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    errors.append(exc)
-            if errors:
-                self._raise_first(errors, worker_guards)
-        parts = [part for part in parts if part is not skipped]
-
-        examined = sum(m["examined"] for m in metas if m is not None)
+    def _read_whole(
+        self,
+        idx: int,
+        shard: "RecordStore",
+        plan: Plan,
+        guard: Guard | None,
+        meter: _ShardMeter | None,
+    ) -> Iterator[Any]:
+        """Shard ``idx``'s rows, read whole under the retry policy when the
+        first one is pulled; none when the read still fails (the shard is
+        then skipped).  A guard interruption is the caller's bound, not a
+        shard fault: it propagates."""
+        assert self.health is not None and self.retry is not None
         if guard is not None:
-            # Fold the workers' progress back into the caller's guard so
-            # its stats()/partial-progress reporting covers the scatter.
-            guard.rows_examined += examined
-            # A worker that LIMIT stopped between ticks settled its rows
-            # unchecked, so no worker need have seen the shared budget
-            # crossed: the scatter's total is held to it here.
-            guard.check_rows()
-        return parts, examined, metas, tuple(sorted(failed))
+            guard.check()  # deadline and cancellation, between shards
+        read = self.read
+        try:
+            with meter if meter is not None else nullcontext():
+                rows = self.retry.call(
+                    lambda: self._read(shard, plan, guard),
+                    describe=f"query.shard{idx}",
+                )
+        except QueryInterrupted:
+            raise
+        except Exception as exc:
+            self.health.record_error(idx, exc, source="query")
+            self._skip(idx, exc)
+            return
+        finally:
+            if meter is not None:
+                meter.rows = self.read - read
+        self.health.record_success(idx)
+        yield from rows
 
-    def _raise_first(
-        self, errors: list[BaseException], worker_guards: list[Guard | None]
-    ) -> None:
-        """Propagate the scatter's root cause.
+    def _read(self, shard: "RecordStore", plan: Plan, guard: Guard | None) -> list[Any]:
+        """One attempt at a shard's rows for ``plan``, each charged to
+        ``guard`` as it is read (ticked once per block, as in
+        :meth:`QueryEngine._candidates`) and counted in :attr:`read`.
 
-        Workers stopped by the internal abort token unwind with
-        :class:`QueryCancelled` — secondary noise when a sibling hit the
-        real limit — so any other error (in shard order) wins; a
-        cancellation propagates only when it is all there is (i.e. the
-        caller really cancelled).  Interrupted errors report the rows
-        examined by the *whole* scatter, not one worker.
+        When LIMIT can stop the access path, the read stops at the
+        ``limit``-th distinct record that passes the residual: the rows
+        after it cannot reach the output.
         """
-        total = sum(g.rows_examined for g in worker_guards if g is not None)
-        chosen = next(
-            (e for e in errors if not isinstance(e, QueryCancelled)), errors[0]
+        access = plan.access
+        want = plan.limit if plan.stops_at_limit else None
+        residual = plan.residual
+        ranged = isinstance(access, IndexRange)
+        pk = self.primary_key
+        kept: set[Any] = set()
+        rows: list[Any] = []
+        pulled = charged = 0
+        due = 0 if guard is None else _block_end(guard, 0)
+        try:
+            for row in _access_rows(shard, access):
+                pulled += 1
+                if pulled == due:
+                    block, charged = pulled - charged, pulled
+                    guard.tick(block)
+                    due = _block_end(guard, pulled)
+                rows.append(row)
+                if want is not None:
+                    record = row[1] if ranged else row
+                    if residual is None or residual.evaluate(record):
+                        kept.add(record[pk])
+                        if len(kept) >= want:
+                            break
+            else:
+                if guard is not None:
+                    block, charged = pulled - charged, pulled
+                    guard.tick(block)  # drained: the last block, checked
+        finally:
+            if guard is not None:
+                guard.settle(pulled - charged)
+            self.read += pulled
+        return rows
+
+    def _skip(self, idx: int, exc: BaseException) -> None:
+        self.failed[idx] = exc
+        _metrics.counter("query.scatter.shard.skipped", shard=str(idx)).inc()
+        _logging.warn(
+            "query.scatter.shard_skipped",
+            shard=idx,
+            error=f"{type(exc).__name__}: {exc}",
         )
-        if isinstance(chosen, QueryInterrupted):
-            chosen.rows_examined = total
-        raise chosen
 
-    # -- per-shard folds ----------------------------------------------------
-
-    def _fold_counts(self, field: str) -> Any:
-        def fold(rows: Iterator[dict[str, Any]]) -> dict[Any, int]:
-            counts: dict[Any, int] = {}
-            for row in rows:
-                value = row.get(field)
-                if value is None:
-                    continue
-                values = value if isinstance(value, list) else [value]
-                for v in values:
-                    counts[v] = counts.get(v, 0) + 1
-            return counts
-
-        return fold
-
-    def _fold_sorted(self, splan: ScatterPlan) -> Any:
-        field = splan.order_by
-        pk = self.store.schema.primary_key
-
-        def sort_key(record: dict[str, Any]) -> tuple:
-            return (_sort_key(record.get(field)), _sort_key(record.get(pk)))
-
-        limit = splan.shard_limit
-
-        def fold(rows: Iterator[dict[str, Any]]) -> list[dict[str, Any]]:
-            if limit is not None:
-                top = heapq.nlargest if splan.descending else heapq.nsmallest
-                return top(limit, rows, key=sort_key)
-            return sorted(rows, key=sort_key, reverse=splan.descending)
-
-        return fold
-
-    def _fold_plain(self, splan: ScatterPlan) -> Any:
-        limit = splan.shard_limit
-
-        def fold(rows: Iterator[dict[str, Any]]) -> list[dict[str, Any]]:
-            if limit is not None:
-                return list(islice(rows, limit))
-            return list(rows)
-
-        return fold
-
-    # -- gather merges ------------------------------------------------------
-
-    def _gather_counts(
-        self, splan: ScatterPlan, parts: list[dict[Any, int]]
-    ) -> list[dict[str, Any]]:
-        field = splan.group_by
-        totals: dict[Any, int] = {}
-        for part in parts:
-            for value, count in part.items():
-                totals[value] = totals.get(value, 0) + count
-        # Format exactly as QueryEngine._aggregate: value-sorted rows.
-        out = [
-            {field: value, "count": count}
-            for value, count in sorted(totals.items(), key=lambda kv: _sort_key(kv[0]))
-        ]
-        if splan.order_by is not None:
-            order_field = splan.order_by
-            out.sort(
-                key=lambda r: _sort_key(r.get(order_field)),
-                reverse=splan.descending,
+    def nodes(self) -> tuple[OpProfile, ...]:
+        """The access node's EXPLAIN ANALYZE children: one per shard."""
+        if self.meters is None:
+            return ()
+        nodes = {m.shard: m.node() for m in self.meters}
+        for idx in self.failed:
+            # A shard whose read failed still shows the rows it read.
+            meter = nodes.get(idx)
+            nodes[idx] = OpProfile(
+                op="shard",
+                detail=f"shard {idx}  SKIPPED (failed or quarantined)",
+                rows_examined=0 if meter is None else meter.rows_examined,
+                rows_returned=0,
+                seconds=0.0 if meter is None else meter.seconds,
             )
-        if splan.limit is not None:
-            out = out[: splan.limit]
-        return out
-
-    def _gather_sorted(
-        self, splan: ScatterPlan, parts: list[list[dict[str, Any]]]
-    ) -> list[dict[str, Any]]:
-        field = splan.order_by
-        pk = self.store.schema.primary_key
-
-        def sort_key(record: dict[str, Any]) -> tuple:
-            return (_sort_key(record.get(field)), _sort_key(record.get(pk)))
-
-        merged: Iterator[dict[str, Any]] = heapq.merge(
-            *parts, key=sort_key, reverse=splan.descending
-        )
-        if splan.limit is not None:
-            return list(islice(merged, splan.limit))
-        return list(merged)
-
-    def _gather_plain(
-        self, splan: ScatterPlan, parts: list[list[dict[str, Any]]]
-    ) -> list[dict[str, Any]]:
-        out: list[dict[str, Any]] = []
-        for part in parts:
-            out.extend(part)
-        if splan.limit is not None:
-            out = out[: splan.limit]
-        return out
+        return tuple(nodes[idx] for idx in sorted(nodes))

@@ -190,6 +190,16 @@ class Plan:
     #: :func:`_index_orders`): execution skips the sort and stops at LIMIT.
     index_ordered: bool = False
 
+    @property
+    def stops_at_limit(self) -> bool:
+        """Whether LIMIT can stop the access path: there is a LIMIT, and
+        no GROUP BY or sort needs every row first."""
+        return (
+            self.limit is not None
+            and self.group_by is None
+            and (self.order_by is None or self.index_ordered)
+        )
+
     def explain(self) -> str:
         """Human-readable plan, one clause per line."""
         lines = [self.access.describe()]
@@ -204,91 +214,6 @@ class Plan:
         if self.limit is not None:
             lines.append(f"LIMIT {self.limit}")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True, slots=True)
-class ScatterPlan:
-    """A :class:`Plan` split for scatter-gather execution across shards.
-
-    ``shard_plan`` is what every shard worker runs: the access path plus
-    the residual filter, with the output clauses stripped — those move to
-    the gather side, where :class:`~repro.query.executor.ShardedQueryEngine`
-    reassembles a result identical to running the original plan on one
-    store holding all the rows:
-
-    * ``order_by`` → each shard returns its rows sorted by
-      ``(order value, primary key)`` and the gather lazily k-way-merges
-      the pre-sorted runs (the primary-key tiebreak makes the order total,
-      so the merge is deterministic for any shard count).
-    * ``group_by`` → each shard returns *partial* per-value counts and the
-      gather sums them before formatting, so group rows are never split
-      across shards.
-    * ``limit`` → pushed down when no aggregation intervenes
-      (:attr:`shard_limit`): a shard never produces more than ``limit``
-      rows — sorted shards keep a bounded top-k heap, unsorted shards
-      stop scanning early — and the gather trims the merged stream again.
-    """
-
-    shard_plan: Plan
-    group_by: str | None = None
-    order_by: str | None = None
-    descending: bool = False
-    limit: int | None = None
-
-    @property
-    def shard_limit(self) -> int | None:
-        """Max rows any one shard must produce, or None when unbounded.
-
-        A LIMIT under a GROUP BY cannot be pushed down — every shard's
-        rows may contribute to every group — so pushdown applies only to
-        plain (optionally sorted) row queries.
-        """
-        if self.limit is None or self.group_by is not None:
-            return None
-        return self.limit
-
-    def explain(self) -> str:
-        """Human-readable scatter plan, one clause per line."""
-        lines = [f"SCATTER {self.shard_plan.access.describe()}"]
-        if self.shard_plan.residual is not None:
-            lines.append(f"  FILTER {self.shard_plan.residual}")
-        if self.group_by:
-            lines.append(f"  PARTIAL GROUP BY {self.group_by} (COUNT)")
-        if self.order_by and self.group_by is None:
-            direction = "DESC" if self.descending else "ASC"
-            lines.append(f"  SHARD SORT {self.order_by} {direction}, pk")
-        if self.shard_limit is not None:
-            lines.append(f"  SHARD LIMIT {self.shard_limit}")
-        lines.append("GATHER")
-        if self.group_by:
-            lines.append(f"  COMBINE COUNTS {self.group_by}")
-            if self.order_by:
-                direction = "DESC" if self.descending else "ASC"
-                lines.append(f"  ORDER BY {self.order_by} {direction}")
-        elif self.order_by:
-            direction = "DESC" if self.descending else "ASC"
-            lines.append(f"  MERGE SORTED {self.order_by} {direction}")
-        else:
-            lines.append("  CONCAT shard order")
-        if self.limit is not None:
-            lines.append(f"  LIMIT {self.limit}")
-        return "\n".join(lines)
-
-
-def plan_scatter(plan: Plan) -> ScatterPlan:
-    """Split ``plan`` into the per-shard sub-plan and the gather spec.
-
-    The access path and residual are shard-local as-is (every shard owns a
-    disjoint key range, so running them per shard examines each record
-    exactly once); GROUP BY / ORDER BY / LIMIT become merge obligations.
-    """
-    return ScatterPlan(
-        shard_plan=Plan(access=plan.access, residual=plan.residual),
-        group_by=plan.group_by,
-        order_by=plan.order_by,
-        descending=plan.descending,
-        limit=plan.limit,
-    )
 
 
 _PLANS_CONSIDERED = _planner_metrics.counter("query.plans.considered")
@@ -409,11 +334,11 @@ def _index_orders(access: AccessPath, query: Query, store: "RecordStore") -> boo
 
     True for an index range over the ``ORDER BY`` field when the order is
     ascending, the field is scalar and nothing regroups the rows.  A
-    range scan yields keys ascending and, under one key, the index's
-    order, which is the order a stable sort of the same rows keeps.  A
-    list field is indexed per element, not by the value ORDER BY sorts
-    on, and a reversed scan would reverse the order of ties, so both
-    keep the sort.
+    range scan yields ``(key, primary key)`` ascending, which is the
+    ``(value, primary key)`` order ``ORDER BY`` sorts rows into, and
+    shards merge on the same pair.  A list field is indexed per
+    element, not by the value ORDER BY sorts on, so it keeps the sort,
+    and so does ``DESC``.
     """
     if not isinstance(access, IndexRange) or access.field != query.order_by:
         return False

@@ -175,11 +175,6 @@ class Guard:
 
     # -- full checks ------------------------------------------------------
 
-    def check_rows(self) -> None:
-        """Enforce the row budget on rows counted without a check."""
-        if self.max_rows is not None and self.rows_examined > self.max_rows:
-            self._raise_budget("rows", self.max_rows, self.rows_examined)
-
     def check(self) -> None:
         """Run the deadline and cancellation checks immediately."""
         if self.cancel is not None and self.cancel.cancelled:

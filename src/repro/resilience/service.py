@@ -100,11 +100,9 @@ class QueryService:
         :class:`~repro.errors.BudgetExceeded` — plus the usual
         :class:`~repro.errors.QueryError` family for bad queries.
 
-        ``partial=True`` (honored only when the engine supports
-        partial-result scatter-gather, i.e. a
-        :class:`~repro.query.executor.ShardedQueryEngine`) tolerates
-        failing or quarantined shards; a degraded response carries
-        ``partial: true`` and the ``shards_failed`` list.
+        ``partial=True`` tolerates failing or quarantined shards of a
+        sharded store; a degraded response carries ``partial: true`` and
+        the ``shards_failed`` list.
         """
         _REQUESTS.inc()
         timeout_s = (
@@ -130,12 +128,9 @@ class QueryService:
                     raise QueryTimeout(  # pragma: no cover - check() raises first
                         "deadline exhausted in admission queue", timeout_s=timeout_s
                     )
-                if partial and hasattr(self.engine, "execute_partial"):
-                    result = self.engine.execute(
-                        query, profile=profile, guard=guard, partial=True
-                    )
-                else:
-                    result = self.engine.execute(query, profile=profile, guard=guard)
+                result = self.engine.execute(
+                    query, profile=profile, guard=guard, partial=partial
+                )
             except QueryTimeout:
                 self.breaker.record("timeout")
                 raise
@@ -156,9 +151,7 @@ class QueryService:
             # degradation marker when a shard was skipped.
             if getattr(result, "partial", False):
                 body["partial"] = True
-                body["shards_failed"] = sorted(
-                    getattr(result, "shards_failed", ())
-                )
+                body["shards_failed"] = list(result.shards_failed)
             # Enforce the response-byte budget on the serialized payload
             # the transport is about to write.
             guard.add_bytes(len(json.dumps(body, default=str)))

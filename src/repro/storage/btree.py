@@ -2,6 +2,10 @@
 
 A classic B-tree (not B+); every node stores keys and per-key value lists so
 duplicate index keys (many records sharing a year, say) cost one key slot.
+Each key's values are kept in ascending order, so for a secondary index
+(values are primary keys) a scan yields ``(key, primary key)`` pairs in
+that composite order: the tie order ``ORDER BY`` uses, which lets a
+range scan serve it and shards merge on it.
 ``order`` is the maximum number of children; nodes hold between
 ``ceil(order/2) - 1`` and ``order - 1`` keys except the root.
 
@@ -95,7 +99,8 @@ class BTree:
         first and the content distributed as evenly as possible (sizes
         differing by at most one), which keeps every node provably within
         the B-tree fill bounds — no rebalancing pass needed.  Keys must be
-        strictly increasing.
+        strictly increasing; each key's values may come in any order and
+        are stored sorted.
 
         >>> tree = BTree.from_sorted([(k, [f"v{k}"]) for k in range(100)], order=4)
         >>> tree.validate()
@@ -128,12 +133,12 @@ class BTree:
             size = base + (1 if leaf_index < extra else 0)
             node = _Node()
             node.keys = [k for k, _ in pairs[i : i + size]]
-            node.values = [list(v) for _, v in pairs[i : i + size]]
+            node.values = [sorted(v) for _, v in pairs[i : i + size]]
             leaves.append(node)
             i += size
             if leaf_index < leaf_count - 1:
                 separator_key, separator_values = pairs[i]
-                separators.append((separator_key, list(separator_values)))
+                separators.append((separator_key, sorted(separator_values)))
                 i += 1
         assert i == total
 
@@ -175,10 +180,10 @@ class BTree:
         """Bulk-load a tree from ``(key, value)`` pairs sorted by key.
 
         The streaming entry point for batched index builds: duplicate
-        keys are allowed (values keep their arrival order) and the tree
+        keys are allowed (their values are stored sorted) and the tree
         is constructed bottom-up with no per-insert node splits.
 
-        >>> tree = BTree.bulk_load([(1, "a"), (1, "b"), (2, "c")], order=4)
+        >>> tree = BTree.bulk_load([(1, "b"), (1, "a"), (2, "c")], order=4)
         >>> tree.search(1)
         ['a', 'b']
         """
@@ -199,9 +204,8 @@ class BTree:
             for key, value in pairs:
                 self.insert(key, value)
             return
-        # Merge-rebuild: items() and pairs are both key-ordered; heapq.merge
-        # keeps existing values ahead of new ones under equal keys, matching
-        # what sequential insert() calls would have produced.
+        # Merge-rebuild: items() and pairs are both key-ordered, and the
+        # rebuild sorts each key's values, as insert() keeps them.
         merged = _group_sorted(
             heapq.merge(self.items(), pairs, key=lambda kv: kv[0])
         )
@@ -275,7 +279,7 @@ class BTree:
     # -- iteration ----------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Any, Any]]:
-        """All (key, value) pairs in key order (values in insertion order)."""
+        """All (key, value) pairs in key order (values ascending)."""
         yield from self._iter_node(self._root)
 
     def keys(self) -> Iterator[Any]:
@@ -335,7 +339,8 @@ class BTree:
     # -- insertion -----------------------------------------------------------
 
     def insert(self, key: Any, value: Any) -> None:
-        """Insert ``value`` under ``key`` (duplicates under one key allowed)."""
+        """Insert ``value`` under ``key`` (duplicates under one key allowed,
+        kept in ascending order)."""
         root = self._root
         if len(root.keys) == self._max_keys:
             new_root = _Node()
@@ -366,7 +371,7 @@ class BTree:
         while True:
             i = bisect.bisect_left(node.keys, key)
             if i < len(node.keys) and node.keys[i] == key:
-                node.values[i].append(value)
+                bisect.insort(node.values[i], value)
                 return
             if node.is_leaf:
                 node.keys.insert(i, key)
@@ -377,7 +382,7 @@ class BTree:
             if len(child.keys) == self._max_keys:
                 self._split_child(node, i)
                 if node.keys[i] == key:
-                    node.values[i].append(value)
+                    bisect.insort(node.values[i], value)
                     return
                 if key > node.keys[i]:
                     i += 1
@@ -523,7 +528,8 @@ class BTree:
 
         Checked: key ordering within nodes, separator ordering across
         subtrees, node fill bounds, uniform leaf depth, parallel
-        keys/values lengths, and the cached counters.
+        keys/values lengths, ascending values under each key, and the
+        cached counters.
         """
         leaf_depths: set[int] = set()
         seen_pairs = self._validate_node(self._root, None, None, 0, leaf_depths, is_root=True)
@@ -555,6 +561,7 @@ class BTree:
             assert a < b, f"node keys out of order: {a!r} >= {b!r}"
         for key, values in zip(node.keys, node.values):
             assert values, f"empty value list under key {key!r}"
+            assert values == sorted(values), f"values under {key!r} out of order"
             if low is not None:
                 assert key > low, f"key {key!r} <= lower bound {low!r}"
             if high is not None:

@@ -72,8 +72,9 @@ class PageStats:
     """Per-scope page-touch accumulator (see :func:`page_stats_scope`).
 
     One scope is bound per thread, so plain integer adds suffice — two
-    threads never share one instance concurrently; a fan-out query sums
-    its workers' instances after they join.
+    threads never share one instance concurrently.  A profiled query over
+    a sharded store reads every shard in its own thread, under its one
+    scope.
     """
 
     __slots__ = ("hits", "misses")
@@ -81,10 +82,6 @@ class PageStats:
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-
-    def add(self, other: "PageStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PageStats(hits={self.hits}, misses={self.misses})"

@@ -33,8 +33,8 @@ reopened store must not silently serve a shard that was pulled for
 corruption.  An interrupted repair (process died mid-repair) loads back
 as ``quarantined``: the repair must be re-run, not assumed.
 
-The machine is thread-safe; scatter-gather workers and the background
-scrubber feed it concurrently.  ``on_change`` (when set) fires outside
+The machine is thread-safe; queries, shard-parallel writes and the
+background scrubber feed it concurrently.  ``on_change`` (when set) fires outside
 the per-call fast path whenever a shard's *state* changes — the sharded
 store uses it to persist the new state into the manifest.
 """

@@ -29,10 +29,10 @@ Why shard a single-writer embedded store?
   (see ``benchmarks/bench_shard.py``).  Pass ``checkpoint_wal_bytes`` to
   make the facade checkpoint any shard whose WAL crosses the bound after
   each bulk write, in parallel.
-* **Scatter-gather queries** — the facade exposes the same index
-  metadata/read surface the query planner consumes, and
-  :class:`~repro.query.executor.ShardedQueryEngine` fans sub-plans across
-  the shards and k-way-merges the results.
+* **One query engine** — the facade exposes the same index metadata
+  surface the query planner consumes, and
+  :class:`~repro.query.executor.QueryEngine` reads the shards inline,
+  chaining their streams or merging them with :func:`merge_key_ordered`.
 
 Routing is deterministic across processes and runs (``zlib.crc32``, not
 the salted builtin ``hash``), so a store written with N shards can be
@@ -62,7 +62,6 @@ import threading
 import time
 import zlib
 from concurrent.futures import Future, ThreadPoolExecutor
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -79,7 +78,7 @@ from repro.storage.store import IndexKind, RecordStore, _check_data_format
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.retry import RetryPolicy
 
-__all__ = ["ShardedStore", "SHARD_MANIFEST", "shard_key_bytes"]
+__all__ = ["ShardedStore", "SHARD_MANIFEST", "merge_key_ordered", "shard_key_bytes"]
 
 #: Manifest file marking a directory as a sharded store root.
 SHARD_MANIFEST = "shards.json"
@@ -120,6 +119,15 @@ def shard_of(key: Any, shard_count: int) -> int:
     if shard_count == 1:
         return 0
     return zlib.crc32(shard_key_bytes(key)) % shard_count
+
+
+def merge_key_ordered(
+    streams: Sequence[Iterable[tuple[Any, dict[str, Any]]]], primary_key: str
+) -> Iterator[tuple[Any, dict[str, Any]]]:
+    """Lazily merge ``(key, record)`` streams that each come in
+    ``(key, primary key)`` order (:meth:`RecordStore.iter_range`'s order)
+    into one stream in that order."""
+    return heapq.merge(*streams, key=lambda pair: (pair[0], pair[1][primary_key]))
 
 
 class ShardedStore:
@@ -596,19 +604,8 @@ class ShardedStore:
         include_low: bool = True,
         include_high: bool = True,
     ) -> list[dict[str, Any]]:
-        """Range matches from every shard, in field order (all of
-        :meth:`iter_range`, without its keys).
-
-        Records under equal keys come shard by shard, each shard's in
-        its index order: the order a stable sort by ``field`` of the
-        shards' results concatenated shard by shard gives, so a result
-        ordered by ``field`` is the same either way.  A consumer that
-        keeps the stream's order instead (a plain
-        :class:`~repro.query.executor.QueryEngine` over this store with
-        no ORDER BY, with ties under an ORDER BY on another field, or
-        with a LIMIT and no ORDER BY) sees this merged field order, not
-        shard order.
-        """
+        """Range matches from every shard, in ``(field, primary key)``
+        order: all of :meth:`iter_range`, without its keys."""
         return [
             record
             for _, record in self.iter_range(
@@ -626,15 +623,15 @@ class ShardedStore:
         include_high: bool = True,
     ) -> Iterator[tuple[Any, dict[str, Any]]]:
         """The shards' :meth:`RecordStore.iter_range` streams, lazily
-        merged into key order; ties go to the lower shard first."""
-        return heapq.merge(
-            *(
+        merged into ``(key, primary key)`` order."""
+        return merge_key_ordered(
+            [
                 shard.iter_range(
                     field, low, high, include_low=include_low, include_high=include_high
                 )
                 for shard in self.shards
-            ),
-            key=itemgetter(0),
+            ],
+            self.schema.primary_key,
         )
 
     def find_by_composite(
@@ -746,9 +743,10 @@ class ShardedStore:
     def quarantine(self, index: int, reason: str = "operator") -> None:
         """Pull shard ``index`` out of service (persisted; idempotent).
 
-        Partial-mode scatter queries skip it; strict queries and direct
-        writes still reach it — quarantine routes *query fan-out*, it is
-        not an access-control wall.
+        Partial-mode queries skip it and strict queries raise
+        :class:`~repro.errors.ShardUnavailableError`; direct writes still
+        reach it — quarantine routes *queries*, it is not an
+        access-control wall.
         """
         if not 0 <= index < self.shard_count:
             raise StorageError(f"no shard {index} (store has {self.shard_count})")
@@ -805,8 +803,6 @@ class ShardedStore:
                     store.create_composite_index(fields)
         shards = list(self.shards)
         shards[index] = store
-        # New tuple identity: ShardedQueryEngine watches this to refresh
-        # its per-shard engines.
         self.shards = tuple(shards)
         self._records_gauges[index].set(len(store))
         _logging.info("storage.sharded.reopen", shard=index, records=len(store))

@@ -929,7 +929,9 @@ class RecordStore:
         """Build a B-tree over existing records via sorted bulk load.
 
         O(n log n) in the sort but with far better constants than n
-        individual inserts.  Keys must be mutually comparable — a B-tree
+        individual inserts.  Each key's primary keys are stored ascending
+        (:meth:`BTree.from_sorted` sorts them), whatever order the records
+        are iterated in.  Keys must be mutually comparable — a B-tree
         cannot hold an ordering-free key set at all, so mixed-type keys
         raise :class:`~repro.errors.StorageError` here instead of failing
         obscurely inside a later node split.
@@ -1116,13 +1118,12 @@ class RecordStore:
     ) -> Iterator[tuple[Any, dict[str, Any]]]:
         """``(key, record)`` for every index key of ``field`` in the range.
 
-        Pairs come in key order, and records under one key in the
-        index's order.  A list field yields a record once per element in
-        range.  With a B-tree index the scan is lazy: each record is
-        copied only when the consumer pulls it, so a consumer that stops
-        early (``LIMIT``) reads no further, and the key-usage table
-        records the rows actually pulled.  Without one, the store is
-        scanned and sorted by key up front.
+        Pairs come in ``(key, primary key)`` order.  A list field yields
+        a record once per element in range.  With a B-tree index the
+        scan is lazy: each record is copied only when the consumer pulls
+        it, so a consumer that stops early (``LIMIT``) reads no further,
+        and the key-usage table records the rows actually pulled.
+        Without one, the store is scanned and sorted up front.
         """
         _RANGE_BY_COUNT.inc()
         index = self._indexes.get(field)
@@ -1154,7 +1155,8 @@ class RecordStore:
             for key_value in _index_keys(record, field)
             if in_range(key_value)
         ]
-        hits.sort(key=lambda pair: pair[0])
+        primary_key_of = self.schema.primary_key_of
+        hits.sort(key=lambda pair: (pair[0], primary_key_of(pair[1])))
         yield from hits
 
     # -- internal application ------------------------------------------------------

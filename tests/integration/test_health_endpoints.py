@@ -11,7 +11,7 @@ import pytest
 
 from repro.obs import metrics
 from repro.obs.server import TelemetryServer
-from repro.query.executor import ShardedQueryEngine
+from repro.query.executor import QueryEngine
 from repro.resilience import QueryService
 from repro.storage import ShardedStore, Scrubber
 from repro.storage.faultfs import flip_bit_on_disk
@@ -136,7 +136,7 @@ class TestPartialQueryHTTP:
         store = ShardedStore(SCHEMA, shards=4)
         store.put_many(_corpus())
         store.quarantine(2, "test damage")
-        service = QueryService(ShardedQueryEngine(store))
+        service = QueryService(QueryEngine(store))
         srv = TelemetryServer(port=0, query_service=service)
         srv.start()
         yield srv, store

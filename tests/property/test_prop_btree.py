@@ -57,6 +57,55 @@ def test_range_matches_model(order, pairs, low, high, inc_low, inc_high):
     assert got == want
 
 
+tree_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), keys, values),
+        st.tuples(st.just("remove"), keys, values),
+        st.tuples(st.just("insert_many"), st.lists(st.tuples(keys, values), max_size=40)),
+        st.tuples(st.just("bulk_load"), st.lists(st.tuples(keys, values), max_size=60)),
+    ),
+    max_size=30,
+)
+
+
+@given(orders, tree_ops)
+@settings(max_examples=150, deadline=None)
+def test_values_ascend_under_every_key(order, ops):
+    # Secondary indexes store primary keys as values: ascending values
+    # make a range scan yield (key, primary key) order, the ORDER BY tie
+    # rule.  Batches come sorted by key only, values in any order.
+    tree = BTree(order=order)
+    model: dict[int, list[int]] = {}
+    for op in ops:
+        if op[0] == "insert":
+            _, key, value = op
+            tree.insert(key, value)
+            model.setdefault(key, []).append(value)
+        elif op[0] == "remove":
+            _, key, value = op
+            removed = value in model.get(key, [])
+            assert tree.remove(key, value) is removed
+            if removed:
+                model[key].remove(value)
+                if not model[key]:
+                    del model[key]
+        else:
+            pairs = sorted(op[1], key=lambda kv: kv[0])
+            if op[0] == "bulk_load":
+                tree = BTree.bulk_load(pairs, order=order)
+                model = {}
+            else:
+                tree.insert_many(pairs)
+            for key, value in pairs:
+                model.setdefault(key, []).append(value)
+        tree.validate()
+    for key, values in model.items():
+        assert tree.search(key) == sorted(values)
+    assert list(tree.items()) == sorted(
+        (key, value) for key, values in model.items() for value in values
+    )
+
+
 class BTreeMachine(RuleBasedStateMachine):
     """Stateful test: arbitrary interleavings of insert/remove vs. a model."""
 

@@ -24,7 +24,7 @@ def test_bulk_load_valid_and_complete(pairs, order):
     tree.validate()
     assert list(tree.keys()) == [k for k, _ in pairs]
     for key, values in pairs:
-        assert tree.search(key) == values
+        assert tree.search(key) == sorted(values)  # stored ascending
 
 
 @given(pair_lists, orders)
@@ -75,7 +75,7 @@ mutations = st.lists(
 def test_bulk_load_flat_pairs_valid(pairs, order):
     tree = BTree.bulk_load(pairs, order=order)
     tree.validate()
-    assert list(tree.items()) == pairs
+    assert list(tree.items()) == sorted(pairs)  # values ascending per key
     assert len(tree) == len(pairs)
 
 

@@ -81,11 +81,15 @@ def test_planned_execution_equals_full_scan(data, query):
     engine = _build_engines(data)
     planned = engine.execute(query)
     scanned = engine.execute_without_indexes(query)
-    if query.limit is None:
+    if query.order_by is not None:
+        # Ties break on the primary key, so any plan gives these rows.
+        assert planned == scanned
+    elif query.limit is None:
         assert sorted(r["id"] for r in planned) == sorted(r["id"] for r in scanned)
     else:
-        # With LIMIT the specific rows may differ (ties), but the count
-        # must agree and every planned row must satisfy the filter.
+        # LIMIT with no ORDER BY picks rows in access-path order, which
+        # depends on the plan; the count must agree and every planned
+        # row must satisfy the filter.
         assert len(planned) == len(scanned)
         for row in planned:
             assert query.matches(row)
@@ -125,14 +129,17 @@ _YEARS = st.integers(min_value=1960, max_value=1966)  # few values: many ties
 
 def _oracle(engine, plan):
     """The sort-everything algorithm: materialize the access path's
-    candidates, filter, stable-sort by the ORDER BY value, then slice."""
+    candidates, filter, sort by ``(ORDER BY value, primary key)`` — DESC
+    reverses both — then slice."""
     rows = list(engine._candidates(plan))
     if plan.residual is not None:
         rows = [r for r in rows if plan.residual.evaluate(r)]
     if plan.order_by is not None:
-        field = plan.order_by
+        field, pk = plan.order_by, engine.store.schema.primary_key
         rows = sorted(
-            rows, key=lambda r: _sort_key(r.get(field)), reverse=plan.descending
+            rows,
+            key=lambda r: (_sort_key(r.get(field)), _sort_key(r.get(pk))),
+            reverse=plan.descending,
         )
     return rows if plan.limit is None else rows[: plan.limit]
 
@@ -171,9 +178,8 @@ shuffled_rows = st.lists(
 
 
 def _records(data, order):
-    # Insert in a shuffled primary-key order, so the index's order among
-    # ties (insertion order in memory, key order after a reopen) differs
-    # from primary-key order.
+    # Insert in a shuffled primary-key order, so insertion order among
+    # ties differs from the primary-key order ORDER BY breaks them in.
     return [
         {"id": i, "name": data[i][0], "year": data[i][1], "tags": data[i][2]}
         for i in order

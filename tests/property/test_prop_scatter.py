@@ -1,23 +1,24 @@
-"""Property tests: partial-aggregate combine and scatter-gather merges.
+"""Property tests: aggregates and sorted queries over any partitioning.
 
-Two layers of the same claim — decomposing work over shards never changes
-the answer:
+Two layers of the same claim — spreading records over shards never
+changes the answer:
 
-* :class:`PartialAggregate` folded over *any* partitioning of the values,
-  merged in *any* order, finalizes identically to a single whole-list fold
-  (int values keep sums exact, so equality is strict).
-* A :class:`ShardedQueryEngine` over a hypothesis-chosen shard count
-  returns byte-identical sorted scans and aggregates to the 1-shard case,
-  which is itself checked against a plain-Python ground truth.  Its
-  top-k queries run on a ``year`` index, read lazily in index order.
+* ``aggregate()`` over a store of any shard count finalizes identically
+  to a single whole-list fold of :class:`PartialAggregate` (int values
+  keep sums exact, so equality is strict).
+* :class:`QueryEngine` over a plain :class:`RecordStore`, a 1-shard and
+  a hypothesis-chosen N-shard :class:`ShardedStore` returns byte-identical
+  sorted scans and aggregates, checked against a plain-Python ground
+  truth and the sort oracle.  Its top-k queries run on a ``year`` index,
+  read lazily in index order.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query import PartialAggregate, QueryEngine, ShardedQueryEngine
+from repro.query import PartialAggregate, QueryEngine
 from repro.query.parser import parse_query
-from repro.storage import IndexKind, ShardedStore
+from repro.storage import IndexKind, RecordStore, ShardedStore
 from repro.storage.schema import Field, FieldType, Schema
 from tests.property.test_prop_query import _oracle
 
@@ -31,8 +32,6 @@ SCHEMA = Schema(
 )
 
 values = st.lists(st.integers(min_value=-(10**9), max_value=10**9), max_size=60)
-# A partitioning is expressed as a bucket index per value.
-bucket_picks = st.lists(st.integers(min_value=0, max_value=7), max_size=60)
 
 
 def _fold(vals) -> PartialAggregate:
@@ -42,18 +41,15 @@ def _fold(vals) -> PartialAggregate:
     return partial
 
 
-@given(values=values, picks=bucket_picks, merge_order=st.randoms())
-@settings(max_examples=200)
-def test_partial_aggregate_partition_invariant(values, picks, merge_order):
-    buckets: list[list[int]] = [[] for _ in range(8)]
-    for i, v in enumerate(values):
-        buckets[picks[i % len(picks)] if picks else 0].append(v)
-    partials = [_fold(b) for b in buckets]
-    merge_order.shuffle(partials)
-    merged = PartialAggregate()
-    for partial in partials:
-        merged.merge(partial)
-    assert merged.finalize() == _fold(values).finalize()
+@given(values=values, shards=st.integers(min_value=1, max_value=8))
+@settings(max_examples=100, deadline=None)
+def test_aggregate_is_shard_count_invariant(values, shards):
+    with ShardedStore(SCHEMA, shards=shards) as store:
+        store.put_many(
+            {"id": i, "year": v, "volume": 0} for i, v in enumerate(values)
+        )
+        result = QueryEngine(store).aggregate("*", "year")
+    assert result == _fold(values).finalize()
 
 
 @given(values=st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=40))
@@ -103,35 +99,44 @@ def test_scatter_gather_matches_single_shard(rows_and_order, shards, year, volum
         )
         return ordered[:k]
 
-    engines = []
+    # Third arm: a plain store, its records inserted one by one in the
+    # same shuffled order, so its index is kept insert by insert.
+    plain_store = RecordStore(SCHEMA)
+    plain_store.create_index("year", IndexKind.BTREE)
+    for record in records:
+        plain_store.insert(record)
+    engines = [QueryEngine(plain_store)]
     try:
         for n in (1, shards):
             store = ShardedStore(SCHEMA, shards=n)
             store.create_index("year", IndexKind.BTREE)
             store.put_many(records)
-            engines.append(ShardedQueryEngine(store))
-        one, many = engines
+            engines.append(QueryEngine(store))
+        plain, one, many = engines
         for query in (
             "* ORDER BY year",
             "* ORDER BY year DESC LIMIT 7",
             "* GROUP BY volume",
+            "* GROUP BY year ORDER BY count DESC",
             "year >= 1920 ORDER BY volume",
+            "year >= 1920 ORDER BY volume DESC LIMIT 5",
             topk,
             topk_filtered,
             topk_desc,
         ):
-            assert many.execute(query) == one.execute(query), query
+            expected = one.execute(query)
+            assert many.execute(query) == expected, query
+            assert plain.execute(query) == expected, query
         assert one.execute(topk) == truth(lambda r: r["year"] >= year)
         assert one.execute(topk_filtered) == truth(
             lambda r: r["year"] >= year and r["volume"] == volume
         )
         assert one.execute(topk_desc) == truth(lambda r: r["year"] >= year, reverse=True)
-        # A plain engine over the sharded store keeps the sort-everything
-        # order: ties shard by shard, each shard's in index order.
-        plain = QueryEngine(many.store)
-        for query in (topk, topk_filtered, topk_desc, f"year >= {year} ORDER BY year"):
-            plan, _ = plain._plan(parse_query(query))
-            assert plain.execute(query) == _oracle(plain, plan), query
+        # Every store's rows equal the sort-everything oracle's.
+        for engine in engines:
+            for query in (topk, topk_filtered, topk_desc, f"year >= {year} ORDER BY year"):
+                plan, _ = engine._plan(parse_query(query))
+                assert engine.execute(query) == _oracle(engine, plan), query
         if records:
             agg = many.aggregate("*", "year")
             years = [r["year"] for r in records]
@@ -144,5 +149,4 @@ def test_scatter_gather_matches_single_shard(rows_and_order, shards, year, volum
             }
     finally:
         for engine in engines:
-            engine.close()
             engine.store.close()

@@ -9,9 +9,12 @@ agrees with a plain-dict model.  Restarts exercise WAL replay on top of
 the paged checkpoint; besides point reads and index probes, four queries
 run through the query engine and must match a filter over the model.
 
-The same machine runs over a durable :class:`RecordStore` (queried by
-:class:`QueryEngine`) and a durable 3-shard :class:`ShardedStore`
-(queried by :class:`ShardedQueryEngine`).
+The same machine runs over a durable :class:`RecordStore` and a durable
+3-shard :class:`ShardedStore`, both queried by :class:`QueryEngine`.  On
+the sharded store two more rules quarantine and readmit shards: while a
+shard is out of service a strict query raises, and a ``partial=True``
+query matches the model without that shard's records.  Quarantine is
+persisted, so it also has to survive the restarts.
 """
 
 import shutil
@@ -28,8 +31,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.errors import DuplicateKeyError, RecordNotFoundError
-from repro.query import QueryEngine, ShardedQueryEngine
+from repro.errors import DuplicateKeyError, RecordNotFoundError, ShardUnavailableError
+from repro.query import QueryEngine
 from repro.storage.schema import Field, FieldType, Schema
 from repro.storage.sharded import ShardedStore
 from repro.storage.store import IndexKind, RecordStore
@@ -65,22 +68,18 @@ class StoreMachine(RuleBasedStateMachine):
         #: Stores left open by ``crash``; closed only at teardown, long
         #: after their replacement recovered from disk.
         self._abandoned: list = []
+        #: Shards out of service (sharded machine only).
+        self.quarantined: set[int] = set()
         self._open()
 
     def _open(self):
         if self.shards is None:
             self.store = RecordStore(SCHEMA, self._dir)
-            self.engine = QueryEngine(self.store)
         else:
             self.store = ShardedStore(SCHEMA, self._dir, shards=self.shards)
-            self.engine = ShardedQueryEngine(self.store)
-
-    def _close_engine(self):
-        if isinstance(self.engine, ShardedQueryEngine):
-            self.engine.close()
+        self.engine = QueryEngine(self.store)
 
     def teardown(self):
-        self._close_engine()
         self.store.close()
         for store in self._abandoned:
             store.close()
@@ -166,7 +165,6 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule()
     def restart(self):
-        self._close_engine()
         self.store.close()
         self._reopened()
 
@@ -174,7 +172,6 @@ class StoreMachine(RuleBasedStateMachine):
     def crash(self):
         # The process dies: the store is never closed, and a new one
         # recovers from whatever reached the directory.
-        self._close_engine()
         self._abandoned.append(self.store)
         self._reopened()
 
@@ -213,34 +210,51 @@ class StoreMachine(RuleBasedStateMachine):
         def by_id(records):
             return sorted(records, key=lambda r: r["id"])
 
-        model = list(self.model.values())
+        # While shards are quarantined a strict query refuses to run,
+        # and a partial one answers from the other shards' records.
+        partial = bool(self.quarantined)
+        if partial:
+            with pytest.raises(ShardUnavailableError):
+                self.engine.execute("*")
+        model = [
+            r for r in self.model.values()
+            if not partial or self.store.shard_for(r["id"]) not in self.quarantined
+        ]
+
+        def execute(text):
+            rows = self.engine.execute(text, partial=partial)
+            if partial:
+                assert rows.shards_failed == tuple(sorted(self.quarantined))
+            return rows
+
         for name in NAMES:
-            got = self.engine.execute(f'name = "{name}"')
+            got = execute(f'name = "{name}"')
             assert by_id(got) == by_id(r for r in model if r["name"] == name)
 
-        got = self.engine.execute("year >= 1970 AND year <= 1990")
+        got = execute("year >= 1970 AND year <= 1990")
         assert by_id(got) == by_id(r for r in model if 1970 <= r["year"] <= 1990)
 
-        # The engines break ORDER BY ties differently (insertion order vs
-        # primary key), so a LIMIT cut through a tie may keep different
-        # rows: check the sort keys, that every row is a model row, and
-        # that every row sorting strictly before the cut is present.
-        got = self.engine.execute("* ORDER BY year LIMIT 5")
-        want_years = sorted(r["year"] for r in model)[:5]
-        assert [r["year"] for r in got] == want_years
-        assert len({r["id"] for r in got}) == len(got)
-        assert all(self.model[r["id"]] == r for r in got)
-        if want_years:
-            below_cut = {r["id"] for r in model if r["year"] < want_years[-1]}
-            assert below_cut <= {r["id"] for r in got}
+        # Ties on year break on the primary key, on every store.
+        got = execute("* ORDER BY year LIMIT 5")
+        assert got == sorted(model, key=lambda r: (r["year"], r["id"]))[:5]
 
-        got = self.engine.execute("* GROUP BY name")
+        got = execute("* GROUP BY name")
         counts = Counter(r["name"] for r in model)
         assert got == [{"name": n, "count": counts[n]} for n in sorted(counts)]
 
 
 class ShardedStoreMachine(StoreMachine):
     shards = 3
+
+    @rule(shard=st.integers(min_value=0, max_value=2))
+    def quarantine(self, shard):
+        self.store.quarantine(shard, "test")
+        self.quarantined.add(shard)
+
+    @rule(shard=st.integers(min_value=0, max_value=2))
+    def readmit(self, shard):
+        self.store.readmit(shard)
+        self.quarantined.discard(shard)
 
 
 _SETTINGS = settings(max_examples=40, stateful_step_count=40, deadline=None)

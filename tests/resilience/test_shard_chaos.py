@@ -10,7 +10,7 @@ loss.
 import pytest
 
 from repro.errors import ShardUnavailableError
-from repro.query import ShardedQueryEngine
+from repro.query import QueryEngine
 from repro.storage import HEALTHY, QUARANTINED, ShardedStore, Scrubber
 from repro.storage.faultfs import FaultFS, InjectedFault, flip_bit_on_disk
 from repro.storage.pages import PAGE_SIZE
@@ -33,7 +33,7 @@ def test_corruption_partial_service_then_self_heal(tmp_path):
     store.put_many(
         [{"id": 5000 + i, "surname": f"s{i % 7}"} for i in range(100)]
     )
-    engine = ShardedQueryEngine(store)
+    engine = QueryEngine(store)
     baseline = engine.execute(QUERY)
     assert baseline  # the drill must actually exercise rows
 
@@ -78,11 +78,8 @@ def test_corruption_partial_service_then_self_heal(tmp_path):
     assert scrubber.run_once().clean
 
     # The healed state is durable across a full close/reopen.
-    engine.close()
     store.close()
     with ShardedStore(SCHEMA, root, data_format="paged") as reopened:
         assert len(reopened) == 2100
         assert reopened.health.state(1) == HEALTHY
-        fresh = ShardedQueryEngine(reopened)
-        assert fresh.execute(QUERY) == baseline
-        fresh.close()
+        assert QueryEngine(reopened).execute(QUERY) == baseline

@@ -92,6 +92,27 @@ class TestOrderLimit:
         with pytest.raises(QueryPlanError):
             engine.execute("* ORDER BY bogus")
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "* ORDER BY name DESC",
+            "* ORDER BY name",
+            "* ORDER BY year DESC",
+            "* GROUP BY tags ORDER BY count DESC",
+            "* GROUP BY year ORDER BY count",
+        ],
+    )
+    def test_sorted_limit_keeps_the_full_sorts_first_rows(self, engine, query):
+        # A sort under LIMIT keeps only LIMIT rows (a bounded heap); ties
+        # (equal names, equal counts) come out as the whole sort has them.
+        whole = engine.execute(query)
+        for k in range(len(whole) + 2):
+            assert engine.execute(f"{query} LIMIT {k}") == whole[:k]
+            profile = engine.execute(f"{query} LIMIT {k}", profile=True)
+            assert profile.rows == whole[:k]
+            sort = next(n for n in profile.root.iter_nodes() if n.op == "sort")
+            assert sort.rows_returned == min(k, len(whole))
+
 
 class TestEquivalence:
     QUERIES = [

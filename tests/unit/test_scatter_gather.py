@@ -1,7 +1,8 @@
-"""Scatter-gather execution: k-way merge, partial aggregates, guards.
+"""Queries over a sharded store: the exchange's merge, aggregates, guards.
 
-The determinism contract under test (see ``ShardedQueryEngine``):
-sorted scans and aggregates are byte-identical for *any* shard count;
+The determinism contract under test (see ``QueryEngine``): sorted scans
+and aggregates are byte-identical for *any* shard count and on a plain
+store, because ORDER BY breaks ties on the primary key everywhere;
 unordered results are multiset-equal with unspecified order.
 """
 
@@ -10,9 +11,9 @@ import json
 import pytest
 
 from repro.errors import BudgetExceeded, QueryCancelled, QueryPlanError, QueryTimeout
-from repro.query import PartialAggregate, QueryEngine, ShardedQueryEngine
+from repro.query import PartialAggregate, QueryEngine
 from repro.resilience import CancelToken, Deadline, Guard
-from repro.storage import RecordStore, ShardedStore
+from repro.storage import IndexKind, RecordStore, ShardedStore
 from repro.storage.schema import Field, FieldType, Schema
 
 SCHEMA = Schema(
@@ -36,10 +37,10 @@ def _corpus(n: int = 400) -> list[dict]:
     ]
 
 
-def _sharded(shards: int, records: list[dict] | None = None) -> ShardedQueryEngine:
+def _sharded(shards: int, records: list[dict] | None = None) -> QueryEngine:
     store = ShardedStore(SCHEMA, shards=shards)
     store.put_many(records if records is not None else _corpus())
-    return ShardedQueryEngine(store)
+    return QueryEngine(store)
 
 
 def _canon(rows: list[dict]) -> list[str]:
@@ -68,12 +69,11 @@ class TestKWayMerge:
                 assert engine.execute(query) == baseline, query
         finally:
             for engine in engines:
-                engine.close()
                 engine.store.close()
 
     def test_matches_plain_engine_on_unique_sort_keys(self):
-        # On a unique sort key there are no ties, so the scatter merge
-        # must reproduce the single-store engine byte for byte.
+        # On a unique sort key there are no ties, so the sharded store
+        # must reproduce the single store byte for byte.
         records = _corpus()
         plain_store = RecordStore(SCHEMA)
         plain_store.put_many(records)
@@ -83,9 +83,44 @@ class TestKWayMerge:
             for query in ("* ORDER BY id", "* ORDER BY name DESC LIMIT 20"):
                 assert engine.execute(query) == plain.execute(query)
         finally:
-            engine.close()
             engine.store.close()
             plain_store.close()
+
+    def test_plain_store_breaks_ties_on_pk_too(self):
+        # A single store filled in shuffled key order, with a year index
+        # whose range scan serves the ascending ORDER BY: every tie under
+        # a sort key still comes in primary-key order, as on 4 shards.
+        records = _corpus(200)
+        shuffled = records[::7] + [r for r in records if r["id"] % 7]
+        plain_store = RecordStore(SCHEMA)
+        for record in shuffled:
+            plain_store.insert(record)
+        plain_store.create_index("year", IndexKind.BTREE)
+        sharded_store = ShardedStore(SCHEMA, shards=4)
+        sharded_store.create_index("year", IndexKind.BTREE)
+        sharded_store.put_many(shuffled)
+        plain, engine = QueryEngine(plain_store), QueryEngine(sharded_store)
+        try:
+            for query in (
+                "year >= 1900 ORDER BY year LIMIT 6",
+                "* ORDER BY year DESC LIMIT 9",
+                "volume = 3 ORDER BY year",
+                "* GROUP BY year ORDER BY count DESC LIMIT 5",
+            ):
+                assert engine.execute(query) == plain.execute(query), query
+            rows = plain.execute("year >= 1900 ORDER BY year LIMIT 6")
+            assert [r["id"] for r in rows] == [0, 37, 74, 111, 148, 185]
+        finally:
+            sharded_store.close()
+            plain_store.close()
+
+    def test_count_ignores_group_by_and_limit(self):
+        engine = _sharded(4)
+        try:
+            assert engine.count("year >= 1910 LIMIT 5") == engine.count("year >= 1910")
+            assert engine.count("* GROUP BY volume") == 400
+        finally:
+            engine.store.close()
 
     def test_duplicate_sort_keys_tiebreak_on_pk(self):
         engine = _sharded(4)
@@ -95,7 +130,6 @@ class TestKWayMerge:
                 (r["year"], r["id"]) for r in _corpus()
             )
         finally:
-            engine.close()
             engine.store.close()
 
     def test_empty_shards(self):
@@ -113,7 +147,6 @@ class TestKWayMerge:
                 {"volume": 0, "count": 3}
             ]
         finally:
-            engine.close()
             engine.store.close()
 
     def test_unordered_is_multiset_equal(self):
@@ -124,7 +157,6 @@ class TestKWayMerge:
             assert _canon(four.execute("volume = 3")) == _canon(one.execute("volume = 3"))
         finally:
             for engine in (one, four):
-                engine.close()
                 engine.store.close()
 
     def test_limit_pushdown_is_correct(self):
@@ -135,17 +167,25 @@ class TestKWayMerge:
             # LIMIT larger than the corpus is a no-op.
             assert engine.execute("* ORDER BY year LIMIT 10000") == full[::-1]
         finally:
-            engine.close()
             engine.store.close()
 
     def test_explain_shows_scatter_plan(self):
         engine = _sharded(4)
         try:
-            text = engine.explain("* ORDER BY year DESC LIMIT 9")
-            assert "SCATTER" in text and "GATHER" in text
-            assert "MERGE SORTED" in text and "SHARD LIMIT 9" in text
+            assert engine.explain("* ORDER BY year DESC LIMIT 9").splitlines() == [
+                "FULL SCAN",
+                "EXCHANGE 4 shards, chain in shard order",
+                "ORDER BY year DESC",
+                "LIMIT 9",
+            ]
+            engine.store.create_index("year", IndexKind.BTREE)
+            assert engine.explain("year >= 1910 ORDER BY year LIMIT 9").splitlines() == [
+                "INDEX RANGE (btree) year in [1910, +inf)",
+                "EXCHANGE 4 shards, merge on (year, id)",
+                "ORDER BY year ASC (index order, no sort)",
+                "LIMIT 9",
+            ]
         finally:
-            engine.close()
             engine.store.close()
 
 
@@ -155,11 +195,10 @@ class TestGuards:
         try:
             with pytest.raises(QueryTimeout) as exc_info:
                 # Far too little time to scan 20k rows; the fail-fast
-                # pre-check passes and the expiry fires inside a worker.
+                # pre-check passes and the expiry fires mid-scan.
                 engine.execute("* ORDER BY year", timeout_s=0.002)
             assert 0 < exc_info.value.rows_examined < 20_000
         finally:
-            engine.close()
             engine.store.close()
 
     def test_pre_expired_deadline_fails_fast(self):
@@ -169,7 +208,6 @@ class TestGuards:
             with pytest.raises(QueryTimeout):
                 engine.execute("* ORDER BY year", guard=guard)
         finally:
-            engine.close()
             engine.store.close()
 
     def test_shared_row_budget_spans_shards(self):
@@ -177,28 +215,28 @@ class TestGuards:
         try:
             with pytest.raises(BudgetExceeded) as exc_info:
                 engine.execute("* ORDER BY year", max_rows=50)
-            # The ledger is shared: enforcement is at tick granularity,
-            # so the scatter-wide total lands past the budget but never
-            # past the corpus.
-            assert 50 < exc_info.value.rows_examined <= 400
+            # One guard counts every shard's rows, so the budget is exact
+            # across shards: the row that crosses it is the 51st.
+            assert exc_info.value.rows_examined == 51
         finally:
-            engine.close()
             engine.store.close()
 
     def test_limit_scatter_is_held_to_the_budget(self):
         engine = _sharded(4)
         try:
-            # Every shard stops at LIMIT 50 before its first tick, so no
-            # worker sees the shared ledger pass 100; the scatter's total
-            # (4 x 50 rows) is checked once the workers are done.
+            # LIMIT stops the chained shard streams after 50 rows, inside
+            # the budget, as on one store; a sort reads every shard and
+            # crosses it at the 101st row.
+            guard = Guard(max_rows=100)
+            assert len(engine.execute("* LIMIT 50", guard=guard)) == 50
+            assert guard.rows_examined == 50
             with pytest.raises(BudgetExceeded) as exc_info:
-                engine.execute("* LIMIT 50", max_rows=100)
-            assert exc_info.value.used == 200
+                engine.execute("* ORDER BY year", max_rows=100)
+            assert exc_info.value.used == 101
             guard = Guard(max_rows=100)
             assert len(engine.execute("* LIMIT 20", guard=guard)) == 20
-            assert guard.rows_examined == 80
+            assert guard.rows_examined == 20
         finally:
-            engine.close()
             engine.store.close()
 
     def test_budget_larger_than_corpus_passes(self):
@@ -207,7 +245,6 @@ class TestGuards:
             rows = engine.execute("* ORDER BY year", max_rows=10_000)
             assert len(rows) == 400
         finally:
-            engine.close()
             engine.store.close()
 
     def test_caller_cancel_token(self):
@@ -218,7 +255,6 @@ class TestGuards:
             with pytest.raises(QueryCancelled):
                 engine.execute("* ORDER BY year", cancel=token)
         finally:
-            engine.close()
             engine.store.close()
 
     def test_caller_guard_sees_examined_rows(self):
@@ -228,32 +264,10 @@ class TestGuards:
             engine.execute("* ORDER BY year", guard=guard)
             assert guard.rows_examined == 400
         finally:
-            engine.close()
             engine.store.close()
 
 
 class TestPartialAggregate:
-    def test_merge_matches_whole_fold(self):
-        values = [3, -1, 4, 1, 5, 9, 2, 6]
-        whole = PartialAggregate()
-        for v in values:
-            whole.add(v)
-        left, right = PartialAggregate(), PartialAggregate()
-        for v in values[:3]:
-            left.add(v)
-        for v in values[3:]:
-            right.add(v)
-        left.merge(right)
-        assert left.finalize() == whole.finalize()
-
-    def test_merge_with_empty_partial(self):
-        partial = PartialAggregate()
-        partial.add(7)
-        partial.merge(PartialAggregate())
-        assert partial.finalize() == {
-            "count": 1, "sum": 7, "min": 7, "max": 7, "avg": 7.0,
-        }
-
     def test_all_empty_finalize(self):
         assert PartialAggregate().finalize() == {
             "count": 0, "sum": 0, "min": None, "max": None, "avg": None,
@@ -274,7 +288,6 @@ class TestPartialAggregate:
                     "avg": sum(years) / len(years),
                 }
             finally:
-                engine.close()
                 engine.store.close()
 
     def test_aggregate_empty_filter(self):
@@ -282,7 +295,6 @@ class TestPartialAggregate:
         try:
             assert engine.aggregate("year > 9999", "year")["count"] == 0
         finally:
-            engine.close()
             engine.store.close()
 
     def test_aggregate_rejects_non_numeric_field(self):
@@ -293,7 +305,6 @@ class TestPartialAggregate:
             with pytest.raises(QueryPlanError, match="unknown"):
                 engine.aggregate("*", "nope")
         finally:
-            engine.close()
             engine.store.close()
 
     def test_aggregate_rejects_presentation_clauses(self):
@@ -302,7 +313,6 @@ class TestPartialAggregate:
             with pytest.raises(QueryPlanError, match="bare filter"):
                 engine.aggregate("* ORDER BY year", "year")
             with pytest.raises(QueryPlanError, match="bare filter"):
-                engine.count("* LIMIT 5")
+                engine.aggregate("* LIMIT 5", "year")
         finally:
-            engine.close()
             engine.store.close()

@@ -1,13 +1,13 @@
-"""Cross-shard trace propagation: one query, one span tree, one trace id.
+"""Trace propagation: one query, one span tree, one trace id.
 
-The contract under stress here (PR 9's tentpole): work fanned out to
-pool threads — scatter-gather queries, sharded ingest, sharded
-checkpoint — must join the *caller's* trace, not start trees of its
-own.  Concretely:
+The contract under stress here: a query over a sharded store reads
+every shard in the calling thread, and work that a sharded store does
+fan out to pool threads (shard-parallel writes and checkpoints) joins
+the *caller's* trace through :class:`TraceContext`.  Concretely:
 
 * a profiled sharded query finishes exactly ONE root span
-  (``query.scatter``) whose children are ``query.shard`` spans with
-  shard attributes — never N orphan roots from the worker threads;
+  (``query.execute``), starts no thread, and reports its shards as
+  children of the access node in its EXPLAIN ANALYZE tree;
 * the same trace id appears on the span tree, on every correlated log
   line, and on the slow-log entry (three surfaces, one id);
 * per-shard buffer-pool page stats attribute to the query that touched
@@ -22,7 +22,7 @@ from repro.obs import logging as obs_logging
 from repro.obs import metrics, tracing
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import TraceContext, get_default_tracer
-from repro.query import ShardedQueryEngine
+from repro.query import QueryEngine
 from repro.storage import ShardedStore
 from repro.storage.schema import Field, FieldType, Schema
 
@@ -53,51 +53,60 @@ def clean_obs():
     obs_logging.reset()
 
 
-def _scatter_roots():
-    """Finished roots named query.scatter, and everything else."""
+def _query_roots():
+    """Finished roots named query.execute, and everything else."""
     roots = tracing.finished_spans()
-    scatter = [r for r in roots if r.name == "query.scatter"]
-    other = [r for r in roots if r.name != "query.scatter"]
-    return scatter, other
+    queries = [r for r in roots if r.name == "query.execute"]
+    other = [r for r in roots if r.name != "query.execute"]
+    return queries, other
+
+
+def _shard_nodes(profile):
+    """The shard children of a profile's access node."""
+    return [node for node in profile.root.iter_nodes() if node.op == "shard"]
 
 
 class TestScatterSpanTree:
     def test_one_root_with_shard_children(self):
         with ShardedStore(SCHEMA, shards=4) as store:
             store.put_many(_corpus())
-            with ShardedQueryEngine(store) as engine:
-                engine.execute("year >= 1910 ORDER BY year LIMIT 10")
-        scatter, _ = _scatter_roots()
-        assert len(scatter) == 1
-        root = scatter[0]
-        shard_children = [c for c in root.children if c.name == "query.shard"]
-        assert len(shard_children) == 4
-        assert sorted(c.attributes["shard"] for c in shard_children) == [0, 1, 2, 3]
-        for child in shard_children:
-            assert child.attributes["rows"] >= 0
-            assert child.attributes["seconds"] >= 0.0
+            profile = QueryEngine(store).execute(
+                "year >= 1910 ORDER BY year LIMIT 10", profile=True
+            )
+        queries, other = _query_roots()
+        assert len(queries) == 1 and other == []
+        shards = _shard_nodes(profile)
+        assert [node.detail.split()[1] for node in shards] == ["0", "1", "2", "3"]
+        for node in shards:
+            assert node.rows_examined >= 0
+            assert node.seconds >= 0.0
+        access = next(n for n in profile.root.iter_nodes() if n.op == "seq-scan")
+        assert list(access.children) == shards
 
     def test_no_orphan_roots_from_worker_threads(self):
         with ShardedStore(SCHEMA, shards=4) as store:
             store.put_many(_corpus())
-            with ShardedQueryEngine(store) as engine:
-                for _ in range(5):
-                    engine.execute("* ORDER BY year LIMIT 7")
-        scatter, other = _scatter_roots()
-        assert len(scatter) == 5
-        # Worker spans must be children of their scatter, never roots.
-        assert [r.name for r in other if r.name == "query.shard"] == []
+            engine = QueryEngine(store)
+            threads = threading.active_count()
+            for _ in range(5):
+                engine.execute("* ORDER BY year LIMIT 7", profile=True)
+            # Shards are read inline: no query starts a thread.
+            assert threading.active_count() == threads
+        queries, other = _query_roots()
+        assert len(queries) == 5
+        assert other == []
 
     def test_trace_id_spans_logs_and_slow_log_agree(self):
         slow = SlowQueryLog(threshold_s=0.0)  # record everything
         with ShardedStore(SCHEMA, shards=3) as store:
             store.put_many(_corpus())
-            with ShardedQueryEngine(store, slow_log=slow) as engine:
-                engine.execute("year >= 1905 ORDER BY year LIMIT 5")
-        (root,), _ = _scatter_roots()
+            QueryEngine(store, slow_log=slow).execute(
+                "year >= 1905 ORDER BY year LIMIT 5"
+            )
+        # The slow query was re-run profiled under the same trace id.
+        (root,), _ = _query_roots()
         trace_id = root.attributes["trace_id"]
         assert trace_id
-        # One slow-log entry for the whole fan-out, same trace id.
         entries = slow.entries()
         assert len(entries) == 1
         assert entries[0]["trace_id"] == trace_id
@@ -118,53 +127,61 @@ class TestScatterSpanTree:
         with ShardedStore(
             SCHEMA, tmp_path / "paged", shards=3, data_format="paged"
         ) as store:
-            with ShardedQueryEngine(store) as engine:
-                profile = engine.execute("* ORDER BY id", profile=True)
-        assert profile.root.op == "scatter"
-        shard_ops = [c for c in profile.root.children if c.op == "shard"]
-        assert len(shard_ops) == 3
-        assert sum(c.rows_returned for c in shard_ops) == 300
+            profile = QueryEngine(store).execute("* ORDER BY id", profile=True)
+        shards = _shard_nodes(profile)
+        assert len(shards) == 3
+        assert sum(node.rows_returned for node in shards) == 300
         # A full scan over a freshly opened paged store must touch the
-        # pool: the per-query page accounting cannot be all zeros.
+        # pool: the per-query page accounting cannot be all zeros, and
+        # the shards' pages add up to the query's.
         assert profile.page_hits + profile.page_misses > 0
+        pages = [node.detail.split("pages ")[1] for node in shards]
+        hits = sum(int(p.split()[0].split("=")[1]) for p in pages)
+        misses = sum(int(p.split()[1].split("=")[1]) for p in pages)
+        assert (hits, misses) == (profile.page_hits, profile.page_misses)
         rendered = profile.render()
         assert "pages:" in rendered and "shard 0" in rendered
 
 
 class TestConcurrentQueries:
     def test_interleaved_queries_keep_trees_separate(self):
-        """8 threads x 5 queries: every scatter keeps exactly its own
-        shard children and its own trace id — no cross-talk through the
-        shared worker pool."""
+        """8 threads x 5 profiled queries over one engine: every query
+        keeps exactly its own root, its own shard children and its own
+        trace id — no cross-talk between concurrent executions."""
         with ShardedStore(SCHEMA, shards=4) as store:
             store.put_many(_corpus())
-            with ShardedQueryEngine(store) as engine:
-                errors: list[BaseException] = []
+            engine = QueryEngine(store)
+            errors: list[BaseException] = []
+            profiles: list = []
 
-                def worker():
-                    try:
-                        for _ in range(5):
-                            engine.execute("year >= 1908 ORDER BY year LIMIT 9")
-                    except BaseException as exc:  # pragma: no cover
-                        errors.append(exc)
+            def worker():
+                try:
+                    for _ in range(5):
+                        profiles.append(engine.execute(
+                            "year >= 1908 ORDER BY year LIMIT 9", profile=True
+                        ))
+                except BaseException as exc:  # pragma: no cover
+                    errors.append(exc)
 
-                threads = [threading.Thread(target=worker) for _ in range(8)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         assert errors == []
-        scatter, other = _scatter_roots()
+        assert len(profiles) == 40
+        for profile in profiles:
+            assert [n.detail.split()[1] for n in _shard_nodes(profile)] == [
+                "0", "1", "2", "3"
+            ]
+            assert len(profile.rows) == 9
+        queries, other = _query_roots()
         # The tracer ring may retain fewer than 40 roots, but every
-        # retained scatter must be complete and self-consistent.
-        assert scatter
-        assert [r.name for r in other if r.name == "query.shard"] == []
-        trace_ids = set()
-        for root in scatter:
-            children = [c for c in root.children if c.name == "query.shard"]
-            assert sorted(c.attributes["shard"] for c in children) == [0, 1, 2, 3]
-            trace_ids.add(root.attributes["trace_id"])
-        assert len(trace_ids) == len(scatter)  # distinct queries, distinct ids
+        # retained one is a whole query with its own trace id.
+        assert queries
+        assert other == []
+        trace_ids = {root.attributes["trace_id"] for root in queries}
+        assert len(trace_ids) == len(queries)  # distinct queries, distinct ids
 
 
 class TestTraceContext:
