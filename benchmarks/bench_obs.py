@@ -27,7 +27,8 @@ Standalone-runnable (pytest not required)::
 
 The checked-in ``BENCH_obs.json`` at the repo root is the recorded
 baseline; regenerate it with the second form when the instrumentation
-changes.
+changes.  The host block and the spread of each overhead's per-round
+ratios come from ``bench_e2e/harness.py``.
 """
 
 from __future__ import annotations
@@ -35,18 +36,20 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from repro import obs
-from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
-from repro.corpus.wvlr import PUBLICATION_SCHEMA
-from repro.query.executor import QueryEngine
-from repro.storage.store import IndexKind, RecordStore
-from repro.storage.wal import WriteAheadLog
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench_e2e"))
+
+import harness  # noqa: E402
+from repro import obs  # noqa: E402
+from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig  # noqa: E402
+from repro.corpus.wvlr import PUBLICATION_SCHEMA  # noqa: E402
+from repro.query.executor import QueryEngine  # noqa: E402
+from repro.storage.store import IndexKind, RecordStore  # noqa: E402
+from repro.storage.wal import WriteAheadLog  # noqa: E402
 
 REPEATS = 25
 WARMUP = 2
@@ -161,6 +164,35 @@ def _time_once(fn, inner: int) -> float:
     return (perf_counter() - start) / inner
 
 
+def _overhead(enabled: list[float], disabled: list[float]) -> dict:
+    """One overhead from an on/off pair of sample lists.
+
+    Two noise-robust estimates, reported as their minimum: best-of per
+    arm (the true cost of a deterministic loop is its fastest run) and
+    the median of per-round paired ratios (both arms of a round run back
+    to back, so machine drift cancels).  Each filters a different noise
+    shape — sustained load inflates best-of, a single loaded round
+    inflates the odd ratio — and overhead is real only when it shows up
+    in both.  The paired ratios' median and quartiles are reported too,
+    as overhead percent, so a reader can see how far the rounds spread.
+    """
+    on, off = min(enabled), min(disabled)
+    paired = harness.spread([e / d for e, d in zip(enabled, disabled) if d])
+    overhead = (min(on / off, paired["median"]) - 1.0) * 100 if off else 0.0
+    return {
+        "enabled_s": round(on, 7),
+        "disabled_s": round(off, 7),
+        "overhead_pct": round(overhead, 2),
+        "paired_overhead_pct": {
+            "median": round((paired["median"] - 1.0) * 100, 2),
+            "q1": round((paired["q1"] - 1.0) * 100, 2),
+            "q3": round((paired["q3"] - 1.0) * 100, 2),
+            "iqr": round((paired["q3"] - paired["q1"]) * 100, 2),
+            "n": paired["n"],
+        },
+    }
+
+
 def _bench(workloads) -> dict:
     samples = {name: {"enabled": [], "disabled": []} for name in workloads}
     for round_no in range(WARMUP + REPEATS):
@@ -180,29 +212,10 @@ def _bench(workloads) -> dict:
                 samples[name]["disabled"].append(timings[False])
         _drain_workload()
     obs.set_enabled(True)
-
-    results = {}
-    for name, arms in samples.items():
-        # Two noise-robust estimates, reported as their minimum: best-of
-        # per arm (the true cost of a deterministic loop is its fastest
-        # run) and the median of per-round paired ratios (both arms of a
-        # round run back to back, so machine drift cancels).  Each filters
-        # a different noise shape — sustained load inflates best-of, a
-        # single loaded round inflates the odd ratio — and overhead is
-        # real only when it shows up in both.
-        enabled = min(arms["enabled"])
-        disabled = min(arms["disabled"])
-        ratios = sorted(
-            e / d for e, d in zip(arms["enabled"], arms["disabled"]) if d
-        )
-        paired = ratios[len(ratios) // 2] if ratios else 1.0
-        overhead = (min(enabled / disabled, paired) - 1.0) * 100 if disabled else 0.0
-        results[name] = {
-            "enabled_s": round(enabled, 7),
-            "disabled_s": round(disabled, 7),
-            "overhead_pct": round(overhead, 2),
-        }
-    return results
+    return {
+        name: _overhead(arms["enabled"], arms["disabled"])
+        for name, arms in samples.items()
+    }
 
 
 def _attribution_overhead(engine) -> dict:
@@ -237,15 +250,9 @@ def _attribution_overhead(engine) -> dict:
             _drain_workload()
     finally:
         workload.set_enabled(True)
-    on, off = min(samples["on"]), min(samples["off"])
-    ratios = sorted(a / b for a, b in zip(samples["on"], samples["off"]) if b)
-    paired = ratios[len(ratios) // 2] if ratios else 1.0
-    overhead = (min(on / off, paired) - 1.0) * 100 if off else 0.0
     return {
         "workload": "query.point_lookup",
-        "enabled_s": round(on, 7),
-        "disabled_s": round(off, 7),
-        "overhead_pct": round(overhead, 2),
+        **_overhead(samples["on"], samples["off"]),
     }
 
 
@@ -328,14 +335,13 @@ def main(argv=None) -> int:
     )
     doc = {
         "benchmark": "bench_obs",
-        "python": sys.version.split()[0],
         "corpus_size": CORPUS_SIZE,
         "repeats": REPEATS,
         # The ~36us point lookup is the one workload short enough that
         # scheduler jitter on a busy or single-core host shows up as
         # percent-scale noise in its ratio; a result is only comparable
         # to runs on similar hardware, so record what this box was.
-        "host": {"cpu_count": os.cpu_count()},
+        "host": harness.host_block(),
         "target_overhead_pct": 5.0,
         "worst_overhead_pct": worst,
         "counter_inc_ns": {

@@ -13,8 +13,9 @@ serving layer that makes it operable from outside the process:
     :class:`Tracer` with ring-buffer retention of finished root spans.
 ``logging``
     Structured JSON log events with severity levels, per-event rate
-    limiting, and thread-local trace-ID correlation (``obs.trace()``)
-    joining log lines to spans and slow-log entries.
+    limiting, and trace-ID correlation (``obs.trace()``, held in a
+    ``contextvars`` context) joining log lines to spans and slow-log
+    entries.
 ``slowlog``
     JSONL slow-query log (query text, plan, ``plan_cached``, rows,
     EXPLAIN ANALYZE profile) with size-based rotation.
@@ -90,7 +91,6 @@ from repro.obs.slo import SLOEngine
 from repro.obs.timeseries import TimeSeriesLog, TimeSeriesRecorder
 from repro.obs.tracing import (
     Span,
-    TraceContext,
     Tracer,
     finished_spans,
     get_default_tracer,
@@ -103,7 +103,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Span",
-    "TraceContext",
     "Tracer",
     "JsonLogger",
     "ProgressBar",

@@ -1,8 +1,8 @@
 """Structured JSON logging with trace correlation and a ring-buffer tail.
 
 Every log event is one JSON object: a wall-clock timestamp, a severity
-level, a dotted event name, the thread's current **trace id** (when one
-is bound), and arbitrary key/value fields::
+level, a dotted event name, the current **trace id** (when one is
+bound), and arbitrary key/value fields::
 
     {"ts": "2026-08-06T12:00:00.123Z", "level": "info",
      "event": "storage.checkpoint", "trace_id": "a1b2c3d4e5f60001",
@@ -30,9 +30,11 @@ Design constraints (shared with the rest of ``repro.obs``, CI-enforced):
 Trace correlation
 -----------------
 
-:func:`trace` binds a trace id to the current thread for the duration of
-a ``with`` block; every event logged inside (on that thread) carries it,
-nested blocks inherit it, and instrumented layers stamp the same id onto
+:func:`trace` binds a trace id to the current context (a
+:class:`contextvars.ContextVar`) for the duration of a ``with`` block;
+every event logged inside carries it, nested blocks inherit it, work run
+in a copy of the context (a sharded store's write pool) carries it too,
+and instrumented layers stamp the same id onto
 spans (``trace_id`` attribute) and slow-query-log entries — so one slow
 query can be joined across its log lines, its span tree, and its slow-log
 entry.  Trace ids are process-unique: a random per-process prefix plus an
@@ -50,6 +52,7 @@ import os
 import threading
 import time
 from collections import deque
+from contextvars import ContextVar
 from datetime import datetime, timezone
 from typing import Any, TextIO
 
@@ -97,7 +100,7 @@ _DROPPED = _metrics.counter("obs.log.dropped")
 _TRACE_PREFIX = os.urandom(4).hex()
 _TRACE_SEQ = itertools.count(1)
 
-_local = threading.local()
+_TRACE_ID: ContextVar[str | None] = ContextVar("repro.obs.trace_id", default=None)
 
 
 def new_trace_id() -> str:
@@ -106,13 +109,12 @@ def new_trace_id() -> str:
 
 
 def current_trace_id() -> str | None:
-    """The trace id bound to this thread, or ``None`` outside any trace."""
-    stack = getattr(_local, "trace_stack", None)
-    return stack[-1] if stack else None
+    """The trace id bound to this context, or ``None`` outside any trace."""
+    return _TRACE_ID.get()
 
 
 class trace:
-    """Bind a trace id to this thread for the duration of the block.
+    """Bind a trace id to this context for the duration of the block.
 
     With no argument, reuses the enclosing trace's id when one is bound
     (so nested instrumented layers join the same trace) and mints a
@@ -130,22 +132,18 @@ class trace:
     True
     """
 
-    __slots__ = ("_tid",)
+    __slots__ = ("_tid", "_token")
 
     def __init__(self, trace_id: str | None = None) -> None:
         self._tid = trace_id
 
     def __enter__(self) -> str:
-        tid = self._tid or current_trace_id() or new_trace_id()
-        stack = getattr(_local, "trace_stack", None)
-        if stack is None:
-            stack = []
-            _local.trace_stack = stack
-        stack.append(tid)
+        tid = self._tid or _TRACE_ID.get() or new_trace_id()
+        self._token = _TRACE_ID.set(tid)
         return tid
 
     def __exit__(self, *_exc: object) -> None:
-        _local.trace_stack.pop()
+        _TRACE_ID.reset(self._token)
 
 
 def _now_iso() -> str:

@@ -2,37 +2,24 @@
 
 A :class:`Span` is a context manager recording a name, wall time (via the
 monotonic :func:`time.perf_counter`), key/value attributes, and child
-spans.  A :class:`Tracer` maintains a per-thread span stack so nesting is
-automatic::
+spans.  A :class:`Tracer` keeps its innermost open span in a
+:class:`contextvars.ContextVar`, so nesting is automatic::
 
     with tracer.span("build.index", records=42):
         with tracer.span("build.collate"):
             ...
 
-Finished *root* spans land in a bounded ring buffer (oldest evicted
-first), so a long-lived process keeps the most recent traces without
-unbounded growth.  A disabled tracer hands out a shared no-op span and
-touches no per-thread state — the hot-path cost is one flag check.
+A span entered while another is open becomes its child; one entered
+with none open is a *root*.  Finished roots land in a bounded ring
+buffer (oldest evicted first), so a long-lived process keeps the most
+recent traces without unbounded growth.  A disabled tracer hands out a
+shared no-op span and touches no context — the hot-path cost is one
+flag check.
 
-Cross-thread propagation
-------------------------
-
-The span stack is per-thread, so work handed to a pool thread would
-normally start a *new* root there — detaching per-shard work (a sharded
-store's parallel writes and checkpoints) from its caller's trace and
-littering the ring with orphan roots.
-:class:`TraceContext` fixes that: ``TraceContext.capture()`` on the
-submitting thread grabs the current trace id and span, and
-``ctx.attach()`` on the worker re-binds both — the captured span is
-pushed as a **foreign frame** (new spans nest under it; it is never
-finished or retained by the worker), and the trace id is re-bound so
-the worker's log lines join the caller's trace::
-
-    ctx = TraceContext.capture()
-    def worker():
-        with ctx.attach():
-            with span("ingest.shard", shard=3):   # child of the caller's span
-                ...
+A thread started directly begins with an empty context, so its spans
+start new roots.  Work run in a copy of the caller's context
+(``contextvars.copy_context().run``, as a sharded store's write pool
+does) sees the caller's open span, and its spans nest under it.
 """
 
 from __future__ import annotations
@@ -40,13 +27,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Iterator
 
 __all__ = [
     "Span",
     "Tracer",
-    "TraceContext",
     "get_default_tracer",
     "span",
     "set_enabled",
@@ -121,21 +107,29 @@ class Span:
 
 
 class _SpanHandle:
-    """Context manager binding a live span to its tracer's thread stack."""
+    """Context manager making a live span its tracer's current span."""
 
-    __slots__ = ("_tracer", "_span")
+    __slots__ = ("_tracer", "_span", "_parent", "_token")
 
     def __init__(self, tracer: "Tracer", span: Span):
         self._tracer = tracer
         self._span = span
 
     def __enter__(self) -> Span:
-        self._tracer._push(self._span)
+        current = self._tracer._current
+        self._parent = parent = current.get()
+        if parent is not None:
+            parent.children.append(self._span)
+        self._token = current.set(self._span)
         return self._span
 
     def __exit__(self, *exc_info: object) -> None:
+        tracer = self._tracer
         self._span._end = time.perf_counter()
-        self._tracer._pop(self._span)
+        tracer._current.reset(self._token)
+        if self._parent is None:
+            with tracer._lock:
+                tracer._finished.append(self._span)
 
 
 class _NullSpan:
@@ -180,7 +174,9 @@ class Tracer:
         self._enabled = enabled
         self._finished: deque[Span] = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._current: ContextVar[Span | None] = ContextVar(
+            "repro.obs.tracing.current_span", default=None
+        )
 
     # -- enable / disable ---------------------------------------------------
 
@@ -197,65 +193,15 @@ class Tracer:
     # -- span creation ------------------------------------------------------
 
     def span(self, name: str, **attributes: Any) -> Any:
-        """Open a span as a context manager; nests under the thread's
-        current span, or starts a new root."""
+        """Open a span as a context manager; nests under the current
+        span, or starts a new root."""
         if not self._enabled:
             return _NULL_SPAN
         return _SpanHandle(self, Span(name, dict(attributes)))
 
     def current_span(self) -> Span | None:
-        """The innermost open span on this thread (None outside any span)."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
-
-    def _push(self, span: Span) -> None:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        if stack:
-            stack[-1].children.append(span)
-        stack.append(span)
-
-    def _pop(self, span: Span) -> None:
-        stack = getattr(self._local, "stack", None)
-        if not stack:  # pragma: no cover - defensive
-            return
-        # Pop through any spans abandoned by exceptions until ours is off.
-        while stack:
-            top = stack.pop()
-            if top is span:
-                break
-        if not stack:
-            with self._lock:
-                self._finished.append(span)
-
-    # -- foreign frames (cross-thread propagation) --------------------------
-
-    def _push_foreign(self, span: Span) -> None:
-        """Adopt another thread's open span as this thread's stack base.
-
-        Unlike :meth:`_push`, the span is *not* linked as a child of
-        anything here — it already lives in its owner's tree.  New spans
-        opened on this thread nest under it via the normal push path.
-        """
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        stack.append(span)
-
-    def _pop_foreign(self, span: Span) -> None:
-        """Remove a foreign frame without finishing or retaining it.
-
-        The owning thread's ``__exit__`` sets ``_end`` and files the root
-        in the ring; doing either here would double-finish the span or
-        record an orphan root per pool thread.
-        """
-        stack = getattr(self._local, "stack", None)
-        while stack:
-            if stack.pop() is span:
-                break
+        """The innermost open span in this context (None outside any span)."""
+        return self._current.get()
 
     # -- retention ----------------------------------------------------------
 
@@ -272,68 +218,6 @@ class Tracer:
         """Drop all retained spans (open spans are unaffected)."""
         with self._lock:
             self._finished.clear()
-
-
-class TraceContext:
-    """Capturable trace state: one trace id + one parent span.
-
-    Capture on the thread that owns the trace, attach on each worker
-    thread the work fans out to — every span/log line the worker emits
-    then joins the originating trace instead of starting a detached one.
-    Capturing outside any trace/span yields a context whose ``attach``
-    is a no-op, so call sites need no conditionals.
-
-    Instances are immutable and may be attached concurrently by any
-    number of worker threads (child-list appends are GIL-atomic).
-    """
-
-    __slots__ = ("trace_id", "parent_span", "_tracer")
-
-    def __init__(
-        self,
-        trace_id: str | None,
-        parent_span: Span | None,
-        tracer: "Tracer | None" = None,
-    ):
-        self.trace_id = trace_id
-        self.parent_span = parent_span
-        self._tracer = tracer if tracer is not None else _DEFAULT_TRACER
-
-    @classmethod
-    def capture(cls, tracer: "Tracer | None" = None) -> "TraceContext":
-        """Snapshot the calling thread's trace id and innermost open span."""
-        from repro.obs import logging as _logging
-
-        tracer = tracer if tracer is not None else _DEFAULT_TRACER
-        parent = tracer.current_span() if tracer.enabled else None
-        return cls(_logging.current_trace_id(), parent, tracer)
-
-    @contextmanager
-    def attach(self) -> Iterator["TraceContext"]:
-        """Re-bind the captured trace id and parent span on this thread."""
-        from repro.obs import logging as _logging
-
-        parent = self.parent_span
-        adopt = (
-            parent is not None
-            and self._tracer.enabled
-            and self._tracer.current_span() is not parent
-        )
-        if adopt:
-            self._tracer._push_foreign(parent)
-        try:
-            if self.trace_id is not None:
-                with _logging.trace(self.trace_id):
-                    yield self
-            else:
-                yield self
-        finally:
-            if adopt:
-                self._tracer._pop_foreign(parent)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        parent = self.parent_span.name if self.parent_span is not None else None
-        return f"TraceContext(trace_id={self.trace_id!r}, parent={parent!r})"
 
 
 # -- process-global default tracer ------------------------------------------

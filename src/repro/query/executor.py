@@ -241,7 +241,7 @@ class QueryProfile:
     """Rows plus the annotated operator tree of one profiled execution.
 
     ``page_hits`` / ``page_misses`` are the buffer-pool pages this query
-    touched (thread-attributed through
+    touched (counted in the query's
     :func:`repro.storage.bufferpool.page_stats_scope`; on a sharded
     store, the sum of the access node's per-shard children).  Both stay
     0 against a store with no checkpoint yet (in-memory, or not yet
@@ -683,6 +683,7 @@ class QueryEngine:
         plan = Plan(
             access=FullScan(),
             residual=parsed.where,
+            group_by=parsed.group_by,
             order_by=parsed.order_by,
             descending=parsed.descending,
             limit=parsed.limit,

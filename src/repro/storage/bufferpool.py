@@ -40,11 +40,12 @@ opened under a :class:`~repro.storage.sharded.ShardedStore` carries a
 ``shard`` label on its counters, so per-shard hit rates are separable.
 
 Per-query attribution: :func:`page_stats_scope` binds a
-:class:`PageStats` accumulator to the current thread; every pool
-hit/miss on that thread while the scope is open is also added to the
-accumulator.  The profiled query path (EXPLAIN ANALYZE) binds one per
-operator/shard worker, turning process-global pool counters into
-per-query page-touch counts.
+:class:`PageStats` accumulator to the current context (a
+:class:`contextvars.ContextVar`); every pool hit/miss in that context
+while the scope is open is also added to the accumulator, including
+those of work run in a copy of it, such as a sharded store's write
+pool.  The profiled query path (EXPLAIN ANALYZE) binds one per query,
+turning process-global pool counters into per-query page-touch counts.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Callable, Iterator
 
 from repro.errors import StorageError
@@ -71,45 +73,49 @@ DEFAULT_POOL_PAGES = 256
 class PageStats:
     """Per-scope page-touch accumulator (see :func:`page_stats_scope`).
 
-    One scope is bound per thread, so plain integer adds suffice — two
-    threads never share one instance concurrently.  A profiled query over
-    a sharded store reads every shard in its own thread, under its one
-    scope.
+    A sharded store's write-pool tasks run in copies of the caller's
+    context, so several threads may add to one scope at once: :meth:`add`
+    takes a lock.
     """
 
-    __slots__ = ("hits", "misses")
+    __slots__ = ("hits", "misses", "_lock")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
+
+    def add(self, hits: int, misses: int) -> None:
+        with self._lock:
+            self.hits += hits
+            self.misses += misses
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PageStats(hits={self.hits}, misses={self.misses})"
 
 
-_scope = threading.local()
+_SCOPE: ContextVar[PageStats | None] = ContextVar("repro.storage.page_stats", default=None)
 
 
 @contextmanager
 def page_stats_scope(stats: PageStats | None = None) -> Iterator[PageStats]:
-    """Attribute this thread's pool hits/misses to ``stats`` while open.
+    """Attribute this context's pool hits/misses to ``stats`` while open.
 
     Scopes nest: the innermost wins (restored on exit).  Metrics still
     count globally — the scope is *additional* attribution, not a tap.
     """
     if stats is None:
         stats = PageStats()
-    prev = getattr(_scope, "stats", None)
-    _scope.stats = stats
+    token = _SCOPE.set(stats)
     try:
         yield stats
     finally:
-        _scope.stats = prev
+        _SCOPE.reset(token)
 
 
 def current_page_stats() -> PageStats | None:
-    """The accumulator bound to this thread, or ``None``."""
-    return getattr(_scope, "stats", None)
+    """The accumulator bound to this context, or ``None``."""
+    return _SCOPE.get()
 
 
 class _Frame:
@@ -257,10 +263,9 @@ class BufferPool:
             self._hits.inc(hits)
         if misses:
             self._misses.inc(misses)
-        stats = getattr(_scope, "stats", None)
+        stats = _SCOPE.get()
         if stats is not None:
-            stats.hits += hits
-            stats.misses += misses
+            stats.add(hits, misses)
 
     def _release(self, page_id: int) -> None:
         with self._lock:

@@ -47,15 +47,17 @@ Observability: bulk writes report ``storage.sharded.put_many.count`` /
 ``/metrics`` as divergence between shard labels); facade-driven
 checkpoints report ``storage.sharded.checkpoint.count{shard=…}``.  Each
 member store is opened with ``shard=i`` so its paged-tree and
-buffer-pool series carry the same label.  Shard workers adopt the
-submitting thread's trace context (spans nest, log lines share the
-trace id), and bulk writes / checkpoints register progress trackers
+buffer-pool series carry the same label.  Shard workers run each task
+in a copy of the caller's context (spans nest, log lines share the
+trace id, pool pages count in the caller's page scope), and bulk
+writes / checkpoints register progress trackers
 (``storage.sharded.put_many`` / ``storage.sharded.checkpoint``) visible
 on ``/progressz``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import heapq
 import json
 import threading
@@ -69,7 +71,6 @@ from repro.errors import DuplicateKeyError, MultiShardError, StorageError
 from repro.obs import logging as _logging
 from repro.obs import metrics as _metrics
 from repro.obs import progress as _progress
-from repro.obs import tracing as _tracing
 from repro.storage import faultfs as _faultfs
 from repro.storage.health import ShardHealthMachine
 from repro.storage.schema import Schema
@@ -837,17 +838,12 @@ class ShardedStore:
                 max_workers=self.shard_count,
                 thread_name_prefix="repro-shard",
             )
-        # Workers adopt the caller's trace context: their spans nest
-        # under the submitting span and their log lines carry the same
-        # trace id, so one bulk write reads as one trace.
-        ctx = _tracing.TraceContext.capture()
-
-        def run(fn: Callable[[], Any]) -> Any:
-            with ctx.attach():
-                return fn()
-
+        # Each task runs in its own copy of the caller's context (one
+        # Context cannot be entered by two threads at once): its spans
+        # nest under the caller's span, its log lines carry the caller's
+        # trace id and its pool pages count in the caller's page scope.
         futures: list[tuple[int, Future]] = [
-            (i, pool.submit(run, fn)) for i, fn in tasks
+            (i, pool.submit(contextvars.copy_context().run, fn)) for i, fn in tasks
         ]
         results: list[Any] = []
         failures: dict[int, BaseException] = {}

@@ -2,7 +2,7 @@
 
 import tempfile
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.query.ast_nodes import And, Comparison, Not, Operator, Or, Query
@@ -57,9 +57,15 @@ def expressions(draw, depth=0):
 
 @st.composite
 def queries(draw):
+    group_by = draw(st.sampled_from([None, None, "name", "year", "tags"]))
+    if group_by is None:
+        order_fields = [None, "year", "name", "id"]
+    else:  # grouped rows are {group field, "count"}: only those sort
+        order_fields = [None, group_by, "count"]
     return Query(
         where=draw(st.one_of(st.none(), expressions())),
-        order_by=draw(st.sampled_from([None, "year", "name", "id"])),
+        group_by=group_by,
+        order_by=draw(st.sampled_from(order_fields)),
         descending=draw(st.booleans()),
         limit=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=10))),
     )
@@ -81,8 +87,9 @@ def test_planned_execution_equals_full_scan(data, query):
     engine = _build_engines(data)
     planned = engine.execute(query)
     scanned = engine.execute_without_indexes(query)
-    if query.order_by is not None:
-        # Ties break on the primary key, so any plan gives these rows.
+    if query.order_by is not None or query.group_by is not None:
+        # Ties break on the primary key, and groups come out in value
+        # order, so any plan gives these rows.
         assert planned == scanned
     elif query.limit is None:
         assert sorted(r["id"] for r in planned) == sorted(r["id"] for r in scanned)
@@ -98,6 +105,7 @@ def test_planned_execution_equals_full_scan(data, query):
 @given(rows, queries())
 @settings(max_examples=80, deadline=None)
 def test_all_results_match_predicate(data, query):
+    assume(query.group_by is None)  # grouped rows are counts, not records
     engine = _build_engines(data)
     for row in engine.execute(query):
         assert query.matches(row)
@@ -108,7 +116,7 @@ def test_all_results_match_predicate(data, query):
 def test_order_by_respected(data, query):
     engine = _build_engines(data)
     rows_out = engine.execute(query)
-    if query.order_by in ("year", "id"):
+    if query.order_by in ("year", "id", "count"):
         values = [r[query.order_by] for r in rows_out]
         assert values == sorted(values, reverse=query.descending)
 

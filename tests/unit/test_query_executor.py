@@ -131,6 +131,12 @@ class TestEquivalence:
         scanned = engine.execute_without_indexes(query)
         assert ids(planned) == ids(scanned)
 
+    @pytest.mark.parametrize(
+        "query", ["* GROUP BY year", "* GROUP BY tags ORDER BY count DESC LIMIT 1"]
+    )
+    def test_scan_keeps_group_by(self, engine, query):
+        assert engine.execute_without_indexes(query) == engine.execute(query)
+
     def test_explain_matches_execution_path(self, engine):
         assert engine.explain('name = "smith"').startswith("INDEX LOOKUP")
         assert engine.explain("* ").startswith("FULL SCAN")

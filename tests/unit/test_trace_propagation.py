@@ -1,9 +1,9 @@
 """Trace propagation: one query, one span tree, one trace id.
 
 The contract under stress here: a query over a sharded store reads
-every shard in the calling thread, and work that a sharded store does
-fan out to pool threads (shard-parallel writes and checkpoints) joins
-the *caller's* trace through :class:`TraceContext`.  Concretely:
+every shard in the calling thread, and the work a sharded store fans
+out to its write pool (shard-parallel writes and checkpoints) runs each
+task in a copy of the caller's ``contextvars`` context.  Concretely:
 
 * a profiled sharded query finishes exactly ONE root span
   (``query.execute``), starts no thread, and reports its shards as
@@ -11,9 +11,15 @@ the *caller's* trace through :class:`TraceContext`.  Concretely:
 * the same trace id appears on the span tree, on every correlated log
   line, and on the slow-log entry (three surfaces, one id);
 * per-shard buffer-pool page stats attribute to the query that touched
-  them even with concurrent queries in flight.
+  them even with concurrent queries in flight;
+* write-pool tasks see the caller's page scope, trace id and open span:
+  the pages they touch count in the caller's ``page_stats_scope``, their
+  log lines carry the caller's trace id, and the spans they open nest
+  under the caller's span instead of starting roots of their own.
 """
 
+import contextvars
+import sys
 import threading
 
 import pytest
@@ -21,9 +27,11 @@ import pytest
 from repro.obs import logging as obs_logging
 from repro.obs import metrics, tracing
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.tracing import TraceContext, get_default_tracer
+from repro.obs.tracing import Tracer
 from repro.query import QueryEngine
 from repro.storage import ShardedStore
+from repro.storage.bufferpool import BufferPool, page_stats_scope
+from repro.storage.pages import LeafNode, PageFile
 from repro.storage.schema import Field, FieldType, Schema
 
 SCHEMA = Schema(
@@ -184,49 +192,94 @@ class TestConcurrentQueries:
         assert len(trace_ids) == len(queries)  # distinct queries, distinct ids
 
 
-class TestTraceContext:
-    def test_capture_attach_adopts_parent_span(self):
-        tracer = get_default_tracer()
-        tracer.enable()
-        with tracing.span("outer") as outer:
-            ctx = TraceContext.capture()
-            result = {}
+def _reopened_durable(path) -> ShardedStore:
+    """A durable 4-shard store whose records are in its pages files."""
+    with ShardedStore(SCHEMA, path, shards=4) as store:
+        store.put_many(_corpus())
+        store.checkpoint()
+    return ShardedStore(SCHEMA, path, shards=4)
 
-            def worker():
-                with ctx.attach():
-                    with tracing.span("inner"):
-                        result["parent"] = tracer.current_span()
 
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-        roots = tracing.finished_spans()
-        assert [r.name for r in roots] == ["outer"]
-        assert [c.name for c in roots[0].children] == ["inner"]
-        assert outer.children[0].name == "inner"
+def _pool_pages() -> tuple[int, int]:
+    """Buffer-pool hits and misses summed over the 4 shards' series."""
+    return (
+        sum(metrics.counter("storage.bufferpool.hits", shard=i).value for i in range(4)),
+        sum(metrics.counter("storage.bufferpool.misses", shard=i).value for i in range(4)),
+    )
 
-    def test_attach_is_noop_on_same_thread(self):
-        tracer = get_default_tracer()
-        tracer.enable()
-        with tracing.span("solo"):
-            ctx = TraceContext.capture()
-            with ctx.attach():  # already current: must not re-push
-                with tracing.span("child"):
-                    pass
-        (root,) = tracing.finished_spans()
-        assert root.name == "solo"
-        assert [c.name for c in root.children] == ["child"]
 
-    def test_attach_restores_trace_id_on_worker(self):
-        with obs_logging.trace() as trace_id:
-            ctx = TraceContext.capture()
-        seen = {}
+class TestWritePoolFanOut:
+    def test_page_scope_counts_the_pool_workers_pages(self, tmp_path):
+        with _reopened_durable(tmp_path / "db") as store:
+            hits, misses = _pool_pages()
+            with page_stats_scope() as scope:
+                store.put_many(
+                    [{"id": i, "year": 1950, "name": f"m{i}"} for i in range(300, 600)]
+                )
+            after = _pool_pages()
+        assert scope.hits > 0 and scope.misses > 0
+        assert (scope.hits, scope.misses) == (after[0] - hits, after[1] - misses)
 
-        def worker():
-            with ctx.attach():
-                seen["id"] = obs_logging.current_trace_id()
+    def test_checkpoint_logs_carry_the_trace_id(self, tmp_path):
+        with _reopened_durable(tmp_path / "db") as store:
+            obs_logging.reset()
+            with obs_logging.trace() as trace_id:
+                store.checkpoint()
+        events = obs_logging.tail(100, event="storage.checkpoint")
+        assert len(events) == 4  # one per shard, each logged by a pool worker
+        assert [e.get("trace_id") for e in events] == [trace_id] * 4
 
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-        assert seen["id"] == trace_id
+    def test_task_spans_nest_under_the_callers_span(self, tmp_path):
+        tracer = Tracer(capacity=16)  # any tracer's open span crosses the pool
+
+        def task(shard: int) -> str:
+            with tracer.span("task", shard=shard):
+                return threading.current_thread().name
+
+        with ShardedStore(SCHEMA, tmp_path / "db", shards=4) as store:
+            with tracer.span("caller") as caller:
+                names = store._each_shard(
+                    [(i, lambda i=i: task(i)) for i in range(4)]
+                )
+        assert all(name.startswith("repro-shard") for name in names)
+        assert sorted(c.attributes["shard"] for c in caller.children) == [0, 1, 2, 3]
+        assert all(c.finished for c in caller.children)
+        assert tracer.finished_spans() == [caller]  # no orphan task roots
+
+    def test_shared_page_scope_loses_no_count(self, tmp_path):
+        # More threads than cores, each reading its own pool (so no pool
+        # lock serialises them), all counting into one scope with a short
+        # switch interval: a lost update would leave the totals short.
+        pagers, pools = [], []
+        for t in range(8):
+            pager = PageFile(tmp_path / f"{t}.pages", create=True)
+            pagers.append(pager)
+            page_id = pager.allocate()
+            pager.write_page(page_id, LeafNode(keys=[page_id], values=[b"v"]).pack())
+            pools.append((BufferPool(pager, capacity=4), page_id))
+
+        def reads(pool: BufferPool, page_id: int) -> None:
+            for _ in range(5000):
+                pool.walk(page_id, lambda _page, _frame: 0)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with page_stats_scope() as scope:
+                threads = [
+                    threading.Thread(
+                        target=contextvars.copy_context().run, args=(reads, *pool)
+                    )
+                    for pool in pools
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+            for pager in pagers:
+                pager.close()
+        assert not any(t.is_alive() for t in threads)
+        # Each pool misses its one page once, then hits it.
+        assert (scope.hits, scope.misses) == (8 * 4999, 8)
