@@ -16,7 +16,11 @@ Two experiments, written to ``BENCH_paged.json``:
   and resident bytes versus the on-disk pages file — the table behind
   the tuning guidance in ``docs/performance.md``: memory is bounded by
   the *pool*, not the dataset, and the knee sits where the pool covers
-  the working set.
+  the working set.  Each size runs :data:`SWEEP_PASSES` passes, each on
+  a freshly opened store, so every pass sees the same page traffic (the
+  bench asserts one hit rate per size); reads/s is reported as the
+  passes' median and quartiles, because one pass swings by a third on
+  a shared host.
 
 Standalone-runnable (pytest not required)::
 
@@ -25,22 +29,26 @@ Standalone-runnable (pytest not required)::
     PYTHONPATH=src python benchmarks/bench_paged.py --output BENCH_paged.json
 
 ``--quick`` shrinks the corpus and repeat counts so CI can smoke-test the
-harness in seconds; the checked-in baseline comes from a full run.
+harness in seconds; the checked-in baseline comes from a full run.  The
+host block, percentiles, spreads and directory sizes come from
+``bench_e2e/harness.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for tests.legacy_v2
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))  # for tests.legacy_v2
+sys.path.insert(0, str(ROOT / "bench_e2e"))
 
+import harness  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig  # noqa: E402
 from repro.corpus.wvlr import PUBLICATION_SCHEMA  # noqa: E402
@@ -51,6 +59,7 @@ from tests.legacy_v2 import write_v2_store  # noqa: E402
 FULL_SIZE = 100_000
 QUICK_SIZE = 5_000
 POOL_SIZES = (8, 32, 128, 512)
+SWEEP_PASSES = 5
 REOPEN_SPEEDUP_TARGET = 10.0
 HOT_FRACTION = 0.10  # the working set: 10% of keys ...
 HOT_PROBABILITY = 0.90  # ... take 90% of the reads
@@ -70,10 +79,6 @@ def _records(size: int) -> list[dict]:
 
 def _scan_checksum(store: RecordStore) -> str:
     return records_checksum(sorted(store.scan(), key=lambda r: r["id"]))
-
-
-def _counter(name: str) -> int:
-    return int(obs.metrics.snapshot()["counters"].get(name, 0))
 
 
 def bench_reopen(size: int, repeats: int, scratch: Path) -> dict:
@@ -96,8 +101,8 @@ def bench_reopen(size: int, repeats: int, scratch: Path) -> dict:
         with RecordStore(PUBLICATION_SCHEMA, directory) as store:
             assert len(store) == size
             checksums[fmt] = _scan_checksum(store)
-        open_ms = sorted(opens)[len(opens) // 2] * 1e3
-        disk_bytes = sum(p.stat().st_size for p in directory.iterdir())
+        open_ms = harness.percentile(opens, 50) * 1e3
+        disk_bytes = harness.directory_bytes(directory)
         results[fmt] = {
             "open_p50_ms": round(open_ms, 3),
             "disk_bytes": disk_bytes,
@@ -139,31 +144,39 @@ def bench_pool_sweep(size: int, reads: int, scratch: Path) -> dict:
 
     results: dict[str, dict] = {"pages_file_bytes": pages_bytes}
     for pool_pages in POOL_SIZES:
-        hits0, misses0 = _counter("storage.bufferpool.hits"), _counter(
-            "storage.bufferpool.misses"
-        )
-        with RecordStore(
-            PUBLICATION_SCHEMA, directory, pool_pages=pool_pages
-        ) as store:
-            start = perf_counter()
-            for key in workload:
-                store.get(key)
-            elapsed = perf_counter() - start
-            # the pool, not the dataset, bounds resident record memory
-            resident = len(store._records.tree.pool) * PAGE_SIZE
-        hits = _counter("storage.bufferpool.hits") - hits0
-        misses = _counter("storage.bufferpool.misses") - misses0
-        hit_rate = hits / max(1, hits + misses)
-        assert resident <= pool_pages * PAGE_SIZE
+        hit_rates, reads_per_s = set(), []
+        for _ in range(SWEEP_PASSES):
+            before = obs.metrics.snapshot()["counters"]
+            with RecordStore(
+                PUBLICATION_SCHEMA, directory, pool_pages=pool_pages
+            ) as store:
+                start = perf_counter()
+                for key in workload:
+                    store.get(key)
+                elapsed = perf_counter() - start
+                # the pool, not the dataset, bounds resident record memory
+                resident = len(store._records.tree.pool) * PAGE_SIZE
+            pages = harness.counter_delta(before, obs.metrics.snapshot()["counters"])
+            hits = pages.get("storage.bufferpool.hits", 0)
+            misses = pages.get("storage.bufferpool.misses", 0)
+            hit_rates.add(round(hits / max(1, hits + misses), 4))
+            reads_per_s.append(reads / elapsed)
+            assert resident <= pool_pages * PAGE_SIZE
+        # A fresh pool replays the same reads, so every pass has the
+        # same page traffic; only its speed varies.
+        assert len(hit_rates) == 1, f"hit rate varied across passes: {hit_rates}"
+        (hit_rate,) = hit_rates
+        speed = harness.spread(reads_per_s)
         results[str(pool_pages)] = {
-            "hit_rate": round(hit_rate, 4),
-            "reads_per_s": round(reads / elapsed),
+            "hit_rate": hit_rate,
+            "reads_per_s": {key: round(value, 4) for key, value in speed.items()},
             "resident_bytes": resident,
             "pool_bound_bytes": pool_pages * PAGE_SIZE,
         }
         print(
             f"  pool {pool_pages:4d} pages: hit rate {hit_rate:6.2%}, "
-            f"{reads / elapsed:9,.0f} reads/s, resident "
+            f"{speed['median']:9,.0f} reads/s (Q1-Q3 {speed['q1']:,.0f}-"
+            f"{speed['q3']:,.0f}, {SWEEP_PASSES} passes), resident "
             f"{resident / 1024:.0f} KiB of {pages_bytes / 1e6:.1f} MB file",
             file=sys.stderr,
         )
@@ -195,15 +208,15 @@ def main(argv=None) -> int:
         )
     doc = {
         "benchmark": "bench_paged",
-        "python": sys.version.split()[0],
         # Reads/s depend on the host; record what this one was.
-        "host": {"cpu_count": os.cpu_count()},
+        "host": harness.host_block(),
         "quick": args.quick,
         "targets": {"reopen_speedup": REOPEN_SPEEDUP_TARGET},
         "config": {
             "records": size,
             "open_repeats": open_repeats,
             "sweep_reads": reads,
+            "sweep_passes": SWEEP_PASSES,
             "hot_fraction": HOT_FRACTION,
             "hot_probability": HOT_PROBABILITY,
             "page_size": PAGE_SIZE,

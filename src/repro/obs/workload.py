@@ -41,6 +41,7 @@ Metric names (catalogued in ``docs/observability.md``):
 
 from __future__ import annotations
 
+import heapq
 import threading
 from collections import Counter, deque
 from typing import Any, Iterable, Mapping
@@ -390,7 +391,12 @@ class KeyUsageTable:
     One bounded ``key -> (probes, rows)`` map per indexed field; past
     ``keys_per_field`` distinct keys the least-probed key is dropped
     (``storage.keyusage.evicted``), preserving the head of the key
-    distribution — exactly the part that decides a partition key.
+    distribution — exactly the part that decides a partition key.  Ties
+    go to the key that entered the map first.  Each field also keeps a
+    heap of ``(probes, insertion number, key)``, one entry per tracked
+    key, refreshed lazily: probe counts only grow, so a popped entry
+    whose count is still current is the least-probed key, and eviction
+    costs O(log n) instead of a scan of the map.
     """
 
     def __init__(self, keys_per_field: int = DEFAULT_KEYS_PER_FIELD):
@@ -400,6 +406,8 @@ class KeyUsageTable:
         self.enabled = True
         self._fields: dict[str, dict[str, list[int]]] = {}
         self._totals: dict[str, list[int]] = {}  # field -> [probes, rows]
+        self._heaps: dict[str, list[tuple[int, int, str]]] = {}
+        self._inserted = 0  # insertion number of the last key tracked
         self._pending: deque[tuple] = deque()
         self._lock = threading.Lock()
 
@@ -480,13 +488,29 @@ class KeyUsageTable:
             cell = keys.get(label)
             if cell is None:
                 keys[label] = [mult, rows]
+                self._inserted += 1
+                heap = self._heaps.setdefault(field, [])
+                heapq.heappush(heap, (mult, self._inserted, label))
                 if len(keys) > self.keys_per_field:
-                    coldest = min(keys, key=lambda k: keys[k][0])
-                    del keys[coldest]
-                    _KEY_EVICTED.inc()
+                    self._evict(keys, heap)
             else:
                 cell[0] += mult
                 cell[1] += rows
+
+    @staticmethod
+    def _evict(keys: dict[str, list[int]], heap: list[tuple[int, int, str]]) -> None:
+        # Called under the lock.  Same victim as a scan for the fewest
+        # probes in insertion order: an entry's count is never above its
+        # key's, so an entry that is still current is the minimum.
+        while True:
+            probes, inserted, label = heap[0]
+            current = keys[label][0]
+            if current == probes:
+                heapq.heappop(heap)
+                del keys[label]
+                _KEY_EVICTED.inc()
+                return
+            heapq.heapreplace(heap, (current, inserted, label))
 
     def histogram(self, field: str, *, n: int = 20) -> dict[str, Any] | None:
         """Top-``n`` key histogram for ``field`` (``None`` when unseen)."""
@@ -528,6 +552,7 @@ class KeyUsageTable:
             self._pending.clear()
             self._fields.clear()
             self._totals.clear()
+            self._heaps.clear()
 
 
 def _key_label(key: Any) -> str:

@@ -21,9 +21,10 @@ valid for whoever holds it, even after eviction.  Each frame also has a
 ``node`` slot where such a caller may keep the decoded form of its
 bytes; the paged B+ tree keeps internal nodes there, so a descent
 decodes each internal page once per residency instead of once per
-visit.  Replacing, freeing or evicting the page drops the frame and its
-decoded node with it, so the slot can never go stale, and ``capacity``
-bounds the cache.
+visit, and a leaf's directory of the cells point reads have decoded so
+far.  Replacing, freeing or evicting the page drops the frame and its
+node with it, so the slot can never go stale, and ``capacity`` bounds
+the cache.
 
 Thread safety: all frame bookkeeping runs under one lock, so concurrent
 readers may pin freely.  Writers (``put_page`` / ``new_page`` /
@@ -120,7 +121,8 @@ def current_page_stats() -> PageStats | None:
 
 class _Frame:
     """One resident page.  ``data`` is never reassigned; ``node`` is the
-    caller-owned slot for its decoded form (``None`` until filled)."""
+    caller-owned slot for its decoded form (``None`` until filled): an
+    internal node, or a leaf directory that grows under the pool lock."""
 
     __slots__ = ("data", "node", "pin_count", "dirty")
 
@@ -215,10 +217,11 @@ class BufferPool:
         the walk; the last frame is returned.  Each page counts one hit
         or miss and bumps the LRU exactly like :meth:`pin`, but the walk
         takes the lock once and updates each counter once, so a cached
-        root-to-leaf descent does not pay per-page telemetry.  The
-        caller may keep using ``frame.data`` and ``frame.node`` after
-        the frame is evicted or replaced: only this frame object ever
-        held them.
+        root-to-leaf descent does not pay per-page telemetry.  ``step``
+        runs under the pool lock, so it may change ``frame.node`` that
+        concurrent walks share.  The caller may keep using
+        ``frame.data`` and ``frame.node`` after the frame is evicted or
+        replaced: only this frame object ever held them.
         """
         frames = self._frames
         hits = misses = 0

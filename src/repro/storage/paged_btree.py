@@ -15,9 +15,19 @@ chains so leaves always hold many cells.  Keys follow the
 :func:`~repro.storage.pages.pack_key` codec (int/str/float/bool and
 tuples thereof) and must pack to at most :data:`MAX_KEY_BYTES`.
 
+Point reads (``get`` and ``in``) cache decoded pages on the buffer-pool
+frames: an internal page's :class:`~repro.storage.pages.InternalNode`,
+and a leaf's :class:`~repro.storage.pages.LeafDirectory`, the cells
+earlier point reads decoded.  A read bisects the directory when its key
+is not above the last cell held, and otherwise decodes on from where
+the last read stopped, so a leaf's cells are decoded at most once while
+its page stays resident.  Both leave the pool with their frame.  Scans
+and the write paths decode private copies instead.
+
 Concurrency contract: any number of readers OR one writer — the store
 layer's lock already enforces this; the tree adds no locking of its own
-beyond the buffer pool's internal consistency.
+beyond the buffer pool's, under which a point read searches and grows a
+leaf directory that concurrent readers share.
 
 Typical lifecycle::
 
@@ -53,6 +63,7 @@ from repro.storage.pages import (
     PT_META,
     PT_OVERFLOW,
     InternalNode,
+    LeafDirectory,
     LeafNode,
     OverflowRef,
     PageCorruptionError,
@@ -71,6 +82,16 @@ _SEARCHES = _metrics.counter("storage.paged_btree.searches")
 _SPLITS = _metrics.counter("storage.paged_btree.node_splits")
 _BULK_LOADS = _metrics.counter("storage.paged_btree.bulk_loads")
 _DEPTH = _metrics.gauge("storage.paged_btree.depth")
+
+
+def _cached_node(page_id: int, raw: bytes) -> InternalNode | LeafDirectory:
+    """What a point read keeps in a node page's buffer-pool frame."""
+    ptype = page_type(raw)
+    if ptype == PT_INTERNAL:
+        return InternalNode.unpack(raw)
+    if ptype == PT_LEAF:
+        return LeafDirectory(raw)
+    raise PageCorruptionError(page_id, f"expected a node page, got type {ptype}")
 
 
 def _cut_points(sizes: list[int], capacity: int) -> list[int]:
@@ -235,30 +256,32 @@ class PagedBTree:
 
     # -- search --------------------------------------------------------------
 
-    def _leaf_page(self, key: Any) -> bytes:
-        """Raw bytes of the leaf covering ``key``, for read-only callers.
+    def _search(self, key: Any) -> tuple[Any, bytes | OverflowRef | None]:
+        """The frame of the leaf covering ``key`` and the value stored
+        under ``key`` there (inline bytes or an overflow reference), or
+        ``None``; for read-only callers.
 
-        Each internal page is decoded once per buffer-pool residency and
-        its :class:`InternalNode` kept on the pool frame, so a descent
-        bisects cached key lists.  Those nodes are shared: nothing may
-        mutate them.  One pool hit or miss per page visited, no pins.
+        Each node page visited is decoded into its frame's ``node`` slot
+        once per buffer-pool residency: an :class:`InternalNode`, whose
+        key list the descent bisects, or a :class:`LeafDirectory`, which
+        the search grows.  The leaf search runs inside the walk, under
+        the pool lock, because concurrent readers share the directory.
+        Nothing else may mutate these nodes.  One pool hit or miss per
+        page visited, no pins.
         """
+        found = None
 
-        def child(page_id: int, frame: Any) -> int:
-            raw = frame.data
-            ptype = page_type(raw)
-            if ptype == PT_LEAF:
-                return 0
-            if ptype != PT_INTERNAL:
-                raise PageCorruptionError(
-                    page_id, f"expected a node page, got type {ptype}"
-                )
+        def step(page_id: int, frame: Any) -> int:
+            nonlocal found
             node = frame.node
             if node is None:
-                node = frame.node = InternalNode.unpack(raw)
+                node = frame.node = _cached_node(page_id, frame.data)
+            if node.__class__ is LeafDirectory:
+                found = node.find(key)
+                return 0
             return node.children[bisect.bisect_right(node.keys, key)]
 
-        return self._pool.walk(self._pager.meta.root, child).data
+        return self._pool.walk(self._pager.meta.root, step), found
 
     def _descend(
         self, key: Any
@@ -277,13 +300,13 @@ class PagedBTree:
 
     def get(self, key: Any, default: Any = None) -> bytes | Any:
         self._searches.inc()
-        stored = LeafNode.find(self._leaf_page(key), key)
+        _frame, stored = self._search(key)
         if stored is None:
             return default
         return self._load_value(stored)
 
     def __contains__(self, key: Any) -> bool:
-        return LeafNode.find(self._leaf_page(key), key) is not None
+        return self._search(key)[1] is not None
 
     # -- iteration -----------------------------------------------------------
 
@@ -325,7 +348,7 @@ class PagedBTree:
             _pid, leaf = self._leftmost_leaf()
             idx = 0
         else:
-            leaf = LeafNode.unpack(self._leaf_page(lo))
+            leaf = LeafNode.unpack(self._search(lo)[0].data)
             idx = bisect.bisect_left(leaf.keys, lo)
         while True:
             while idx < len(leaf.keys):

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
@@ -310,38 +311,78 @@ class LeafNode:
             keys.append(key)
         return cls(keys=keys, values=values, prev_leaf=prev_leaf, next_leaf=next_leaf)
 
-    @staticmethod
-    def find(page: bytes, key: Any) -> bytes | OverflowRef | None:
-        """The stored value of ``key`` in a raw leaf page, or ``None``.
 
-        A point lookup without :meth:`unpack`: cells are key-sorted, so
-        keys are decoded in order only until one is not below ``key``,
-        and only the matching value is copied out.  Matches exactly what
-        ``bisect_left`` over the unpacked keys would find.
+class LeafDirectory:
+    """The cells of one raw leaf page decoded so far, for point searches.
 
-        >>> page = LeafNode(keys=[1, 5], values=[b"a", b"e"]).pack(page_size=256)
-        >>> LeafNode.find(page, 5), LeafNode.find(page, 3)
-        (b'e', None)
-        """
+    Cells are key-sorted but variable-length, so a search reads them
+    front to back.  The directory keeps what earlier searches read:
+    ``keys``, a prefix of the leaf's keys; ``offsets``, where each of
+    those keys' value (its tag byte) sits in ``page``; and ``end``, where
+    decoding stopped.  A key not above ``keys[-1]`` is bisected in that
+    prefix; any other resumes decoding at ``end`` until a key not below
+    it.  No search decodes more cells than a scan from the first cell
+    would, and no cell is decoded twice.  Answers match ``bisect_left``
+    over :meth:`LeafNode.unpack`'s keys, and only a matched value is
+    copied out.
+
+    :meth:`find` grows the directory, so readers that share one must
+    serialize their searches (the paged B+ tree searches under the
+    buffer pool's lock).
+
+    >>> page = LeafNode(keys=[1, 5, 9], values=[b"a", b"e", b"i"]).pack(page_size=256)
+    >>> directory = LeafDirectory(page)
+    >>> directory.find(5), directory.keys
+    (b'e', [1, 5])
+    >>> directory.find(3), directory.find(10), directory.keys
+    (None, None, [1, 5, 9])
+    """
+
+    __slots__ = ("page", "count", "keys", "offsets", "end")
+
+    def __init__(self, page: bytes):
         ptype, _flags, count, _crc, _next = HEADER.unpack_from(page, 0)
         if ptype != PT_LEAF:
             raise StorageError(f"not a leaf page (type {ptype})")
-        offset = HEADER_SIZE + 4
-        for _ in range(count):
-            (key_len,) = _U16.unpack_from(page, offset)
-            cell_key, _ = unpack_key(page, offset + 2)
-            offset += 2 + key_len
-            overflow = page[offset] == 1
-            if cell_key < key:
-                offset += 9 if overflow else 5 + _U32.unpack_from(page, offset + 1)[0]
-                continue
-            if not cell_key == key:
-                return None
-            if overflow:
-                return OverflowRef(*_OVERFLOW_REF.unpack_from(page, offset + 1))
-            (vlen,) = _U32.unpack_from(page, offset + 1)
-            return bytes(page[offset + 5 : offset + 5 + vlen])
-        return None
+        self.page = page
+        self.count = count
+        self.keys: list[Any] = []
+        self.offsets: list[int] = []
+        self.end = HEADER_SIZE + 4
+
+    def find(self, key: Any) -> bytes | OverflowRef | None:
+        """The stored value of ``key``, or ``None``."""
+        keys = self.keys
+        if keys and not keys[-1] < key:
+            i = bisect_left(keys, key)
+            return self.value(i) if keys[i] == key else None
+        page, offsets = self.page, self.offsets
+        offset = self.end
+        try:
+            for _ in range(self.count - len(keys)):
+                (key_len,) = _U16.unpack_from(page, offset)
+                cell_key, _ = unpack_key(page, offset + 2)
+                at = offset + 2 + key_len
+                offset = at + (
+                    9 if page[at] == 1 else 5 + _U32.unpack_from(page, at + 1)[0]
+                )
+                keys.append(cell_key)
+                offsets.append(at)
+                if not cell_key < key:
+                    return self.value(len(keys) - 1) if cell_key == key else None
+            return None
+        finally:
+            # Also on a failed comparison: the cells appended stay
+            # decoded, and the next search resumes after them.
+            self.end = offset
+
+    def value(self, i: int) -> bytes | OverflowRef:
+        """The stored value of the ``i``-th decoded cell."""
+        page, at = self.page, self.offsets[i]
+        if page[at] == 1:
+            return OverflowRef(*_OVERFLOW_REF.unpack_from(page, at + 1))
+        (vlen,) = _U32.unpack_from(page, at + 1)
+        return bytes(page[at + 5 : at + 5 + vlen])
 
 
 @dataclass(slots=True)
@@ -579,6 +620,7 @@ __all__ = [
     "OVERFLOW_CAPACITY",
     "OverflowRef",
     "LeafNode",
+    "LeafDirectory",
     "InternalNode",
     "PageFile",
     "PageCorruptionError",

@@ -1242,10 +1242,13 @@ class RecordStore:
         ) as tracker:
             if progress is not None:
                 tracker.subscribe(progress)
-            self._checkpoint_locked(tracker)
+            self._checkpoint_locked(tracker, attrs)
 
-    def _checkpoint_locked(self, tracker: _progress.ProgressTracker) -> None:
-        """Checkpoint body (steps 1–5 above); runs with the GC paused."""
+    def _checkpoint_locked(
+        self, tracker: _progress.ProgressTracker, attrs: dict[str, Any]
+    ) -> None:
+        """Checkpoint body (steps 1–5 above); runs with the GC paused.
+        ``attrs`` label its log line (the shard, under a sharded store)."""
         assert self._wal is not None
         assert self._directory is not None
         self._wal.rotate()
@@ -1345,6 +1348,7 @@ class RecordStore:
             pages=pages_name,
             segments_removed=removed,
             bytes_reclaimed=reclaimed,
+            **attrs,
         )
 
     def _verify_pages_file(self, path: Path, count: int, data_crc: int) -> None:

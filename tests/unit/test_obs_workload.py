@@ -1,14 +1,18 @@
 """WorkloadTable / KeyUsageTable aggregation, eviction, and exposition."""
 
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs import metrics
+from repro.obs import metrics, workload
 from repro.obs.workload import (
     DEFAULT_EXPOSITION_LIMIT,
     KeyUsageTable,
     WorkloadTable,
+    _key_label,
     render_prometheus_workload,
 )
 from tests.unit.test_obs_promexport import parse_exposition
@@ -112,6 +116,50 @@ class TestWorkloadTable:
         assert rows["fp0"]["cpu_ns"] == n * threads  # 2 ns × calls
 
 
+class _MinScanTable(KeyUsageTable):
+    """Eviction by a scan of the whole key map for the fewest probes,
+    the first in insertion order among ties: the oracle for the heap."""
+
+    def __init__(self, keys_per_field: int):
+        super().__init__(keys_per_field)
+        self.evicted = 0
+
+    def _apply(self, field, key_rows, probes, mult):
+        keys = self._fields.setdefault(field, {})
+        totals = self._totals.setdefault(field, [0, 0])
+        totals[0] += probes
+        for key, rows in key_rows:
+            label = _key_label(key)
+            rows *= mult
+            totals[1] += rows
+            cell = keys.get(label)
+            if cell is None:
+                keys[label] = [mult, rows]
+                if len(keys) > self.keys_per_field:
+                    coldest = min(keys, key=lambda k: keys[k][0])
+                    del keys[coldest]
+                    self.evicted += 1
+            else:
+                cell[0] += mult
+                cell[1] += rows
+
+
+_FIELDS = st.sampled_from(["year", "surnames", "volume"])
+_SMALL = st.integers(min_value=0, max_value=2)
+_KEYS = st.one_of(st.integers(min_value=0, max_value=12), st.tuples(_SMALL, _SMALL))
+_ROWS = st.integers(min_value=0, max_value=3)
+_KEY_USAGE_OPS = st.one_of(
+    st.tuples(st.just("record"), _FIELDS, _KEYS, _ROWS),
+    st.tuples(
+        st.just("record_many"),
+        _FIELDS,
+        st.lists(st.tuples(_KEYS, _ROWS), max_size=6),
+        st.integers(min_value=1, max_value=3),
+    ),
+    st.tuples(st.just("check")),
+)
+
+
 class TestKeyUsageTable:
     def test_probe_counts_and_histogram(self):
         table = KeyUsageTable()
@@ -138,6 +186,54 @@ class TestKeyUsageTable:
         assert labels == {"a", "c"}
         # Totals keep counting what the bounded key map forgot.
         assert table.histogram("f")["probes"] == 4
+
+    def test_ties_evict_the_earliest_tracked_key(self):
+        table = KeyUsageTable(keys_per_field=3)
+
+        def probe(*keys):
+            for key in keys:
+                table.record("f", key)
+            return table.histogram("f")  # folds the probes now
+
+        probe("a", "b", "c", "b", "a")  # a and b hold 2 probes, c 1
+        probe("d")  # c and d tie at 1: c entered first and goes
+        probe("e")  # d and e tie at 1: d goes
+        hist = probe("a", "f")  # e and f tie at 1: e goes
+        assert [(k["key"], k["probes"]) for k in hist["top_keys"]] == [
+            ("a", 3),
+            ("b", 2),
+            ("f", 1),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys_per_field=st.integers(min_value=1, max_value=8),
+        fold_every=st.integers(min_value=1, max_value=9),
+        ops=st.lists(_KEY_USAGE_OPS, max_size=80),
+    )
+    def test_heap_eviction_matches_a_min_scan(self, keys_per_field, fold_every, ops):
+        """Random multi-field probe streams, folded at random points:
+        after every fold, every histogram and the eviction count equal
+        those of the linear ``min`` scan the heap replaced."""
+        evicted = metrics.counter("storage.keyusage.evicted")
+        table = KeyUsageTable(keys_per_field)
+        oracle = _MinScanTable(keys_per_field)
+        before = evicted.value
+        with mock.patch.object(workload, "_FOLD_EVERY", fold_every):
+            for op in ops + [("check",)]:
+                if op[0] == "record":
+                    for t in (table, oracle):
+                        t.record(*op[1:])
+                elif op[0] == "record_many":
+                    field, key_rows, probes = op[1:]
+                    for t in (table, oracle):
+                        t.record_many(field, key_rows, probes=probes)
+                else:
+                    assert table.fields() == oracle.fields()
+                    for field in oracle.fields():
+                        got = table.histogram(field, n=keys_per_field)
+                        assert got == oracle.histogram(field, n=keys_per_field)
+                    assert evicted.value - before == oracle.evicted
 
     def test_long_keys_are_truncated(self):
         table = KeyUsageTable()

@@ -17,8 +17,10 @@ import pytest
 from repro.errors import StorageError
 from repro.obs import metrics
 from repro.storage.bufferpool import page_stats_scope
+from repro.storage import pages
 from repro.storage.paged_btree import MAX_KEY_BYTES, PagedBTree
-from repro.storage.pages import OVERFLOW_CAPACITY, InternalNode
+from repro.storage.pages import OVERFLOW_CAPACITY, InternalNode, LeafDirectory
+from tests.cached_nodes import assert_node_matches_page
 
 _PATTERN = bytes(range(256)) * 16
 
@@ -303,7 +305,8 @@ class TestLifecycle:
 
 
 class TestCachedDescent:
-    """Point reads bisect internal nodes cached on the pool frames."""
+    """Point reads bisect internal nodes cached on the pool frames and
+    search the leaf directory cached on the leaf's frame."""
 
     @pytest.fixture
     def golden_path(self, tmp_path):
@@ -322,8 +325,20 @@ class TestCachedDescent:
         )
         return calls
 
+    @pytest.fixture
+    def key_decodes(self, monkeypatch):
+        """Keys decoded from any page (internal nodes and leaf cells)."""
+        calls: list[int] = []
+        original = pages.unpack_key
+        monkeypatch.setattr(
+            pages,
+            "unpack_key",
+            lambda buf, offset=0: calls.append(offset) or original(buf, offset),
+        )
+        return calls
+
     def test_get_visits_depth_pages_and_decodes_internals_once(
-        self, golden_path, decodes
+        self, golden_path, decodes, key_decodes
     ):
         hits = metrics.counter("storage.bufferpool.hits")
         misses = metrics.counter("storage.bufferpool.misses")
@@ -332,6 +347,7 @@ class TestCachedDescent:
             decodes.clear()
             key = _golden_key(4321)
             for expected_decodes in (depth - 1, 0):
+                key_decodes.clear()
                 before = hits.value + misses.value
                 with page_stats_scope() as stats:
                     assert tree.get(key) == _golden_value(4321)
@@ -339,9 +355,13 @@ class TestCachedDescent:
                 assert stats.hits + stats.misses == depth
                 assert len(decodes) == expected_decodes
                 decodes.clear()
+            assert key_decodes == []  # the repeat get decoded no leaf cell
+            key_decodes.clear()
             with page_stats_scope() as stats:
                 assert key in tree
+                assert key_decodes == []
                 assert tree.get(_golden_key(4321) + "x") is None
+            assert len(key_decodes) <= 1  # at most the next cell
             assert stats.hits + stats.misses == 2 * depth
             assert decodes == []
             assert tree.pool.pin_count(tree._pager.meta.root) == 0
@@ -402,9 +422,57 @@ class TestCachedDescent:
             assert errors == []
             assert visits == [reads_per_thread * depth] * 8
             assert hits.value + misses.value - before == 8 * reads_per_thread * depth
-            for _pid, data, node in tree.pool.decoded():
-                assert node == InternalNode.unpack(data)
+            for page_id, data, node in tree.pool.decoded():
+                assert_node_matches_page(node, data, page_id)
             assert len(tree.pool) <= 6
+
+    def test_concurrent_searches_decode_each_cell_once(self, golden_path, key_decodes):
+        """Eight threads, started together on a cold pool, read the same
+        ascending keys, so each read grows a directory the others are
+        growing too: the directories must hold each cell once, and no
+        cell may be decoded twice.  A lost race shows only when a thread
+        switch lands inside a search, so the run repeats on fresh pools."""
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(20):
+                with PagedBTree(golden_path, pool_pages=400) as tree:
+                    key_decodes.clear()
+                    errors = self._read_ascending_together(tree, range(4000, 4500))
+                    assert errors == []
+                    decoded = len(key_decodes)
+                    cached = tree.pool.decoded()
+                    nodes = [node for _pid, _data, node in cached]
+                    assert sum(isinstance(n, LeafDirectory) for n in nodes) >= 15
+                    assert decoded == sum(len(node.keys) for node in nodes)
+                    for page_id, data, node in cached:
+                        assert_node_matches_page(node, data, page_id)
+        finally:
+            sys.setswitchinterval(saved)
+
+    @staticmethod
+    def _read_ascending_together(tree: PagedBTree, keys: range) -> list[str]:
+        errors: list[str] = []
+        start = threading.Barrier(8)
+
+        def reader() -> None:
+            try:
+                start.wait()
+                for i in keys:
+                    if tree.get(_golden_key(i)) != _golden_value(i):
+                        errors.append(f"wrong value for key {i}")
+                    if _golden_key(i) + "x" in tree:
+                        errors.append(f"phantom key after {i}")
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        return errors
 
     def test_writes_replace_cached_nodes(self, tmp_path):
         def key(i: int) -> str:  # ~200-byte keys: internal fanout ~19
@@ -415,7 +483,7 @@ class TestCachedDescent:
                 tree.insert(key(i), b"v" * 40)
                 if i % 37 == 0:
                     assert tree.get(key(i // 2)) == b"v" * 40
-                    for _pid, data, node in tree.pool.decoded():
-                        assert node == InternalNode.unpack(data)
+                    for page_id, data, node in tree.pool.decoded():
+                        assert_node_matches_page(node, data, page_id)
             assert tree.verify()["depth"] >= 3
             assert all(tree.get(key(i)) == b"v" * 40 for i in range(0, 1500, 7))

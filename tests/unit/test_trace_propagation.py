@@ -29,7 +29,7 @@ from repro.obs import metrics, tracing
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import Tracer
 from repro.query import QueryEngine
-from repro.storage import ShardedStore
+from repro.storage import RecordStore, ShardedStore
 from repro.storage.bufferpool import BufferPool, page_stats_scope
 from repro.storage.pages import LeafNode, PageFile
 from repro.storage.schema import Field, FieldType, Schema
@@ -228,6 +228,16 @@ class TestWritePoolFanOut:
         events = obs_logging.tail(100, event="storage.checkpoint")
         assert len(events) == 4  # one per shard, each logged by a pool worker
         assert [e.get("trace_id") for e in events] == [trace_id] * 4
+        assert {e.get("shard") for e in events} == {0, 1, 2, 3}
+
+    def test_a_plain_store_logs_its_checkpoint_without_a_shard(self, tmp_path):
+        with RecordStore(SCHEMA, tmp_path / "db") as store:
+            store.put_many(_corpus())
+            obs_logging.reset()
+            store.checkpoint()
+        (event,) = obs_logging.tail(100, event="storage.checkpoint")
+        assert "shard" not in event
+        assert event["records"] == 300
 
     def test_task_spans_nest_under_the_callers_span(self, tmp_path):
         tracer = Tracer(capacity=16)  # any tracer's open span crosses the pool
