@@ -245,20 +245,22 @@ def _cmd_query(args: argparse.Namespace) -> int:
             bounds["max_rows"] = args.max_rows
         if args.partial_ok:
             bounds["partial"] = True
+        # A slow-log entry carries the operator tree of the run it logs,
+        # so a logged query runs profiled.
+        profiled = args.profile or slow_log is not None
+        result = engine.execute(args.query, profile=profiled, **bounds)
         if args.profile:
-            profile = engine.execute(args.query, profile=True, **bounds)
             if args.json:
                 print(json.dumps(
-                    {"rows": profile.rows, "profile": profile.to_dict()},
+                    {"rows": result.rows, "profile": result.to_dict()},
                     indent=2, ensure_ascii=False,
                 ))
             else:
-                print(profile.render())
+                print(result.render())
                 print()
-                _print_rows(profile.rows)
+                _print_rows(result.rows)
             return 0
-        result = engine.execute(args.query, **bounds)
-        _print_rows(result)
+        _print_rows(result.rows if profiled else result)
         if getattr(result, "partial", False):
             failed = ", ".join(str(s) for s in result.shards_failed)
             print(

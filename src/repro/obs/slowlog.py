@@ -8,17 +8,16 @@ everything needed to diagnose the query after the fact::
      "fingerprint": "9c0f3ad81b2e",
      "query": "year >= 1900 ORDER BY year",
      "plan": "INDEX RANGE (btree) year in [1900, +inf)\\nORDER BY year ASC",
-     "plan_cached": true, "rows": 271, "seconds": 0.1834,
-     "profile": {"op": "sort", ...}}
+     "plan_cached": true, "rows": 271, "rows_examined": 271,
+     "seconds": 0.1834, "profile": {"plan": ..., "tree": {"op": "sort", ...}}}
 
 ``trace_id`` is the id bound when the query ran (see
 :mod:`repro.obs.logging`), so the entry joins the query's span tree and
-its log lines.  ``profile`` is the EXPLAIN ANALYZE operator tree; when
-the slow query ran unprofiled, :class:`~repro.query.executor.QueryEngine`
-re-executes its plan profiled to attach one (the entry is then marked
-``"profile_reexecuted": true`` — the extra cost is paid only for queries
-already over the threshold, the same trade MySQL's slow log makes with
-auto-EXPLAIN).
+its log lines.  An entry describes the one execution that crossed the
+threshold: :class:`~repro.query.executor.QueryEngine` never runs a
+query again to log it.  ``rows_examined`` counts the rows its access
+path yielded, and ``profile`` is its EXPLAIN ANALYZE operator tree,
+present when that execution ran with ``profile=True``.
 
 Entries land in an in-memory ring (:meth:`SlowQueryLog.entries`) and,
 when the log has a ``path``, in a JSONL file with size-based rotation:
@@ -79,9 +78,6 @@ class SlowQueryLog:
         Rotation policy for the JSONL file (see module docstring).
     capacity:
         In-memory ring size.
-    profile_on_slow:
-        Whether the query engine should re-execute an unprofiled slow
-        query with profiling to attach its operator tree.
     """
 
     def __init__(
@@ -92,7 +88,6 @@ class SlowQueryLog:
         max_bytes: int = DEFAULT_MAX_BYTES,
         keep: int = DEFAULT_KEEP,
         capacity: int = 128,
-        profile_on_slow: bool = True,
     ):
         if threshold_s < 0:
             raise ValueError(f"threshold_s must be >= 0, got {threshold_s}")
@@ -102,7 +97,6 @@ class SlowQueryLog:
         self.threshold_s = float(threshold_s)
         self.max_bytes = int(max_bytes)
         self.keep = int(keep)
-        self.profile_on_slow = profile_on_slow
         self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         if self.path is not None:
@@ -115,16 +109,17 @@ class SlowQueryLog:
         plan: str,
         plan_cached: bool,
         rows: int,
+        rows_examined: int,
         seconds: float,
         profile: Any = None,
-        reexecuted: bool = False,
         trace_id: str | None = None,
         fingerprint: str | None = None,
     ) -> dict[str, Any]:
         """Record one slow execution; returns the entry dict.
 
-        ``profile`` is either ``None``, an operator-tree dict, or any
-        object with a ``to_dict()`` (a ``QueryProfile``/``OpProfile``).
+        ``rows_examined`` is the rows the execution's access path
+        yielded.  ``profile`` is either ``None``, an operator-tree dict,
+        or any object with a ``to_dict()`` (a ``QueryProfile``/``OpProfile``).
         ``fingerprint`` is the workload fingerprint of the query shape
         (see :mod:`repro.query.fingerprint`), joining the entry to the
         aggregate row in ``repro top`` / ``/topz``.  The caller is
@@ -138,14 +133,13 @@ class SlowQueryLog:
             "plan": plan,
             "plan_cached": bool(plan_cached),
             "rows": int(rows),
+            "rows_examined": int(rows_examined),
             "seconds": round(float(seconds), 6),
         }
         if fingerprint is not None:
             entry["fingerprint"] = fingerprint
         if profile is not None:
             entry["profile"] = profile.to_dict() if hasattr(profile, "to_dict") else profile
-        if reexecuted:
-            entry["profile_reexecuted"] = True
         self._ring.append(entry)
         _SLOW_COUNT.inc()
         _logging.warn(

@@ -28,15 +28,19 @@ annotates every node (seq-scan, index lookups/ranges, filter, aggregate,
 sort, limit, and on a sharded store one shard child per shard under the
 access node) with wall time, CPU time (``time.thread_time_ns``), bytes
 touched (sampled estimate), and rows-examined/rows-returned counts.
-Profiled execution materializes stage by stage so each node's cost is
-attributable; the unprofiled path stays streaming and is instrumented only
-with bulk counters (``query.executions``, ``query.rows.returned``) and a
-latency histogram (``query.seconds``).  Both read the access path only as
-far as the output needs: when no sort stands between the scan and LIMIT
-(no ORDER BY, or an index-ordered plan — see
+Profiled and unprofiled runs share one pipeline
+(:meth:`QueryEngine._run_plan`), which decides access, filter, GROUP BY,
+ORDER BY and LIMIT for both; profiling only times its stages.  The
+unprofiled path streams.  A profiled run reads access and filter in
+rounds that pull as many candidates as passing rows are still missing,
+and times each blocking stage (GROUP BY, sort, LIMIT) as one block, so no
+clock is read per row.  Both read the access path only as far as the
+output needs: when no sort stands between the scan and LIMIT (no ORDER
+BY, or an index-ordered plan — see
 :attr:`~repro.query.planner.Plan.index_ordered`), the scan stops at
-LIMIT, and the rows examined that both report are the rows the access
-path actually yielded.
+LIMIT.  Each execution counts once in ``query.executions``,
+``query.rows.examined`` (the rows the access path actually yielded),
+``query.rows.returned`` and the ``query.seconds`` latency histogram.
 
 Every execution (profiled or not) is additionally attributed to its query
 *fingerprint* (:mod:`repro.query.fingerprint`) in the process-wide
@@ -54,6 +58,7 @@ from __future__ import annotations
 import base64
 import heapq
 import json
+import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -365,31 +370,58 @@ class _StageClock:
 def _pull_to_limit(
     candidates: Iterator[dict[str, Any]],
     residual: Expr | None,
-    limit: int,
+    limit: int | None,
     access_clock: _StageClock,
     filter_clock: _StageClock,
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-    """``(pulled, passed)``: candidates read only as far as LIMIT needs.
+    """``(pulled, passed)``: candidates read only as far as ``limit``
+    passing rows need (all of them when ``limit`` is None).
 
     Each round pulls as many candidates as passing rows are still
     missing, rows a lazy pipeline must read in any case, and then
-    filters them.  So the access path yields exactly the rows an
-    unprofiled run reads, while access and filter time stay apart.
+    filters them; a round that comes back short has drained the access
+    path.  So the access path yields exactly the rows an unprofiled run
+    reads, while access and filter time stay apart.
     """
+    want = sys.maxsize if limit is None else limit
     pulled: list[dict[str, Any]] = []
     passed: list[dict[str, Any]] = []
-    while len(passed) < limit:
+    while len(passed) < want:
+        need = want - len(passed)
         with access_clock:
-            batch = list(islice(candidates, limit - len(passed)))
-        if not batch:
-            break
+            batch = list(islice(candidates, need))
         pulled += batch
         if residual is None:
             passed += batch
-        else:
+        elif batch:
             with filter_clock:
-                passed += [r for r in batch if residual.evaluate(r)]
+                passed += filter(residual.evaluate, batch)
+        if len(batch) < need:
+            break
     return pulled, passed
+
+
+def _block(
+    blocks: list[tuple[Any, ...]] | None,
+    op: str,
+    detail: str,
+    step: Callable[[Any, Any], list[dict[str, Any]]],
+    rows: Iterable[dict[str, Any]],
+    arg: Any,
+) -> list[dict[str, Any]]:
+    """``step(rows, arg)``, a stage that takes in all of its input before
+    it returns.  In a profiled run (``blocks`` is a list) the stage is
+    timed as one block and noted for the operator tree."""
+    if blocks is None:
+        return step(rows, arg)
+    with _StageClock() as clock:
+        out = step(rows, arg)
+    blocks.append((clock, op, detail, rows, out))
+    return out
+
+
+def _head(rows: Iterable[dict[str, Any]], limit: int) -> list[dict[str, Any]]:
+    return list(islice(rows, limit))
 
 
 class QueryEngine:
@@ -418,9 +450,9 @@ class QueryEngine:
     :func:`repro.obs.logging.trace`): its log events, its spans, and —
     when a :class:`~repro.obs.slowlog.SlowQueryLog` is attached and the
     query crosses the threshold — its slow-log entry all carry that one
-    ID.  A slow query that ran unprofiled is re-executed with profiling
-    (still under the same trace ID) so the slow-log entry gets an
-    EXPLAIN ANALYZE tree; the extra cost is paid only past the threshold.
+    ID.  The entry records that one execution, which is never run again:
+    its plan, rows and rows examined, and its EXPLAIN ANALYZE tree when it
+    ran with ``profile=True``.
     """
 
     def __init__(
@@ -530,31 +562,70 @@ class QueryEngine:
             start = time.perf_counter()
             try:
                 if profile:
-                    result: QueryProfile = self.run_plan_profiled(
-                        plan, plan_cached=cached, guard=guard, fingerprint=fp,
-                        partial=partial,
-                    )
-                    rows, seconds = len(result.rows), result.seconds
-                    examined = next(
-                        node.rows_examined
-                        for node in result.root.iter_nodes()
-                        if node.op == plan.access.op
-                    )
-                    failed = result.shards_failed
-                    ran_profile: QueryProfile | None = result
+                    with _tracing.span(
+                        "query.execute", access=plan.access.op, profiled=True,
+                        trace_id=trace_id,
+                    ) as qspan:
+                        if fp is not None:
+                            qspan.set_attribute("fingerprint", fp)
+                        rows, examined, exchange, root = self._run_plan(
+                            plan, guard, partial, profile=True
+                        )
+                        pages = exchange.pages
+                        qspan.set_attribute("rows", len(rows))
+                        if pages.hits or pages.misses:
+                            qspan.set_attribute("page_hits", pages.hits)
+                            qspan.set_attribute("page_misses", pages.misses)
+                        if exchange.failed:
+                            qspan.set_attribute("shards_failed", list(exchange.shards_failed))
                 else:
-                    plain, examined, failed = self._run_plan(plan, guard, partial)
-                    rows, seconds = len(plain), time.perf_counter() - start
-                    ran_profile = None
+                    rows, examined, exchange, root = self._run_plan(plan, guard, partial)
+                seconds = time.perf_counter() - start
             except QueryInterrupted as exc:
+                seconds = time.perf_counter() - start
+                if profile:
+                    exc.partial = QueryProfile(
+                        rows=[],
+                        root=OpProfile(
+                            op=plan.access.op,
+                            detail=f"{plan.access.describe()} "
+                            f"[interrupted: {type(exc).__name__}]",
+                            rows_examined=exc.rows_examined,
+                            rows_returned=0,
+                            seconds=seconds,
+                        ),
+                        plan_text=self._explain(plan),
+                        seconds=seconds,
+                        plan_cached=cached,
+                        fingerprint=fp,
+                    )
                 if fp is not None:
                     _RECORD_PACKED((
                         fp, template, 0, exc.rows_examined,
                         time.thread_time_ns() - cpu_start if cpu_start >= 0 else -1,
-                        time.perf_counter() - start,
-                        0, cached, _interruption_kind(exc), False, None,
+                        seconds, 0, cached, _interruption_kind(exc), False, None,
                     ))
                 raise
+            failed = exchange.shards_failed
+            if profile:
+                result: list[dict[str, Any]] | QueryProfile = QueryProfile(
+                    rows=rows,
+                    root=root,
+                    plan_text=self._explain(plan),
+                    seconds=seconds,
+                    plan_cached=cached,
+                    fingerprint=fp,
+                    page_hits=exchange.pages.hits,
+                    page_misses=exchange.pages.misses,
+                    partial=bool(failed),
+                    shards_failed=failed,
+                )
+            elif partial:
+                result = PartialResult(rows, partial=bool(failed), shards_failed=failed)
+            else:
+                result = rows
+            if partial and failed:
+                _PARTIAL.inc()
             if fp is not None:
                 if cpu_start < 0:
                     cpu_ns = -1
@@ -564,31 +635,24 @@ class QueryEngine:
                     # resample countdown (see _BYTES_REFRESH).
                     if not profile:
                         self._bytes_rounds -= 1
-                        if self._bytes_rounds < 0 and plain:
-                            self._refresh_bytes_per_row(plain)
+                        if self._bytes_rounds < 0 and rows:
+                            self._refresh_bytes_per_row(rows)
                 # Packed positional form of WorkloadTable.record — one
                 # deque append per execution (see record_packed); the
                 # common successful path uses the short 8-slot shape.
                 if profile:
-                    if result.rows:
-                        self._refresh_bytes_per_row(result.rows)
+                    if rows:
+                        self._refresh_bytes_per_row(rows)
                     _RECORD_PACKED((
-                        fp, template, rows, examined, cpu_ns, seconds,
+                        fp, template, len(rows), examined, cpu_ns, seconds,
                         examined * self._bytes_per_row, cached, None, False,
-                        [n.workload_node() for n in result.root.iter_nodes()],
+                        [n.workload_node() for n in root.iter_nodes()],
                     ))
                 else:
                     _RECORD_PACKED((
-                        fp, template, rows, examined, cpu_ns, seconds,
+                        fp, template, len(rows), examined, cpu_ns, seconds,
                         examined * self._bytes_per_row, cached,
                     ))
-            if partial:
-                if failed:
-                    _PARTIAL.inc()
-                if not profile:
-                    plain = PartialResult(
-                        plain, partial=bool(failed), shards_failed=failed
-                    )
             if _logging.would_log("debug"):
                 _logging.debug(
                     "query.execute",
@@ -596,15 +660,26 @@ class QueryEngine:
                     access=plan.access.op,
                     plan_cached=cached,
                     fingerprint=fp,
-                    rows=rows,
+                    rows=len(rows),
                     seconds=round(seconds, 6),
                     profiled=profile,
                 )
-            self._maybe_slow_log(
-                query_text, plan, cached, rows, seconds, ran_profile, trace_id, fp,
-                partial,
-            )
-            return result if profile else plain
+            slow = self.slow_log
+            if slow is not None and seconds >= slow.threshold_s:
+                # The entry is this execution's: its rows, the rows it
+                # examined and, when it ran profiled, its operator tree.
+                slow.record(
+                    query=query_text,
+                    plan=self._explain(plan),
+                    plan_cached=cached,
+                    rows=len(rows),
+                    rows_examined=examined,
+                    seconds=seconds,
+                    profile=result if profile else None,
+                    trace_id=trace_id,
+                    fingerprint=fp,
+                )
+            return result
 
     def explain(self, query: str | Query) -> str:
         """The plan that :meth:`execute` would use, as text."""
@@ -640,42 +715,6 @@ class QueryEngine:
         sample = out_rows[:_BYTES_SAMPLE]
         self._bytes_per_row = sum(_record_bytes(r) for r in sample) / len(sample)
         self._bytes_rounds = _BYTES_REFRESH // _CPU_SAMPLE_EVERY
-
-    def _maybe_slow_log(
-        self,
-        query_text: str,
-        plan: Plan,
-        plan_cached: bool,
-        rows: int,
-        seconds: float,
-        profile: QueryProfile | None,
-        trace_id: str,
-        fingerprint: str | None = None,
-        partial: bool = False,
-    ) -> None:
-        slow = self.slow_log
-        if slow is None or seconds < slow.threshold_s:
-            return
-        reexecuted = False
-        if profile is None and slow.profile_on_slow:
-            # Re-run profiled (same plan, same trace ID) so the entry has
-            # an operator tree; only queries already past the threshold pay.
-            profile = self.run_plan_profiled(
-                plan, plan_cached=plan_cached, fingerprint=fingerprint,
-                partial=partial,
-            )
-            reexecuted = True
-        slow.record(
-            query=query_text,
-            plan=self._explain(plan),
-            plan_cached=plan_cached,
-            rows=rows,
-            seconds=seconds,
-            profile=profile,
-            reexecuted=reexecuted,
-            trace_id=trace_id,
-            fingerprint=fingerprint,
-        )
 
     def execute_without_indexes(self, query: str | Query) -> list[dict[str, Any]]:
         """Run ``query`` as a pure scan (the E3 baseline and test oracle)."""
@@ -822,198 +861,100 @@ class QueryEngine:
         return self._run_plan(plan, guard)[0]
 
     def _run_plan(
-        self, plan: Plan, guard: Guard | None, partial: bool = False
-    ) -> tuple[list[dict[str, Any]], int, tuple[int, ...]]:
-        """:meth:`run_plan`'s rows, the rows the access path yielded and
-        the shards a partial run skipped."""
+        self,
+        plan: Plan,
+        guard: Guard | None,
+        partial: bool = False,
+        profile: bool = False,
+    ) -> tuple[list[dict[str, Any]], int, "_Exchange", OpProfile | None]:
+        """:meth:`run_plan`'s rows, the rows the access path yielded, the
+        exchange that read them and, with ``profile``, the operator tree.
+
+        Every execution takes its access path, filter, GROUP BY, ORDER BY
+        and LIMIT from here.  ``profile`` only times the stages: access
+        and filter over :func:`_pull_to_limit`'s rounds, which read what
+        the streaming pipeline reads, and each blocking stage as one
+        block, so no clock is read per row.  On a sharded store the
+        access node has one child per shard (see :class:`_ShardMeter`),
+        and the exchange's ``pages`` hold the query's buffer-pool pages.
+        """
         start = time.perf_counter()
-        exchange = _Exchange(self.store, partial=partial, retry=self.retry)
+        exchange = _Exchange(
+            self.store, partial=partial, retry=self.retry,
+            pages=PageStats() if profile else None,
+        )
         if guard is not None:
             # Fail fast on a pre-expired deadline or pre-cancelled token
             # instead of after the first check stride.
             guard.check()
+        residual = plan.residual
         examined = [0]
         candidates = self._candidates(plan, guard, examined, exchange)
+        if plan.limit == 0:
+            # No stage needs a row: the access path is never read.
+            candidates.close()
+        blocks: list[tuple[Any, ...]] | None = [] if profile else None
         try:
-            rows: Iterator[dict[str, Any]] = candidates
-            if plan.residual is not None:
-                residual = plan.residual
-                rows = (r for r in rows if residual.evaluate(r))
+            if profile:
+                access_clock, filter_clock = _StageClock(), _StageClock()
+                # Pool pages are only touched while the access path
+                # streams records off the paged tree.
+                with page_stats_scope(exchange.pages):
+                    pulled, passed = _pull_to_limit(
+                        candidates, residual,
+                        plan.limit if plan.stops_at_limit else None,
+                        access_clock, filter_clock,
+                    )
+                rows: Iterable[dict[str, Any]] = passed
+            elif residual is not None:
+                rows = filter(residual.evaluate, candidates)
+            else:
+                rows = candidates
             if plan.group_by is not None:
-                rows = iter(self._aggregate(rows, plan.group_by))
+                rows = _block(
+                    blocks, "aggregate", f"GROUP BY {plan.group_by} (COUNT)",
+                    self._aggregate, rows, plan.group_by,
+                )
             if plan.order_by is not None:
                 self._check_order_field(plan)
                 if not plan.index_ordered:
-                    rows = iter(self._ordered(rows, plan))
-            out = list(rows if plan.limit is None else islice(rows, plan.limit))
+                    order = "DESC" if plan.descending else "ASC"
+                    rows = _block(
+                        blocks, "sort", f"ORDER BY {plan.order_by} {order}",
+                        self._ordered, rows, plan,
+                    )
+            if plan.limit is not None:
+                rows = _block(blocks, "limit", f"LIMIT {plan.limit}", _head, rows, plan.limit)
+            out = rows if isinstance(rows, list) else list(rows)
         finally:
             # Ends a scan that LIMIT stopped, which settles its count.
             candidates.close()
         _EXECUTIONS.inc()
+        _ROWS_EXAMINED.inc(examined[0])  # base-table rows the access path yielded
         _ROWS_RETURNED.inc(len(out))
         _QUERY_SECONDS.observe(time.perf_counter() - start)
-        return out, examined[0], exchange.shards_failed
-
-    def run_plan_profiled(
-        self,
-        plan: Plan,
-        *,
-        plan_cached: bool = False,
-        guard: Guard | None = None,
-        fingerprint: str | None = None,
-        partial: bool = False,
-    ) -> QueryProfile:
-        """Execute ``plan`` stage by stage, timing and counting each node.
-
-        Unlike :meth:`run_plan` this materializes every stage so each
-        operator's cost is attributable; results are identical, and as
-        in :meth:`run_plan` a LIMIT with no sort before it reads the
-        access path only as far as it needs.  On a sharded store the
-        access node has one child per shard: the rows read from it, the
-        time spent reading them and its buffer-pool page hits and misses
-        (a ``SKIPPED`` child for a shard a partial run skipped).
-        ``plan_cached`` is recorded in the profile so EXPLAIN ANALYZE
-        shows whether the plan came from the cache, and ``fingerprint``
-        (when known) is stamped on the profile and its span.  When a
-        ``guard`` interrupts the run, the partial operator tree built so
-        far is attached to the raised error as ``exc.partial`` before it
-        propagates.
-        """
-        total_start = time.perf_counter()
-        try:
-            return self._run_plan_profiled(
-                plan,
-                plan_cached=plan_cached,
-                guard=guard,
-                total_start=total_start,
-                fingerprint=fingerprint,
-                partial=partial,
+        if blocks is None:
+            return out, examined[0], exchange, None
+        _PROFILED.inc()
+        detail = plan.access.describe()
+        if plan.index_ordered:
+            detail += f"; index order serves ORDER BY {plan.order_by} ASC"
+        node = access_clock.profile(
+            plan.access.op, detail, examined[0], pulled, *exchange.nodes(),
+            nbytes=_estimate_bytes(pulled, examined[0]),
+        )
+        if residual is not None:
+            node = filter_clock.profile(
+                "filter", str(residual), len(pulled), passed, node,
+                nbytes=_estimate_bytes(pulled),
             )
-        except QueryInterrupted as exc:
-            seconds = time.perf_counter() - total_start
-            root = OpProfile(
-                op=plan.access.op,
-                detail=f"{plan.access.describe()} [interrupted: {type(exc).__name__}]",
-                rows_examined=exc.rows_examined,
-                rows_returned=0,
-                seconds=seconds,
+        for clock, op, detail, rows_in, rows_out in blocks:
+            # GROUP BY's bytes are those of the records it counted.
+            node = clock.profile(
+                op, detail, len(rows_in), rows_out, node,
+                nbytes=_estimate_bytes(rows_in) if op == "aggregate" else None,
             )
-            exc.partial = QueryProfile(
-                rows=[],
-                root=root,
-                plan_text=self._explain(plan),
-                seconds=seconds,
-                plan_cached=plan_cached,
-                fingerprint=fingerprint,
-            )
-            raise
-
-    def _run_plan_profiled(
-        self,
-        plan: Plan,
-        *,
-        plan_cached: bool,
-        guard: Guard | None,
-        total_start: float,
-        fingerprint: str | None = None,
-        partial: bool = False,
-    ) -> QueryProfile:
-        with _tracing.span("query.execute", access=plan.access.op, profiled=True) as qspan:
-            trace_id = _logging.current_trace_id()
-            if trace_id is not None:
-                qspan.set_attribute("trace_id", trace_id)
-            if fingerprint is not None:
-                qspan.set_attribute("fingerprint", fingerprint)
-            # Pool pages are only touched while the access path streams
-            # candidate records off the paged tree, so the attribution
-            # scope need not cover the later (pure in-memory) stages.
-            pstats = PageStats()
-            exchange = _Exchange(
-                self.store, partial=partial, retry=self.retry, pages=pstats
-            )
-            if guard is not None:
-                guard.check()
-            residual = plan.residual
-            access_clock, filter_clock = _StageClock(), _StageClock()
-            examined = [0]
-            candidates = self._candidates(plan, guard, examined, exchange)
-            try:
-                with page_stats_scope(pstats):
-                    if plan.stops_at_limit:
-                        pulled, rows = _pull_to_limit(
-                            candidates, residual, plan.limit, access_clock, filter_clock
-                        )
-                    else:
-                        with access_clock:
-                            pulled = rows = list(candidates)
-                        if residual is not None:
-                            with filter_clock:
-                                rows = [r for r in pulled if residual.evaluate(r)]
-            finally:
-                candidates.close()
-            detail = plan.access.describe()
-            if plan.index_ordered:
-                detail += f"; index order serves ORDER BY {plan.order_by} ASC"
-            node = access_clock.profile(
-                plan.access.op, detail, examined[0], pulled, *exchange.nodes(),
-                nbytes=_estimate_bytes(pulled, examined[0]),
-            )
-            if residual is not None:
-                node = filter_clock.profile(
-                    "filter", str(residual), len(pulled), rows, node,
-                    nbytes=_estimate_bytes(pulled),
-                )
-            if plan.group_by is not None:
-                with _StageClock() as clock:
-                    grouped = self._aggregate(iter(rows), plan.group_by)
-                node = clock.profile(
-                    "aggregate", f"GROUP BY {plan.group_by} (COUNT)", len(rows),
-                    grouped, node, nbytes=_estimate_bytes(rows),
-                )
-                rows = grouped
-            if plan.order_by is not None:
-                self._check_order_field(plan)
-                if not plan.index_ordered:
-                    with _StageClock() as clock:
-                        ordered = self._ordered(rows, plan)
-                    node = clock.profile(
-                        "sort",
-                        f"ORDER BY {plan.order_by} {'DESC' if plan.descending else 'ASC'}",
-                        len(rows), ordered, node,
-                    )
-                    rows = ordered
-            if plan.limit is not None:
-                with _StageClock() as clock:
-                    limited = rows[: plan.limit]
-                node = clock.profile(
-                    "limit", f"LIMIT {plan.limit}", len(rows), limited, node
-                )
-                rows = limited
-            _EXECUTIONS.inc()
-            _PROFILED.inc()
-            _ROWS_EXAMINED.inc(examined[0])  # base-table rows the access path yielded
-            _ROWS_RETURNED.inc(len(rows))
-            seconds = time.perf_counter() - total_start
-            _QUERY_SECONDS.observe(seconds)
-            qspan.set_attribute("rows", len(rows))
-            if pstats.hits or pstats.misses:
-                qspan.set_attribute("page_hits", pstats.hits)
-                qspan.set_attribute("page_misses", pstats.misses)
-            failed = exchange.shards_failed
-            if failed:
-                qspan.set_attribute("shards_failed", list(failed))
-            return QueryProfile(
-                rows=rows,
-                root=node,
-                plan_text=self._explain(plan),
-                seconds=seconds,
-                plan_cached=plan_cached,
-                fingerprint=fingerprint,
-                page_hits=pstats.hits,
-                page_misses=pstats.misses,
-                partial=bool(failed),
-                shards_failed=failed,
-            )
+        return out, examined[0], exchange, node
 
     def _check_order_field(self, plan: Plan) -> None:
         field = plan.order_by
@@ -1346,12 +1287,13 @@ class _Exchange:
     shard contributes no row; :attr:`shards_failed` names the skipped
     shards, and :attr:`read` counts the rows those reads took, each
     charged to the guard as it was read.  Given the ``pages`` of a
-    profiled run, a sharded store's exchange measures each shard's rows,
-    time and pages.
+    profiled run, which it keeps, a sharded store's exchange measures
+    each shard's rows, time and pages.
     """
 
     __slots__ = (
-        "shards", "health", "partial", "retry", "primary_key", "failed", "meters", "read"
+        "shards", "health", "partial", "retry", "primary_key", "failed", "meters",
+        "read", "pages",
     )
 
     def __init__(
@@ -1367,6 +1309,7 @@ class _Exchange:
         self.meters: list[_ShardMeter] | None = None
         self.read = 0
         self.retry = retry
+        self.pages = pages
         if not isinstance(store, ShardedStore):
             self.shards: list[tuple[int, RecordStore]] = [(0, store)]
             self.health = None

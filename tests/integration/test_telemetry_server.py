@@ -270,7 +270,7 @@ class TestSlowQueryCorrelation:
             # DESC keeps a sort node: an ascending ORDER BY on the
             # indexed field is served in index order, with no operator
             # above the range scan.
-            engine.execute("year >= 1900 ORDER BY year DESC")
+            engine.execute("year >= 1900 ORDER BY year DESC", profile=True)
         finally:
             logger.set_level(previous)
 
@@ -278,12 +278,11 @@ class TestSlowQueryCorrelation:
         trace_id = entry["trace_id"]
         assert trace_id
 
-        # The entry carries the re-executed EXPLAIN ANALYZE tree.
-        assert entry["profile_reexecuted"] is True
+        # The entry carries the EXPLAIN ANALYZE tree of the run it logs.
         assert entry["profile"]["tree"]["op"] in ("sort", "limit", "filter")
         assert entry["rows"] > 0
 
-        # The span tree from the profiled re-execution shares the id.
+        # The span tree from that profiled run shares the id.
         root = tracing.last_root()
         assert root.name == "query.execute"
         assert root.attributes["trace_id"] == trace_id
@@ -311,12 +310,15 @@ class TestSlowQueryCorrelation:
         engine.execute("year >= 1900 LIMIT 5")
         assert slow_log.entries() == []
 
-    def test_profile_on_slow_false_skips_reexecution(self, reference_records):
-        slow_log = SlowQueryLog(threshold_s=0.0, profile_on_slow=False)
+    def test_unprofiled_slow_query_runs_once(self, reference_records):
+        slow_log = SlowQueryLog(threshold_s=0.0)
         engine = self._seeded_engine(reference_records, slow_log)
-        engine.execute("year >= 1900 LIMIT 5")
+        rows = engine.execute("year >= 1900 LIMIT 5")
         (entry,) = slow_log.entries()
         assert "profile" not in entry
+        assert entry["rows"] == len(rows) == 5
+        # The range scan stops at LIMIT: five rows examined, five kept.
+        assert entry["rows_examined"] == 5
         # No re-execution: no profiled span was opened.
         assert tracing.last_root() is None
 

@@ -10,7 +10,9 @@ changes the answer:
   a hypothesis-chosen N-shard :class:`ShardedStore` returns byte-identical
   sorted scans and aggregates, checked against a plain-Python ground
   truth and the sort oracle.  Its top-k queries run on a ``year`` index,
-  read lazily in index order.
+  read lazily in index order.  Every query also runs profiled, and the
+  profiled run returns the same rows, charges its guard the same rows
+  and reports them on its access node.
 """
 
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.query import PartialAggregate, QueryEngine
 from repro.query.parser import parse_query
+from repro.resilience.deadline import Guard
 from repro.storage import IndexKind, RecordStore, ShardedStore
 from repro.storage.schema import Field, FieldType, Schema
 from tests.property.test_prop_query import _oracle
@@ -63,6 +66,21 @@ def test_partial_aggregate_ground_truth(values):
         "max": max(values),
         "avg": sum(values) / len(values),
     }
+
+
+def _run_plain_and_profiled(engine, query):
+    """``query``'s rows, after checking that a profiled run returns the
+    same rows, charges its guard the same rows as a plain run, and
+    reports those rows as its access node's rows examined."""
+    plain_guard, profiled_guard = Guard(max_rows=10_000), Guard(max_rows=10_000)
+    rows = engine.execute(query, guard=plain_guard)
+    profile = engine.execute(query, guard=profiled_guard, profile=True)
+    assert profile.rows == rows, query
+    assert profiled_guard.rows_examined == plain_guard.rows_examined, query
+    # The access node is the deepest one above the shard children.
+    *_, access = (node for node in profile.root.iter_nodes() if node.op != "shard")
+    assert access.rows_examined == plain_guard.rows_examined, query
+    return rows
 
 
 records_strategy = st.lists(
@@ -124,9 +142,9 @@ def test_scatter_gather_matches_single_shard(rows_and_order, shards, year, volum
             topk_filtered,
             topk_desc,
         ):
-            expected = one.execute(query)
-            assert many.execute(query) == expected, query
-            assert plain.execute(query) == expected, query
+            expected = _run_plain_and_profiled(one, query)
+            assert _run_plain_and_profiled(many, query) == expected, query
+            assert _run_plain_and_profiled(plain, query) == expected, query
         assert one.execute(topk) == truth(lambda r: r["year"] >= year)
         assert one.execute(topk_filtered) == truth(
             lambda r: r["year"] >= year and r["volume"] == volume

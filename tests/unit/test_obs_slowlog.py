@@ -14,6 +14,7 @@ def _record(log: SlowQueryLog, seconds: float = 0.25, **overrides):
         plan="INDEX RANGE (btree) year in [1900, +inf)",
         plan_cached=False,
         rows=42,
+        rows_examined=271,
         seconds=seconds,
     )
     kwargs.update(overrides)
@@ -28,6 +29,7 @@ class TestEntryShape:
         assert entry["plan"].startswith("INDEX RANGE")
         assert entry["plan_cached"] is True
         assert entry["rows"] == 42
+        assert entry["rows_examined"] == 271
         assert entry["seconds"] == 0.25
         assert entry["ts"].endswith("Z")
         assert "profile" not in entry
@@ -39,9 +41,8 @@ class TestEntryShape:
                 return {"op": "sort", "seconds": 0.2}
 
         log = SlowQueryLog()
-        entry = _record(log, profile=FakeProfile(), reexecuted=True)
+        entry = _record(log, profile=FakeProfile())
         assert entry["profile"] == {"op": "sort", "seconds": 0.2}
-        assert entry["profile_reexecuted"] is True
 
     def test_trace_id_from_context_when_not_given(self):
         log = SlowQueryLog()

@@ -85,6 +85,17 @@ class TestOrderLimit:
     def test_limit_zero(self, engine):
         assert engine.execute("* LIMIT 0") == []
 
+    @pytest.mark.parametrize(
+        "query", ["* LIMIT 0", "* ORDER BY year DESC LIMIT 0", "* GROUP BY year LIMIT 0"]
+    )
+    def test_limit_zero_reads_no_row(self, engine, query):
+        from repro.resilience.deadline import Guard
+
+        plain, profiled = Guard(max_rows=100), Guard(max_rows=100)
+        assert engine.execute(query, guard=plain) == []
+        assert engine.execute(query, guard=profiled, profile=True).rows == []
+        assert plain.rows_examined == profiled.rows_examined == 0
+
     def test_limit_larger_than_result(self, engine):
         assert len(engine.execute("* LIMIT 100")) == 5
 
@@ -250,3 +261,103 @@ class TestIndexOrder:
         if query.startswith("year"):
             usage = workload.get_default_key_usage().histogram("year")
             assert usage["rows"] == 2 * expected  # both runs, 5 rows each
+
+
+class TestOneExecution:
+    """Each execute() runs its plan once, and counts it once."""
+
+    @staticmethod
+    def _counts():
+        from repro.obs import metrics
+
+        snap = metrics.snapshot()
+        counters = snap["counters"]
+        seconds = snap["histograms"].get("query.seconds", {"count": 0})
+        return {
+            "executions": counters.get("query.executions", 0),
+            "seconds": seconds["count"],
+            "scans": counters.get("storage.store.scan.count", 0),
+            "examined": counters.get("query.rows.examined", 0),
+        }
+
+    def _delta(self, run):
+        before = self._counts()
+        result = run()
+        after = self._counts()
+        return result, {key: after[key] - before[key] for key in after}
+
+    def test_slow_logged_query_runs_once(self, memory_store):
+        from repro.obs.slowlog import SlowQueryLog
+
+        memory_store.put_many({"id": i, "name": "n", "year": i} for i in range(50))
+        slow_log = SlowQueryLog(threshold_s=0.0)  # every query is slow
+        engine = QueryEngine(memory_store, slow_log=slow_log)
+        rows, delta = self._delta(lambda: engine.execute("*", max_rows=1_000))
+        assert len(rows) == 50
+        assert delta == {"executions": 1, "seconds": 1, "scans": 1, "examined": 50}
+        (entry,) = slow_log.entries()
+        assert entry["rows"] == entry["rows_examined"] == 50
+        assert "profile" not in entry
+
+    @pytest.mark.parametrize(
+        "query", ["*", "year >= 1910", "year >= 1910 LIMIT 5", "* ORDER BY year DESC LIMIT 3"]
+    )
+    @pytest.mark.parametrize("mode", ["plain", "profiled", "partial"])
+    def test_rows_examined_counter_counts_every_execution(self, query, mode):
+        from repro.resilience.deadline import Guard
+        from repro.storage import ShardedStore
+        from repro.storage.schema import Field, FieldType, Schema
+
+        schema = Schema(
+            [Field("id", FieldType.INT), Field("year", FieldType.INT)], primary_key="id"
+        )
+        with ShardedStore(schema, shards=3) as store:
+            store.put_many({"id": i, "year": 1900 + i % 25} for i in range(90))
+            engine = QueryEngine(store)
+            guard = Guard(max_rows=1_000)
+            result, delta = self._delta(
+                lambda: engine.execute(
+                    query, guard=guard, profile=mode == "profiled",
+                    partial=mode == "partial",
+                )
+            )
+        assert delta["executions"] == 1
+        assert delta["examined"] == guard.rows_examined > 0
+        if query in ("*", "year >= 1910"):
+            assert delta["examined"] == 90
+        if mode == "profiled":
+            *_, access = (n for n in result.root.iter_nodes() if n.op != "shard")
+            assert access.rows_examined == delta["examined"]
+
+    @pytest.mark.parametrize(
+        "query",
+        ["*", "year >= 1920", "year >= 1920 LIMIT 5", "* ORDER BY year DESC",
+         "year >= 1920 GROUP BY year"],
+    )
+    def test_profiled_run_reads_the_thread_clock_per_stage_not_per_row(
+        self, simple_schema, monkeypatch, query
+    ):
+        import time
+
+        from repro.storage.store import RecordStore
+
+        def clock_reads(rows: int) -> int:
+            store = RecordStore(simple_schema)
+            store.put_many(
+                {"id": i, "name": "n", "year": 1900 + i % 50} for i in range(rows)
+            )
+            engine = QueryEngine(store)
+            engine.execute(query, profile=True)  # plan it once, uncounted
+            reads = [0]
+            clock = time.thread_time_ns
+
+            def counting() -> int:
+                reads[0] += 1
+                return clock()
+
+            with monkeypatch.context() as patch:
+                patch.setattr(time, "thread_time_ns", counting)
+                engine.execute(query, profile=True)
+            return reads[0]
+
+        assert clock_reads(100) == clock_reads(1_000)

@@ -109,9 +109,9 @@ class TestScatterSpanTree:
         with ShardedStore(SCHEMA, shards=3) as store:
             store.put_many(_corpus())
             QueryEngine(store, slow_log=slow).execute(
-                "year >= 1905 ORDER BY year LIMIT 5"
+                "year >= 1905 ORDER BY year LIMIT 5", profile=True
             )
-        # The slow query was re-run profiled under the same trace id.
+        # The one profiled run left its span tree under the trace id.
         (root,), _ = _query_roots()
         trace_id = root.attributes["trace_id"]
         assert trace_id
