@@ -87,7 +87,7 @@ def test_recovery_from_snapshot(benchmark, tmp_path_factory, corpus_1k):
 
 
 def test_index_build_bulk_load(benchmark, corpus_1k):
-    """B-tree creation over existing data: sorted bulk load (the default)."""
+    """Ordered-index creation over existing data: one scan, one sort (the default)."""
     store = RecordStore(PUBLICATION_SCHEMA)
     with store.transaction() as txn:
         for record in corpus_1k:
@@ -104,8 +104,8 @@ def test_index_build_bulk_load(benchmark, corpus_1k):
 
 
 def test_index_build_insert_loop(benchmark, corpus_1k):
-    """The alternative the bulk load replaces: n individual inserts."""
-    from repro.storage.btree import BTree
+    """The alternative the one-scan build replaces: n individual inserts."""
+    from repro.storage.hashindex import OrderedIndex
 
     store = RecordStore(PUBLICATION_SCHEMA)
     with store.transaction() as txn:
@@ -114,13 +114,13 @@ def test_index_build_insert_loop(benchmark, corpus_1k):
     rows = list(store.scan())
 
     def build():
-        tree = BTree(order=32)
+        index = OrderedIndex()
         for row in rows:
-            tree.insert(row["page"], row["id"])
-        return tree
+            index.insert(row["page"], row["id"])
+        return index
 
-    tree = benchmark(build)
-    assert len(tree) == 1_000
+    index = benchmark(build)
+    assert len(index) == 1_000
 
 
 def test_snapshot_write(benchmark, tmp_path_factory, corpus_1k):

@@ -38,9 +38,11 @@ clock is read per row.  Both read the access path only as far as the
 output needs: when no sort stands between the scan and LIMIT (no ORDER
 BY, or an index-ordered plan — see
 :attr:`~repro.query.planner.Plan.index_ordered`), the scan stops at
-LIMIT.  Each execution counts once in ``query.executions``,
-``query.rows.examined`` (the rows the access path actually yielded),
-``query.rows.returned`` and the ``query.seconds`` latency histogram.
+LIMIT.  Each execution — an ``execute()`` run, or a ``count()``,
+``aggregate()`` or ``execute_paged()`` call — counts once in
+``query.executions``, ``query.rows.examined`` (the rows the access path
+actually yielded), ``query.rows.returned`` and the ``query.seconds``
+latency histogram (:func:`_count_execution`).
 
 Every execution (profiled or not) is additionally attributed to its query
 *fingerprint* (:mod:`repro.query.fingerprint`) in the process-wide
@@ -424,6 +426,16 @@ def _head(rows: Iterable[dict[str, Any]], limit: int) -> list[dict[str, Any]]:
     return list(islice(rows, limit))
 
 
+def _count_execution(start: float, examined: int, returned: int) -> None:
+    """Count one finished execution that started at ``start``
+    (``time.perf_counter``): the rows its access path yielded and the
+    rows it returned."""
+    _EXECUTIONS.inc()
+    _ROWS_EXAMINED.inc(examined)
+    _ROWS_RETURNED.inc(returned)
+    _QUERY_SECONDS.observe(time.perf_counter() - start)
+
+
 class QueryEngine:
     """Plans and executes query strings (or pre-parsed :class:`Query`)
     over a :class:`~repro.storage.store.RecordStore` or a
@@ -735,12 +747,13 @@ class QueryEngine:
         """Number of records matching ``query`` (ignores GROUP BY/LIMIT)."""
         parsed = self._parse(query)
         plan, _ = self._plan(Query(where=parsed.where))
-        total = 0
-        rows: Any = self._candidates(plan)
+        start = time.perf_counter()
+        examined = [0]
+        rows: Any = self._candidates(plan, examined=examined)
         if plan.residual is not None:
-            rows = (r for r in rows if plan.residual.evaluate(r))
-        for _ in rows:
-            total += 1
+            rows = filter(plan.residual.evaluate, rows)
+        total = sum(1 for _ in rows)
+        _count_execution(start, examined[0], 0)
         return total
 
     def aggregate(
@@ -770,10 +783,12 @@ class QueryEngine:
                 f"aggregate needs a numeric field; {field!r} is {kind}"
             )
         plan, _ = self._plan(parsed)
+        start = time.perf_counter()
         if guard is not None:
             guard.check()
         aggregate = PartialAggregate()
-        candidates = self._candidates(plan, guard)
+        examined = [0]
+        candidates = self._candidates(plan, guard, examined)
         try:
             rows: Iterator[dict[str, Any]] = candidates
             if plan.residual is not None:
@@ -785,7 +800,7 @@ class QueryEngine:
                     aggregate.add(value)
         finally:
             candidates.close()
-        _EXECUTIONS.inc()
+        _count_execution(start, examined[0], 1)
         return aggregate.finalize()
 
     def execute_paged(
@@ -811,9 +826,11 @@ class QueryEngine:
         if not self.store.schema.has_field(order_field):
             raise QueryPlanError(f"cannot ORDER BY unknown field {order_field!r}")
         plan, _ = self._plan(Query(where=parsed.where))
-        rows: Any = self._candidates(plan)
+        began = time.perf_counter()
+        examined = [0]
+        rows: Any = self._candidates(plan, examined=examined)
         if plan.residual is not None:
-            rows = (r for r in rows if plan.residual.evaluate(r))
+            rows = filter(plan.residual.evaluate, rows)
 
         def row_key(record: dict[str, Any]) -> tuple:
             return (
@@ -837,6 +854,7 @@ class QueryEngine:
         if start + page_size < len(ordered) and page_rows:
             last = page_rows[-1]
             next_cursor = _encode_cursor(last.get(order_field), last.get(pk_field))
+        _count_execution(began, examined[0], len(page_rows))
         return Page(rows=page_rows, next_cursor=next_cursor)
 
     def delete(self, query: str | Query) -> int:
@@ -929,10 +947,7 @@ class QueryEngine:
         finally:
             # Ends a scan that LIMIT stopped, which settles its count.
             candidates.close()
-        _EXECUTIONS.inc()
-        _ROWS_EXAMINED.inc(examined[0])  # base-table rows the access path yielded
-        _ROWS_RETURNED.inc(len(out))
-        _QUERY_SECONDS.observe(time.perf_counter() - start)
+        _count_execution(start, examined[0], len(out))
         if blocks is None:
             return out, examined[0], exchange, None
         _PROFILED.inc()

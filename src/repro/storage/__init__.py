@@ -4,14 +4,14 @@ The publisher-side substrate: publication records live in a single-writer
 embedded store with
 
 * an append-only, CRC-framed write-ahead log (:mod:`repro.storage.wal`),
-* an order-configurable in-memory B-tree for range-scannable secondary
-  indexes (:mod:`repro.storage.btree`),
 * a paged on-disk B+ tree — 4 KiB struct-packed pages, free-list, LRU
   buffer pool with pin counts — serving checkpointed records
   read-through so the working set, not the dataset, must fit in RAM
   (:mod:`repro.storage.pages`, :mod:`repro.storage.bufferpool`,
   :mod:`repro.storage.paged_btree`, :mod:`repro.storage.paged_store`),
-* a hash index for point lookups (:mod:`repro.storage.hashindex`),
+* in-memory secondary indexes over one dict of buckets: a hash index for
+  point lookups and an ordered one (a sorted key list) for range scans
+  (:mod:`repro.storage.hashindex`),
 * checkpoint/rotation durability with verified snapshots
   (:mod:`repro.storage.store`),
 * buffered transactions with rollback (:mod:`repro.storage.transactions`),
@@ -27,9 +27,8 @@ Records are plain ``dict`` values validated against a light
 
 from repro.storage.schema import Field, FieldType, Schema
 from repro.storage.wal import ChainScan, LogEntry, SegmentScan, WriteAheadLog
-from repro.storage.btree import BTree
 from repro.storage.bufferpool import DEFAULT_POOL_PAGES, BufferPool
-from repro.storage.hashindex import HashIndex
+from repro.storage.hashindex import HashIndex, OrderedIndex
 from repro.storage.paged_btree import PagedBTree
 from repro.storage.paged_store import PagedRecordMap
 from repro.storage.pages import PAGE_SIZE, PageCorruptionError, PageFile
@@ -70,11 +69,11 @@ __all__ = [
     "SegmentScan",
     "ChainScan",
     "WriteAheadLog",
-    "BTree",
     "BufferPool",
     "DEFAULT_POOL_PAGES",
     "HashIndex",
     "IndexKind",
+    "OrderedIndex",
     "PAGE_SIZE",
     "PageCorruptionError",
     "PageFile",

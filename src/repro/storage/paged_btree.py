@@ -1,10 +1,10 @@
 """A B+ tree stored in fixed-size pages, cached by an LRU buffer pool.
 
-This is the on-disk counterpart of :class:`repro.storage.btree.BTree`:
-same sorted-map contract (point get, ordered iteration, range scans),
-but the data lives in a :class:`~repro.storage.pages.PageFile` and only
-the working set is resident — at most ``pool_pages`` pages at a time,
-via the :class:`~repro.storage.bufferpool.BufferPool`.  Opening a
+It holds a store's checkpointed records, keyed by primary key: a sorted
+map (point get, ordered iteration, range scans) whose data lives in a
+:class:`~repro.storage.pages.PageFile`, with only the working set
+resident — at most ``pool_pages`` pages at a time, via the
+:class:`~repro.storage.bufferpool.BufferPool`.  Opening a
 million-record tree touches two pages (meta + root); everything else is
 read through on demand.
 

@@ -536,18 +536,16 @@ class ShardedStore:
 
     # -- secondary indexes -------------------------------------------------
 
-    def create_index(
-        self, field: str, kind: IndexKind = IndexKind.BTREE, *, order: int = 32
-    ) -> None:
+    def create_index(self, field: str, kind: IndexKind = IndexKind.BTREE) -> None:
         """Declare a secondary index on every shard."""
         for shard in self.shards:
-            shard.create_index(field, kind, order=order)
+            shard.create_index(field, kind)
 
-    def create_composite_index(self, fields: Sequence[str], *, order: int = 32) -> str:
+    def create_composite_index(self, fields: Sequence[str]) -> str:
         """Declare a composite index on every shard; returns its name."""
         name = ""
         for shard in self.shards:
-            name = shard.create_composite_index(fields, order=order)
+            name = shard.create_composite_index(fields)
         return name
 
     def drop_index(self, field: str) -> None:

@@ -11,9 +11,9 @@ write-ahead log:
   read-back before its atomic rename, records which WAL segments it
   covers, and deletes them — bounding WAL disk usage
   (:meth:`RecordStore.snapshot` is a compatibility alias);
-* secondary indexes (B-tree or hash) are maintained eagerly on every write
-  and can be declared over scalar fields or string-list fields (each list
-  element is indexed).
+* secondary indexes (ordered or hash, see :mod:`repro.storage.hashindex`)
+  are maintained eagerly on every write once built, and can be declared
+  over scalar fields or string-list fields (each list element is indexed).
 
 The store is single-writer by design; concurrency control is out of scope
 for the artifact being reproduced.
@@ -35,9 +35,9 @@ procedure are specified in ``docs/storage_format.md``.
 Bulk ingestion takes a fast path: :meth:`RecordStore.put_many` validates
 every record up front, group-commits the whole batch to the WAL (one
 buffered write, one fsync when syncing), and then maintains each secondary
-index with one sorted batched update instead of per-record top-down
-inserts.  :meth:`RecordStore.apply_batch` and recovery replay route pure
-put runs through the same path.
+index with one batched update instead of per-record inserts.
+:meth:`RecordStore.apply_batch` and recovery replay route pure put runs
+through the same path.
 
 Observability: reads and writes report to the default metrics registry
 (``storage.store.get.count``, ``storage.store.put.count``,
@@ -81,9 +81,8 @@ from repro.obs import metrics as _metrics
 from repro.obs import progress as _progress
 from repro.obs import workload as _workload
 from repro.storage import faultfs as _faultfs
-from repro.storage.btree import BTree
 from repro.storage.bufferpool import DEFAULT_POOL_PAGES
-from repro.storage.hashindex import HashIndex
+from repro.storage.hashindex import HashIndex, OrderedIndex
 from repro.storage.paged_btree import PagedBTree
 from repro.storage.paged_store import (
     PagedRecordMap,
@@ -193,7 +192,11 @@ def records_checksum(records: Sequence[Mapping[str, Any]]) -> str:
 
 
 class IndexKind(enum.Enum):
-    """Secondary index implementations available to :meth:`create_index`."""
+    """Secondary index kinds available to :meth:`create_index`.
+
+    ``BTREE`` (persisted as ``"btree"``) is an :class:`OrderedIndex`, which
+    serves ranges; ``HASH`` is a :class:`HashIndex`, point lookups only.
+    """
 
     BTREE = "btree"
     HASH = "hash"
@@ -238,9 +241,9 @@ class _SecondaryIndex:
     kind: IndexKind
     #: ``None`` means declared-but-not-built: recovery registers index
     #: declarations without scanning the data (that would defeat the
-    #: O(1) paged open); the first read through the index materializes it
-    #: (see ``RecordStore._ensure_index_built``).
-    structure: BTree | HashIndex | None
+    #: O(1) paged open); the first read through any index builds every
+    #: unbuilt one (see ``RecordStore._ensure_index_built``).
+    structure: HashIndex | None
     fields: tuple[str, ...] = ()  #: non-empty only for composites
 
     @property
@@ -287,6 +290,10 @@ def _keys_for(record: Mapping[str, Any], index: _SecondaryIndex) -> list[Any]:
     if index.is_composite:
         return _composite_keys(record, index.fields)
     return _index_keys(record, index.field)
+
+
+def _incomparable(exc: TypeError) -> StorageError:
+    return StorageError(f"ordered index keys must be mutually comparable: {exc}")
 
 
 def _check_data_format(data_format: str) -> None:
@@ -681,7 +688,7 @@ class RecordStore:
 
         Takes ownership of the record dicts.  Later records win when a
         primary key repeats within the batch (replay semantics).  All
-        index additions are computed — and B-tree ones sorted — *before*
+        index additions are computed — and ordered ones sorted — *before*
         any state mutates, so an unsortable key set aborts cleanly.
         """
         by_key: dict[Any, dict[str, Any]] = {}
@@ -698,13 +705,11 @@ class RecordStore:
             ]
             if not pairs:
                 continue
-            if isinstance(index.structure, BTree):
+            if index.supports_range:
                 try:
                     pairs.sort(key=lambda pair: pair[0])
                 except TypeError as exc:
-                    raise StorageError(
-                        f"B-tree index keys must be mutually comparable: {exc}"
-                    ) from exc
+                    raise _incomparable(exc) from exc
             additions.append((index, pairs))
         for key in by_key:
             if key in self._records:
@@ -813,9 +818,7 @@ class RecordStore:
 
     # -- secondary indexes --------------------------------------------------------
 
-    def create_index(
-        self, field: str, kind: IndexKind = IndexKind.BTREE, *, order: int = 32
-    ) -> None:
+    def create_index(self, field: str, kind: IndexKind = IndexKind.BTREE) -> None:
         """Declare a secondary index over ``field`` and build it.
 
         STRING_LIST fields index every element.  Re-declaring an existing
@@ -829,25 +832,13 @@ class RecordStore:
             raise StorageError(
                 f"index on {field!r} already exists with kind {existing.kind.value}"
             )
-        structure: BTree | HashIndex
-        if kind is IndexKind.BTREE:
-            structure = self._bulk_build_btree(
-                lambda record: _index_keys(record, field), order
-            )
-        else:
-            structure = HashIndex.bulk_load(
-                (index_key, key)
-                for key, record in self._records.items()
-                for index_key in _index_keys(record, field)
-            )
-        index = _SecondaryIndex(field=field, kind=kind, structure=structure)
+        index = _SecondaryIndex(field=field, kind=kind, structure=None)
+        self._build_indexes([index])
         self._indexes[field] = index
         self.index_epoch += 1
 
-    def create_composite_index(
-        self, fields: Sequence[str], *, order: int = 32
-    ) -> str:
-        """Declare a B-tree index over a tuple of scalar fields.
+    def create_composite_index(self, fields: Sequence[str]) -> str:
+        """Declare an ordered index over a tuple of scalar fields.
 
         Returns the index name (fields joined with ``+``), which
         :meth:`find_by_composite` / :meth:`range_by_composite` and the
@@ -866,47 +857,30 @@ class RecordStore:
         existing = self._indexes.get(name)
         if existing is not None:
             return name
-        fields_tuple = tuple(fields)
-        structure = self._bulk_build_btree(
-            lambda record: _composite_keys(record, fields_tuple), order
-        )
         index = _SecondaryIndex(
-            field=name, kind=IndexKind.BTREE, structure=structure, fields=fields_tuple
+            field=name, kind=IndexKind.BTREE, structure=None, fields=tuple(fields)
         )
+        self._build_indexes([index])
         self._indexes[name] = index
         self.index_epoch += 1
         return name
 
-    def _ensure_index_built(self, index: _SecondaryIndex) -> BTree | HashIndex:
-        """Materialize a lazily-declared index on first use.
+    def _ensure_index_built(self, index: _SecondaryIndex) -> HashIndex:
+        """Materialize lazily-declared indexes on first use.
 
         Recovery declares indexes without building them (building would
         scan the whole store and defeat the O(1) paged open); the first
-        read through an index pays the build cost instead.  Writes that
-        arrive before first use simply skip the unbuilt index — the
-        build scans the *current* records, so nothing is missed.
+        read through any index pays the build cost instead, for every
+        unbuilt index at once, in one scan.  Writes that arrive before
+        then simply skip the unbuilt indexes — the build scans the
+        *current* records, so nothing is missed.
         """
-        structure = index.structure
-        if structure is not None:
-            return structure
-        if index.is_composite:
-            fields = index.fields
-            structure = self._bulk_build_btree(
-                lambda record: _composite_keys(record, fields), 32
+        if index.structure is None:
+            self._build_indexes(
+                [each for each in self._indexes.values() if each.structure is None]
             )
-        elif index.kind is IndexKind.BTREE:
-            field = index.field
-            structure = self._bulk_build_btree(
-                lambda record: _index_keys(record, field), 32
-            )
-        else:
-            structure = HashIndex.bulk_load(
-                (index_key, key)
-                for key, record in self._records.items()
-                for index_key in _index_keys(record, index.field)
-            )
-        index.structure = structure
-        return structure
+        assert index.structure is not None
+        return index.structure
 
     def _declare_index(self, index_def: Mapping[str, Any]) -> None:
         """Register a checked index declaration without building it (open)."""
@@ -923,30 +897,38 @@ class RecordStore:
             )
         self.index_epoch += 1
 
-    def _bulk_build_btree(
-        self, key_extractor: Callable[[Mapping[str, Any]], list[Any]], order: int
-    ) -> BTree:
-        """Build a B-tree over existing records via sorted bulk load.
+    def _build_indexes(self, indexes: Sequence[_SecondaryIndex]) -> None:
+        """Fill every index in ``indexes`` in one pass over the records.
 
-        O(n log n) in the sort but with far better constants than n
-        individual inserts.  Each key's primary keys are stored ascending
-        (:meth:`BTree.from_sorted` sorts them), whatever order the records
-        are iterated in.  Keys must be mutually comparable — a B-tree
-        cannot hold an ordering-free key set at all, so mixed-type keys
-        raise :class:`~repro.errors.StorageError` here instead of failing
-        obscurely inside a later node split.
+        Each record is read (on a paged store, decoded) once however many
+        indexes are built.  Each key collects its primary keys in one
+        bucket, and :meth:`HashIndex.from_buckets` takes the buckets over;
+        an ordered index sorts its keys and each key's primary keys.  The
+        keys of an ordered index must be mutually comparable: mixed-type
+        keys raise :class:`~repro.errors.StorageError` and leave every
+        index in ``indexes`` unbuilt.
         """
-        buckets: dict[Any, list[Any]] = {}
+        targets: list[tuple[_SecondaryIndex, dict[Any, list[Any]]]] = [
+            (index, {}) for index in indexes
+        ]
         for primary_key, record in self._records.items():
-            for index_key in key_extractor(record):
-                buckets.setdefault(index_key, []).append(primary_key)
+            for index, found in targets:
+                for index_key in _keys_for(record, index):
+                    bucket = found.get(index_key)
+                    if bucket is None:
+                        found[index_key] = [primary_key]
+                    else:
+                        bucket.append(primary_key)
         try:
-            ordered = sorted(buckets.items())
+            structures = [
+                (OrderedIndex if index.supports_range else HashIndex)
+                .from_buckets(found)
+                for index, found in targets
+            ]
         except TypeError as exc:
-            raise StorageError(
-                f"B-tree index keys must be mutually comparable: {exc}"
-            ) from exc
-        return BTree.from_sorted(ordered, order=order)
+            raise _incomparable(exc) from exc
+        for index, structure in zip(indexes, structures):
+            index.structure = structure
 
     def composite_indexes(self) -> tuple[tuple[str, ...], ...]:
         """Field tuples of all declared composite indexes."""
@@ -1002,7 +984,7 @@ class RecordStore:
             high_key = prefix_tuple + (_TAIL,)
             include_high_effective = True
         structure = self._ensure_index_built(index)
-        assert isinstance(structure, BTree)
+        assert isinstance(structure, OrderedIndex)
         out = []
         for key_tuple, pk in structure.range(
             low_key, high_key, include_low=True, include_high=include_high_effective
@@ -1119,7 +1101,7 @@ class RecordStore:
         """``(key, record)`` for every index key of ``field`` in the range.
 
         Pairs come in ``(key, primary key)`` order.  A list field yields
-        a record once per element in range.  With a B-tree index the
+        a record once per element in range.  With an ordered index the
         scan is lazy: each record is copied only when the consumer pulls
         it, so a consumer that stops early (``LIMIT``) reads no further,
         and the key-usage table records the rows actually pulled.
@@ -1129,7 +1111,7 @@ class RecordStore:
         index = self._indexes.get(field)
         if index is not None and index.supports_range:
             structure = self._ensure_index_built(index)
-            assert isinstance(structure, BTree)
+            assert isinstance(structure, OrderedIndex)
             records = self._records
             pulled = 0
             try:

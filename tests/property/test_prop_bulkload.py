@@ -1,59 +1,64 @@
-"""Property tests: bulk-loaded B-trees are indistinguishable from built ones."""
+"""Property tests: a built ordered index (:meth:`OrderedIndex.bulk_load`,
+:meth:`OrderedIndex.from_buckets`) is indistinguishable from one built by
+inserts, and batched inserts from one-by-one inserts."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.btree import BTree
+from repro.storage.hashindex import OrderedIndex
 
-pair_lists = st.lists(
-    st.tuples(
-        st.integers(min_value=-10_000, max_value=10_000),
-        st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=3),
-    ),
+bucket_maps = st.dictionaries(
+    st.integers(min_value=-10_000, max_value=10_000),
+    st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=3),
     max_size=120,
-    unique_by=lambda kv: kv[0],
-).map(lambda pairs: sorted(pairs))
-
-orders = st.integers(min_value=3, max_value=40)
+)
 
 
-@given(pair_lists, orders)
+def _inserted(pairs) -> OrderedIndex:
+    index = OrderedIndex()
+    for key, value in pairs:
+        index.insert(key, value)
+    return index
+
+
+def _same(a: OrderedIndex, b: OrderedIndex) -> None:
+    assert list(a.items()) == list(b.items())
+    assert len(a) == len(b)
+    assert a.distinct_keys == b.distinct_keys
+
+
+@given(bucket_maps)
 @settings(max_examples=120, deadline=None)
-def test_bulk_load_valid_and_complete(pairs, order):
-    tree = BTree.from_sorted(pairs, order=order)
-    tree.validate()
-    assert list(tree.keys()) == [k for k, _ in pairs]
-    for key, values in pairs:
-        assert tree.search(key) == sorted(values)  # stored ascending
+def test_bulk_load_valid_and_complete(buckets):
+    model = {k: sorted(v) for k, v in buckets.items()}
+    index = OrderedIndex.from_buckets(buckets)
+    index.validate()
+    assert list(index.keys()) == sorted(model)
+    for key, values in model.items():
+        assert index.search(key) == values  # stored ascending
 
 
-@given(pair_lists, orders)
+@given(bucket_maps)
 @settings(max_examples=80, deadline=None)
-def test_bulk_load_equals_insert_build(pairs, order):
-    bulk = BTree.from_sorted(pairs, order=order)
-    manual = BTree(order=order)
-    for key, values in pairs:
-        for value in values:
-            manual.insert(key, value)
-    assert list(bulk.items()) == list(manual.items())
-    assert len(bulk) == len(manual)
-    assert bulk.distinct_keys == manual.distinct_keys
+def test_bulk_load_equals_insert_build(buckets):
+    manual = _inserted((k, v) for k, values in buckets.items() for v in values)
+    _same(OrderedIndex.from_buckets(buckets), manual)
 
 
-@given(pair_lists, orders, st.lists(st.integers(-10_000, 10_000), max_size=30))
+@given(bucket_maps, st.lists(st.integers(-10_000, 10_000), max_size=30))
 @settings(max_examples=60, deadline=None)
-def test_bulk_loaded_tree_survives_mutation(pairs, order, extra_keys):
-    tree = BTree.from_sorted(pairs, order=order)
-    model = {k: list(v) for k, v in pairs}
+def test_bulk_loaded_tree_survives_mutation(buckets, extra_keys):
+    model = {k: list(v) for k, v in buckets.items()}
+    index = OrderedIndex.from_buckets(buckets)
     for key in extra_keys:
-        tree.insert(key, 42)
+        index.insert(key, 42)
         model.setdefault(key, []).append(42)
     for key in extra_keys[: len(extra_keys) // 2]:
         if key in model:
-            tree.remove(key)
+            index.remove(key)
             del model[key]
-    tree.validate()
-    assert list(tree.keys()) == sorted(model)
+    index.validate()
+    assert list(index.keys()) == sorted(model)
 
 
 flat_pairs = st.lists(
@@ -62,7 +67,7 @@ flat_pairs = st.lists(
         st.integers(min_value=0, max_value=9),
     ),
     max_size=150,
-).map(lambda pairs: sorted(pairs, key=lambda kv: kv[0]))
+)
 
 mutations = st.lists(
     st.tuples(st.sampled_from(["insert", "remove"]), st.integers(-10_000, 10_000)),
@@ -70,26 +75,22 @@ mutations = st.lists(
 )
 
 
-@given(flat_pairs, orders)
+@given(flat_pairs)
 @settings(max_examples=80, deadline=None)
-def test_bulk_load_flat_pairs_valid(pairs, order):
-    tree = BTree.bulk_load(pairs, order=order)
-    tree.validate()
-    assert list(tree.items()) == sorted(pairs)  # values ascending per key
-    assert len(tree) == len(pairs)
+def test_bulk_load_flat_pairs_valid(pairs):
+    index = OrderedIndex.bulk_load(pairs)
+    index.validate()
+    assert list(index.items()) == sorted(pairs)  # values ascending per key
+    assert len(index) == len(pairs)
 
 
-@given(flat_pairs, orders, mutations)
+@given(flat_pairs, mutations)
 @settings(max_examples=60, deadline=None)
-def test_bulk_load_mutates_like_insert_built(pairs, order, ops):
-    """The tentpole equivalence: a bulk-loaded tree and an insert-built
-    tree receiving the same insert/remove sequence — driving splits and
-    underflow merges from their different initial shapes — stay
-    observationally identical (same items(), both valid)."""
-    bulk = BTree.bulk_load(pairs, order=order)
-    manual = BTree(order=order)
-    for key, value in pairs:
-        manual.insert(key, value)
+def test_bulk_load_mutates_like_insert_built(pairs, ops):
+    """A built index and an insert-built one receiving the same
+    insert/remove sequence stay observationally identical."""
+    bulk = OrderedIndex.bulk_load(pairs)
+    manual = _inserted(pairs)
     for op, key in ops:
         if op == "insert":
             bulk.insert(key, -1)
@@ -97,21 +98,24 @@ def test_bulk_load_mutates_like_insert_built(pairs, order, ops):
         else:
             assert bulk.remove(key) == manual.remove(key)
         bulk.validate()
-        manual.validate()
-        assert list(bulk.items()) == list(manual.items())
-    assert len(bulk) == len(manual)
-    assert bulk.distinct_keys == manual.distinct_keys
+        _same(bulk, manual)
 
 
-@given(flat_pairs, flat_pairs, orders)
+narrow_pairs = st.lists(
+    st.tuples(st.integers(min_value=-30, max_value=30), st.integers(0, 9)),
+    max_size=80,
+)
+
+
+@given(narrow_pairs, narrow_pairs)
 @settings(max_examples=60, deadline=None)
-def test_insert_many_equals_per_insert(existing, batch, order):
-    batched = BTree.bulk_load(existing, order=order)
+def test_insert_many_equals_per_insert(existing, batch):
+    # Over a narrow key range the batch mixes keys the index holds with
+    # new ones, in any order.
+    batched = OrderedIndex.bulk_load(existing)
     batched.insert_many(batch)
     batched.validate()
-    manual = BTree.bulk_load(existing, order=order)
+    manual = OrderedIndex.bulk_load(existing)
     for key, value in batch:
         manual.insert(key, value)
-    assert list(batched.items()) == list(manual.items())
-    assert len(batched) == len(manual)
-    assert batched.distinct_keys == manual.distinct_keys
+    _same(batched, manual)

@@ -76,6 +76,7 @@ DOCTEST_MODULES = [
     "repro.storage.fsck",
     "repro.storage.pages",
     "repro.storage.bufferpool",
+    "repro.storage.hashindex",
     "repro.storage.paged_btree",
     "repro.storage.paged_store",
     "repro.names.similarity",

@@ -197,6 +197,35 @@ class TestPagedRecordStore:
             ranged = store.range_by("year", 1990, 1991)
             assert {r["year"] for r in ranged} == {1990, 1991}
 
+    def test_warming_every_index_decodes_each_record_once(
+        self, tmp_path, monkeypatch, synthetic_records
+    ):
+        # The first read through any lazily declared index builds every
+        # unbuilt one in one scan, so warming the four default indexes
+        # of a reopened store decodes each record once, not once per index.
+        from repro.corpus.wvlr import PUBLICATION_SCHEMA, populate_store
+        from repro.storage import paged_store
+
+        with RecordStore(PUBLICATION_SCHEMA, directory=tmp_path) as store:
+            populate_store(store, synthetic_records[:200])
+            store.create_index("surnames", IndexKind.HASH)
+            store.create_index("year", IndexKind.BTREE)
+            store.create_index("volume", IndexKind.BTREE)
+            store.create_composite_index(("volume", "page"))
+            store.checkpoint()
+        decoded = []
+
+        def counting_decode(raw):
+            decoded.append(raw)
+            return decode_record(raw)
+
+        monkeypatch.setattr(paged_store, "decode_record", counting_decode)
+        with RecordStore(PUBLICATION_SCHEMA, directory=tmp_path) as store:
+            assert store.is_paged and decoded == []
+            for name in ("surnames", "year", "volume", "volume+page"):
+                assert store.index_statistics(name)["entries"] >= len(store)
+            assert len(decoded) == len(store) == 200
+
     def test_upgrade_v2_snapshot_to_paged(self, tmp_path):
         write_v2_store(
             tmp_path,

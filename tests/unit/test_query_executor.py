@@ -300,6 +300,41 @@ class TestOneExecution:
         assert "profile" not in entry
 
     @pytest.mark.parametrize(
+        ("read", "returned"),
+        [
+            (lambda engine: engine.execute("year >= 1920"), 140),
+            (lambda engine: engine.count("year >= 1920"), 0),
+            (lambda engine: engine.aggregate("year >= 1920", "year"), 1),
+            (lambda engine: engine.execute_paged("year >= 1920", page_size=7), 7),
+        ],
+        ids=["execute", "count", "aggregate", "execute_paged"],
+    )
+    def test_reads_outside_execute_count_one_execution(self, memory_store, read, returned):
+        import time
+
+        from repro.obs import metrics
+
+        memory_store.put_many(
+            {"id": i, "name": "n", "year": 1900 + i % 80} for i in range(200)
+        )
+        engine = QueryEngine(memory_store)
+
+        def returned_and_seconds():
+            snap = metrics.snapshot()
+            seconds = snap["histograms"].get("query.seconds", {"sum": 0.0})
+            return snap["counters"].get("query.rows.returned", 0), seconds["sum"]
+
+        rows_before, seconds_before = returned_and_seconds()
+        began = time.perf_counter()
+        _, delta = self._delta(lambda: read(engine))
+        elapsed = time.perf_counter() - began
+        rows_after, seconds_after = returned_and_seconds()
+        assert delta == {"executions": 1, "seconds": 1, "scans": 1, "examined": 200}
+        assert rows_after - rows_before == returned
+        # The one latency sample lies inside the call it times.
+        assert 0 <= seconds_after - seconds_before <= elapsed
+
+    @pytest.mark.parametrize(
         "query", ["*", "year >= 1910", "year >= 1910 LIMIT 5", "* ORDER BY year DESC LIMIT 3"]
     )
     @pytest.mark.parametrize("mode", ["plain", "profiled", "partial"])

@@ -1,68 +1,63 @@
-"""Unit tests for BTree.from_sorted bulk loading."""
+"""Unit tests for building ordered indexes (``IndexKind.BTREE``) in one
+step: :meth:`OrderedIndex.from_buckets`, which sorts the keys and each
+key's values it takes over, and the record store's one-scan build."""
+
+import random
 
 import pytest
 
-from repro.storage.btree import BTree
+from repro.storage.hashindex import OrderedIndex
 
 
 class TestFromSorted:
     def test_empty(self):
-        tree = BTree.from_sorted([], order=4)
-        tree.validate()
-        assert len(tree) == 0
+        index = OrderedIndex.from_buckets({})
+        index.validate()
+        assert len(index) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 17, 100, 1000])
-    @pytest.mark.parametrize("order", [3, 4, 8, 32])
-    def test_sizes_and_orders(self, n, order):
-        pairs = [(k, [f"v{k}"]) for k in range(n)]
-        tree = BTree.from_sorted(pairs, order=order)
-        tree.validate()
-        assert list(tree.keys()) == list(range(n))
-        assert len(tree) == n
+    @pytest.mark.parametrize("seed", [3, 4, 8, 32])
+    def test_sizes_and_orders(self, n, seed):
+        # The buckets arrive in a shuffled key order; the build sorts it.
+        keys = list(range(n))
+        random.Random(seed).shuffle(keys)
+        index = OrderedIndex.from_buckets({k: [f"v{k}"] for k in keys})
+        index.validate()
+        assert list(index.keys()) == list(range(n))
+        assert len(index) == n
 
     def test_multi_values_preserved(self):
-        tree = BTree.from_sorted([(1, ["a", "b"]), (2, ["c"])], order=4)
-        assert tree.search(1) == ["a", "b"]
-        assert len(tree) == 3
-
-    def test_non_increasing_keys_rejected(self):
-        with pytest.raises(ValueError):
-            BTree.from_sorted([(2, [1]), (1, [1])], order=4)
-        with pytest.raises(ValueError):
-            BTree.from_sorted([(1, [1]), (1, [2])], order=4)
+        index = OrderedIndex.from_buckets({2: ["c"], 1: ["b", "a"]})
+        assert index.search(1) == ["a", "b"]
+        assert len(index) == 3
 
     def test_equivalent_to_inserts(self):
-        pairs = [(k, [k * 10, k * 10 + 1]) for k in range(200)]
-        bulk = BTree.from_sorted(pairs, order=5)
-        manual = BTree(order=5)
-        for key, values in pairs:
+        buckets = {k: [k * 10 + 1, k * 10] for k in range(200)}
+        manual = OrderedIndex()
+        for key, values in buckets.items():
             for value in values:
                 manual.insert(key, value)
+        bulk = OrderedIndex.from_buckets(buckets)
         assert list(bulk.items()) == list(manual.items())
 
     def test_mutable_after_bulk_load(self):
-        tree = BTree.from_sorted([(k, [k]) for k in range(50)], order=4)
-        tree.insert(25, 999)
-        assert tree.search(25) == [25, 999]
-        assert tree.remove(10)
-        tree.validate()
+        index = OrderedIndex.from_buckets({k: [k] for k in range(50)})
+        index.insert(25, 999)
+        assert index.search(25) == [25, 999]
+        assert index.remove(10)
+        index.validate()
 
     def test_values_copied_not_aliased(self):
-        source = [(1, ["a"])]
-        tree = BTree.from_sorted(source, order=4)
-        source[0][1].append("mutated")
-        assert tree.search(1) == ["a"]
+        pairs = [(1, "a")]
+        index = OrderedIndex.bulk_load(pairs)
+        pairs.append((1, "mutated"))
+        assert index.search(1) == ["a"]
 
     def test_string_keys(self):
-        names = sorted(["abel", "brown", "cole", "mcateer", "zed"])
-        tree = BTree.from_sorted([(n, [n]) for n in names], order=3)
-        tree.validate()
-        assert [k for k, _ in tree.range("b", "n")] == ["brown", "cole", "mcateer"]
-
-    def test_height_near_optimal(self):
-        bulk = BTree.from_sorted([(k, [k]) for k in range(10_000)], order=32)
-        assert bulk.height <= 3
-        bulk.validate()
+        names = ["zed", "cole", "abel", "mcateer", "brown"]
+        index = OrderedIndex.from_buckets({n: [n] for n in names})
+        index.validate()
+        assert [k for k, _ in index.range("b", "n")] == ["brown", "cole", "mcateer"]
 
 
 class TestStoreUsesBulkLoad:
@@ -76,15 +71,16 @@ class TestStoreUsesBulkLoad:
         assert len(got) == sum(1 for i in range(500) if 1910 <= 1900 + i % 50 <= 1915)
 
     def test_mixed_type_keys_rejected_clearly(self, simple_schema):
-        # A B-tree cannot hold mutually incomparable keys; the build must
-        # fail with a clear StorageError, not a deep TypeError later.
+        # An ordered index cannot hold mutually incomparable keys; the
+        # build must fail with a clear StorageError and declare nothing.
+        # Schema validation keeps such keys out of a store, so the record
+        # comes in through the pre-validated bulk path.
         from repro.errors import StorageError
         from repro.storage.store import RecordStore
 
         store = RecordStore(simple_schema)
         store.insert({"id": 1, "name": "a", "year": 1990})
-        with pytest.raises(StorageError):
-            store._bulk_build_btree(
-                lambda r: [r["name"], r["year"]],  # str and int: unsortable
-                32,
-            )
+        store.put_many([{"id": 2, "name": "b", "year": "MCMXC"}], _prevalidated=True)
+        with pytest.raises(StorageError, match="mutually comparable"):
+            store.create_index("year")
+        assert not store.has_index("year")

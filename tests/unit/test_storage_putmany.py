@@ -207,6 +207,30 @@ class TestCreateIndexBulkLoad:
         counters = metrics.snapshot()["counters"]
         assert counters["storage.btree.bulk_loads"] == 1
 
+    def test_put_many_after_the_build_matches_a_fresh_build(self, synthetic_records):
+        # The four default indexes: a put_many into built indexes, with
+        # keys they hold and new ones, leaves each equal to a build over
+        # all the records.
+        from repro.corpus.wvlr import PUBLICATION_SCHEMA
+
+        rows = [record.to_store_dict() for record in synthetic_records]
+        grown, fresh = RecordStore(PUBLICATION_SCHEMA), RecordStore(PUBLICATION_SCHEMA)
+        grown.put_many(rows[:150])
+        fresh.put_many(rows)
+        for store in (grown, fresh):
+            store.create_index("surnames", IndexKind.HASH)
+            store.create_index("year", IndexKind.BTREE)
+            store.create_index("volume", IndexKind.BTREE)
+            store.create_composite_index(("volume", "page"))
+        grown.put_many(rows[150:])
+        for name in ("surnames", "year", "volume", "volume+page"):
+            got = grown._indexes[name].structure
+            want = fresh._indexes[name].structure
+            assert list(got.items()) == list(want.items()), name
+            assert (len(got), got.distinct_keys) == (len(want), want.distinct_keys)
+            if got.supports_range:
+                got.validate()
+
     def test_index_lifecycle_bumps_epoch(self, simple_schema):
         store = RecordStore(simple_schema)
         store.put_many(_records(10))
