@@ -285,7 +285,6 @@ def _statusz_html(
     """The whole dashboard as one dependency-free HTML document."""
     snapshot = _metrics.snapshot()
     counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
     now = datetime.now(timezone.utc).isoformat(timespec="seconds")
     out: list[str] = [
         "<!DOCTYPE html><html><head><meta charset='utf-8'>",
@@ -377,8 +376,7 @@ def _statusz_html(
         out.append(
             f"<p>unsharded buffer pool: {global_hits:,.0f} hits / "
             f"{global_misses:,.0f} misses "
-            f"({_hit_rate(global_hits, global_misses)} hit rate), "
-            f"{gauges.get('storage.bufferpool.pinned', 0):,.0f} pinned</p>"
+            f"({_hit_rate(global_hits, global_misses)} hit rate)</p>"
         )
 
     # -- WAL / checkpoint ----------------------------------------------------

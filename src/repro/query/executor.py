@@ -58,6 +58,7 @@ collapses to a flag check when ``repro.obs`` is disabled.
 from __future__ import annotations
 
 import base64
+import functools
 import heapq
 import json
 import sys
@@ -66,7 +67,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.errors import (
     BudgetExceeded,
@@ -115,7 +116,8 @@ _ROWS_RETURNED = _metrics.counter("query.rows.returned")
 _QUERY_SECONDS = _metrics.histogram("query.seconds")
 _PROFILED = _metrics.counter("query.profiled.count")
 # Availability SLO numerator (paired with query.executions): every
-# execute() that unwound with an error, interruptions included.
+# execute(), count(), aggregate() or execute_paged() that unwound with
+# an error, interruptions included.
 _FAILURES = _metrics.counter("query.failures")
 
 #: Rows sampled when estimating the byte footprint of a row set.
@@ -424,6 +426,24 @@ def _block(
 
 def _head(rows: Iterable[dict[str, Any]], limit: int) -> list[dict[str, Any]]:
     return list(islice(rows, limit))
+
+
+_F = TypeVar("_F", bound=Callable[..., Any])
+
+
+def _counts_failures(method: _F) -> _F:
+    """Count one ``query.failures`` for every exception ``method`` raises
+    (``execute`` counts its own, inline on the hot path)."""
+
+    @functools.wraps(method)
+    def counted(*args: Any, **kwargs: Any) -> Any:
+        try:
+            return method(*args, **kwargs)
+        except Exception:
+            _FAILURES.inc()
+            raise
+
+    return counted  # type: ignore[return-value]
 
 
 def _count_execution(start: float, examined: int, returned: int) -> None:
@@ -743,6 +763,7 @@ class QueryEngine:
 
     # -- plan execution --------------------------------------------------------
 
+    @_counts_failures
     def count(self, query: str | Query) -> int:
         """Number of records matching ``query`` (ignores GROUP BY/LIMIT)."""
         parsed = self._parse(query)
@@ -756,6 +777,7 @@ class QueryEngine:
         _count_execution(start, examined[0], 0)
         return total
 
+    @_counts_failures
     def aggregate(
         self,
         query: str | Query,
@@ -803,6 +825,7 @@ class QueryEngine:
         _count_execution(start, examined[0], 1)
         return aggregate.finalize()
 
+    @_counts_failures
     def execute_paged(
         self, query: str | Query, *, page_size: int, cursor: str | None = None
     ) -> Page:

@@ -4,9 +4,10 @@ The publisher-side substrate: publication records live in a single-writer
 embedded store with
 
 * an append-only, CRC-framed write-ahead log (:mod:`repro.storage.wal`),
-* a paged on-disk B+ tree — 4 KiB struct-packed pages, free-list, LRU
-  buffer pool with pin counts — serving checkpointed records
-  read-through so the working set, not the dataset, must fit in RAM
+* a paged on-disk B+ tree — 4 KiB struct-packed pages, written once by
+  a bulk build and read through an LRU buffer pool — serving
+  checkpointed records read-through so the working set, not the
+  dataset, must fit in RAM
   (:mod:`repro.storage.pages`, :mod:`repro.storage.bufferpool`,
   :mod:`repro.storage.paged_btree`, :mod:`repro.storage.paged_store`),
 * in-memory secondary indexes over one dict of buckets: a hash index for

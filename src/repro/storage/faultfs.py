@@ -134,7 +134,8 @@ class FileSystem:
     """
 
     def open(self, path: Path | str, mode: str = "ab") -> BinaryIO:
-        """Open ``path`` for binary writing (``"ab"`` or ``"wb"``)."""
+        """Open ``path`` in a binary mode: ``"ab"``, ``"wb"``, ``"w+b"``
+        for a page file's build, or ``"rb"`` for its readers."""
         if "b" not in mode:
             raise ValueError(f"FileSystem.open is binary-only, got mode {mode!r}")
         return open(path, mode)

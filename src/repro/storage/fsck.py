@@ -14,7 +14,7 @@ What it checks
   and declares its secondary indexes well-formed.  The version-3
   manifest every checkpoint writes has no inline records; instead the
   referenced ``store.pages.NNNNNN`` file is opened and deep-verified
-  page by page (every CRC, key order, leaf chain, free list), and its
+  page by page (every CRC, key order, leaf chain, no free list), and its
   meta entry count / data CRC are compared against the manifest.
   Page-level corruption is fatal and reported with the damaged page's
   id.  A legacy version-2 snapshot (records inline, awaiting its
@@ -465,7 +465,7 @@ def _check_paged_snapshot(
     """Deep-verify the pages file a v3 manifest references.
 
     Walks every reachable page through the pager (CRC-checked reads, key
-    order, uniform depth, leaf chain, overflow chains, free list) and
+    order, uniform depth, leaf chain, overflow chains, no free list) and
     compares the meta page's entry count / data CRC against the
     manifest.  Returns the referenced pages-file name when the manifest
     at least names one, so stray detection knows what to keep.

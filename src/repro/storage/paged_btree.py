@@ -15,6 +15,14 @@ chains so leaves always hold many cells.  Keys follow the
 :func:`~repro.storage.pages.pack_key` codec (int/str/float/bool and
 tuples thereof) and must pack to at most :data:`MAX_KEY_BYTES`.
 
+A pages file is written once.  :meth:`PagedBTree.bulk_build` streams
+key-sorted pairs into a fresh file, writing each leaf, internal and
+overflow page straight through the pager when it is finished, and
+:meth:`PagedBTree.flush` writes the meta page last.  After that the file
+is only read: :class:`PagedBTree` opens it read-only, and nothing
+updates, splits or frees a page in place.  A checkpoint builds a new
+file instead.
+
 Point reads (``get`` and ``in``) cache decoded pages on the buffer-pool
 frames: an internal page's :class:`~repro.storage.pages.InternalNode`,
 and a leaf's :class:`~repro.storage.pages.LeafDirectory`, the cells
@@ -22,12 +30,11 @@ earlier point reads decoded.  A read bisects the directory when its key
 is not above the last cell held, and otherwise decodes on from where
 the last read stopped, so a leaf's cells are decoded at most once while
 its page stays resident.  Both leave the pool with their frame.  Scans
-and the write paths decode private copies instead.
+decode private copies instead.
 
-Concurrency contract: any number of readers OR one writer — the store
-layer's lock already enforces this; the tree adds no locking of its own
-beyond the buffer pool's, under which a point read searches and grows a
-leaf directory that concurrent readers share.
+Concurrency: any number of readers.  The tree adds no locking of its
+own beyond the buffer pool's, under which a point read searches and
+grows a leaf directory that concurrent readers share.
 
 Typical lifecycle::
 
@@ -57,10 +64,8 @@ from repro.storage.pages import (
     OVERFLOW_CAPACITY,
     OVERFLOW_THRESHOLD,
     PAGE_SIZE,
-    PT_FREE,
     PT_INTERNAL,
     PT_LEAF,
-    PT_META,
     PT_OVERFLOW,
     InternalNode,
     LeafDirectory,
@@ -75,11 +80,11 @@ from repro.storage.pages import (
 
 #: Largest packed key accepted.  With values over OVERFLOW_THRESHOLD
 #: spilled, this bounds every leaf cell and internal entry to about
-#: half a page, so any overflowing node can be cut into pieces that fit.
+#: half a page, so any cell fits a leaf, and every internal node the
+#: build packs holds several children (each level is smaller).
 MAX_KEY_BYTES = 1024
 
 _SEARCHES = _metrics.counter("storage.paged_btree.searches")
-_SPLITS = _metrics.counter("storage.paged_btree.node_splits")
 _BULK_LOADS = _metrics.counter("storage.paged_btree.bulk_loads")
 _DEPTH = _metrics.gauge("storage.paged_btree.depth")
 
@@ -94,33 +99,6 @@ def _cached_node(page_id: int, raw: bytes) -> InternalNode | LeafDirectory:
     raise PageCorruptionError(page_id, f"expected a node page, got type {ptype}")
 
 
-def _cut_points(sizes: list[int], capacity: int) -> list[int]:
-    """Where to cut an overflowing node's entries (packed sizes, in key
-    order) so that every piece holds at most ``capacity`` bytes.
-
-    Normally one cut, at about half the bytes.  When a half would not
-    fit, which near-maximal cells or keys of very different lengths can
-    cause, the entries are packed left to right into as many pieces as
-    it takes instead; every single entry fits a page.
-    """
-    total = sum(sizes)
-    acc = 0
-    for i, size in enumerate(sizes[:-1]):
-        acc += size
-        if acc >= total // 2:
-            if acc <= capacity and total - acc <= capacity:
-                return [i + 1]
-            break
-    cuts: list[int] = []
-    acc = 0
-    for i, size in enumerate(sizes):
-        if i and acc + size > capacity:
-            cuts.append(i)
-            acc = 0
-        acc += size
-    return cuts
-
-
 class PagedBTree:
     """Sorted key → bytes map over a page file; see the module docstring."""
 
@@ -130,38 +108,30 @@ class PagedBTree:
         *,
         fs: _faultfs.FileSystem | None = None,
         pool_pages: int = DEFAULT_POOL_PAGES,
-        create: bool = False,
         shard: int | None = None,
     ):
-        self.path = Path(path)
-        self._pager = PageFile(self.path, fs=fs, create=create)
-        self._pool = BufferPool(self._pager, capacity=pool_pages, shard=shard)
+        self._attach(PageFile(path, fs=fs), pool_pages, shard)
+
+    def _attach(self, pager: PageFile, pool_pages: int, shard: int | None) -> None:
+        self.path = pager.path
+        self._pager = pager
+        self._pool = BufferPool(pager, capacity=pool_pages, shard=shard)
         # Shard-labeled metric handles under a ShardedStore (matching the
         # shard-labeled storage.sharded.* series); module handles otherwise.
         if shard is None:
-            self._searches, self._splits = _SEARCHES, _SPLITS
-            self._bulk_loads, self._depth = _BULK_LOADS, _DEPTH
+            self._searches, self._bulk_loads = _SEARCHES, _BULK_LOADS
+            self._depth = _DEPTH
         else:
             self._searches = _metrics.counter(
                 "storage.paged_btree.searches", shard=shard
-            )
-            self._splits = _metrics.counter(
-                "storage.paged_btree.node_splits", shard=shard
             )
             self._bulk_loads = _metrics.counter(
                 "storage.paged_btree.bulk_loads", shard=shard
             )
             self._depth = _metrics.gauge("storage.paged_btree.depth", shard=shard)
-        #: Whether anything was written since open/flush; a pure-read
-        #: lifetime leaves the file untouched on close.
-        self._dirty = create
-        if create:
-            # A fresh tree is one empty leaf; the root is never page 0
-            # (that is the meta page), so "root == 0" never occurs.
-            root = self._pager.allocate()
-            self._write_node(root, LeafNode(keys=[], values=[]))
-            self._pager.meta.root = root
-            self._pager.write_meta()
+        #: Whether the meta page is still to be written: true from a
+        #: build until :meth:`flush`; a reader never writes.
+        self._dirty = False
 
     # -- properties ----------------------------------------------------------
 
@@ -188,35 +158,34 @@ class PagedBTree:
     # -- node I/O ------------------------------------------------------------
 
     def _read_node(self, page_id: int) -> LeafNode | InternalNode:
-        """A private, freshly decoded copy of a node page: the mutation
-        paths change and write it back, scans follow the leaf chain."""
-        with self._pool.pin(page_id) as raw:
-            ptype = page_type(raw)
-            if ptype == PT_LEAF:
-                return LeafNode.unpack(raw)
-            if ptype == PT_INTERNAL:
-                return InternalNode.unpack(raw)
+        """A private, freshly decoded copy of a node page, for scans
+        that follow the leaf chain."""
+        raw = self._pool.read(page_id)
+        ptype = page_type(raw)
+        if ptype == PT_LEAF:
+            return LeafNode.unpack(raw)
+        if ptype == PT_INTERNAL:
+            return InternalNode.unpack(raw)
         raise PageCorruptionError(page_id, f"expected a node page, got type {ptype}")
-
-    def _write_node(self, page_id: int, node: LeafNode | InternalNode) -> None:
-        self._pool.put_page(page_id, node.pack())
 
     # -- values / overflow chains -------------------------------------------
 
     def _store_value(self, value: bytes) -> bytes | OverflowRef:
+        """What a build's leaf cell holds for ``value``: the bytes, or a
+        reference to the overflow chain written for them here."""
         if len(value) <= OVERFLOW_THRESHOLD:
             return value
         chunks = [
             value[i : i + OVERFLOW_CAPACITY]
             for i in range(0, len(value), OVERFLOW_CAPACITY)
         ]
-        pids = [self._pool.new_page() for _ in chunks]
+        pids = [self._pager.allocate() for _ in chunks]
         for i, chunk in enumerate(chunks):
             nxt = pids[i + 1] if i + 1 < len(pids) else 0
             page = bytearray(PAGE_SIZE)
             HEADER.pack_into(page, 0, PT_OVERFLOW, 0, len(chunk), 0, nxt)
             page[HEADER_SIZE : HEADER_SIZE + len(chunk)] = chunk
-            self._pool.put_page(pids[i], finalize_page(page))
+            self._pager.write_page(pids[i], finalize_page(page))
         return OverflowRef(head=pids[0], length=len(value))
 
     def _load_value(self, stored: bytes | OverflowRef) -> bytes:
@@ -226,13 +195,13 @@ class PagedBTree:
         page_id = stored.head
         remaining = stored.length
         while page_id and remaining > 0:
-            with self._pool.pin(page_id) as raw:
-                if page_type(raw) != PT_OVERFLOW:
-                    raise PageCorruptionError(
-                        page_id, f"overflow chain hit page type {raw[0]}"
-                    )
-                _t, _f, count, _crc, nxt = HEADER.unpack_from(raw, 0)
-                parts.append(bytes(raw[HEADER_SIZE : HEADER_SIZE + count]))
+            raw = self._pool.read(page_id)
+            if page_type(raw) != PT_OVERFLOW:
+                raise PageCorruptionError(
+                    page_id, f"overflow chain hit page type {raw[0]}"
+                )
+            _t, _f, count, _crc, nxt = HEADER.unpack_from(raw, 0)
+            parts.append(bytes(raw[HEADER_SIZE : HEADER_SIZE + count]))
             remaining -= count
             page_id = nxt
         value = b"".join(parts)
@@ -242,17 +211,6 @@ class PagedBTree:
                 f"overflow chain yielded {len(value)} bytes, expected {stored.length}",
             )
         return value
-
-    def _free_chain(self, ref: OverflowRef) -> None:
-        pids: list[int] = []
-        page_id = ref.head
-        while page_id:
-            with self._pool.pin(page_id) as raw:
-                nxt = HEADER.unpack_from(raw, 0)[4]
-            pids.append(page_id)
-            page_id = nxt
-        for pid in pids:
-            self._pool.free_page(pid)
 
     # -- search --------------------------------------------------------------
 
@@ -267,7 +225,7 @@ class PagedBTree:
         the search grows.  The leaf search runs inside the walk, under
         the pool lock, because concurrent readers share the directory.
         Nothing else may mutate these nodes.  One pool hit or miss per
-        page visited, no pins.
+        page visited.
         """
         found = None
 
@@ -282,21 +240,6 @@ class PagedBTree:
             return node.children[bisect.bisect_right(node.keys, key)]
 
         return self._pool.walk(self._pager.meta.root, step), found
-
-    def _descend(
-        self, key: Any
-    ) -> tuple[list[tuple[int, InternalNode, int]], int, LeafNode]:
-        """Walk root → leaf for ``key`` decoding private copies of every
-        node (the mutation paths); returns (path, leaf_pid, leaf)."""
-        path: list[tuple[int, InternalNode, int]] = []
-        page_id = self._pager.meta.root
-        node = self._read_node(page_id)
-        while isinstance(node, InternalNode):
-            idx = bisect.bisect_right(node.keys, key)
-            path.append((page_id, node, idx))
-            page_id = node.children[idx]
-            node = self._read_node(page_id)
-        return path, page_id, node
 
     def get(self, key: Any, default: Any = None) -> bytes | Any:
         self._searches.inc()
@@ -319,11 +262,7 @@ class PagedBTree:
         return page_id, node
 
     def items(self) -> Iterator[tuple[Any, bytes]]:
-        """All ``(key, value)`` pairs in key order, via the leaf chain.
-
-        Snapshot semantics are NOT provided: do not mutate the tree
-        while iterating (the store layer never does).
-        """
+        """All ``(key, value)`` pairs in key order, via the leaf chain."""
         _pid, leaf = self._leftmost_leaf()
         while True:
             for key, stored in zip(leaf.keys, leaf.values):
@@ -365,165 +304,6 @@ class PagedBTree:
             leaf = node
             idx = 0
 
-    # -- mutation ------------------------------------------------------------
-
-    def insert(self, key: Any, value: bytes) -> None:
-        """Set ``key`` to ``value`` (replacing any existing value)."""
-        if len(pack_key(key)) > MAX_KEY_BYTES:
-            raise StorageError(
-                f"key packs to more than {MAX_KEY_BYTES} bytes: {key!r:.64}"
-            )
-        self._dirty = True
-        path, page_id, leaf = self._descend(key)
-        stored = self._store_value(value)
-        idx = bisect.bisect_left(leaf.keys, key)
-        if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            old = leaf.values[idx]
-            if isinstance(old, OverflowRef):
-                self._free_chain(old)
-            leaf.values[idx] = stored
-        else:
-            leaf.keys.insert(idx, key)
-            leaf.values.insert(idx, stored)
-            self._pager.meta.entry_count += 1
-        if leaf.packed_size() <= PAGE_SIZE:
-            self._write_node(page_id, leaf)
-            return
-        self._split_leaf(path, page_id, leaf)
-
-    def _split_leaf(self, path: list, page_id: int, leaf: LeafNode) -> None:
-        sizes = [
-            leaf.cell_size(len(pack_key(key)), value)
-            for key, value in zip(leaf.keys, leaf.values)
-        ]
-        bounds = [0, *_cut_points(sizes, PAGE_SIZE - HEADER_SIZE - 4), len(sizes)]
-        self._splits.inc(len(bounds) - 2)
-        pids = [page_id] + [self._pool.new_page() for _ in bounds[2:]]
-        pieces = [
-            LeafNode(
-                keys=leaf.keys[lo:hi],
-                values=leaf.values[lo:hi],
-                prev_leaf=pids[j - 1] if j else leaf.prev_leaf,
-                next_leaf=pids[j + 1] if j + 1 < len(pids) else leaf.next_leaf,
-            )
-            for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        ]
-        if leaf.next_leaf:
-            successor = self._read_node(leaf.next_leaf)
-            if isinstance(successor, LeafNode):
-                successor.prev_leaf = pids[-1]
-                self._write_node(leaf.next_leaf, successor)
-        for pid, piece in zip(pids[1:], pieces[1:]):
-            self._write_node(pid, piece)
-        self._write_node(page_id, pieces[0])
-        siblings = [(piece.keys[0], pid) for pid, piece in zip(pids[1:], pieces[1:])]
-        self._insert_into_parent(path, page_id, siblings)
-
-    def _insert_into_parent(
-        self, path: list, left_pid: int, siblings: list[tuple[Any, int]]
-    ) -> None:
-        """Link ``(separator, page id)`` siblings in right of ``left_pid``,
-        splitting every ancestor that overflows."""
-        while path:
-            page_id, node, idx = path.pop()
-            node.keys[idx:idx] = [key for key, _pid in siblings]
-            node.children[idx + 1 : idx + 1] = [pid for _key, pid in siblings]
-            if node.packed_size() <= PAGE_SIZE:
-                self._write_node(page_id, node)
-                return
-            # Split the internal node: the key at each cut moves up (B+
-            # internals do not duplicate it).  Each key is sized with the
-            # child to its right, the layout's (key, child) pairs.
-            cuts = _cut_points(
-                [2 + len(pack_key(key)) + 4 for key in node.keys],
-                PAGE_SIZE - HEADER_SIZE - 4,
-            )
-            self._splits.inc(len(cuts))
-            starts = [0, *(cut + 1 for cut in cuts)]
-            ends = [*cuts, len(node.keys)]
-            pieces = [
-                InternalNode(keys=node.keys[a:b], children=node.children[a : b + 1])
-                for a, b in zip(starts, ends)
-            ]
-            siblings = [(node.keys[cut], self._pool.new_page()) for cut in cuts]
-            for (_key, pid), piece in zip(siblings, pieces[1:]):
-                self._write_node(pid, piece)
-            self._write_node(page_id, pieces[0])
-            left_pid = page_id
-        new_root = self._pool.new_page()
-        self._write_node(
-            new_root,
-            InternalNode(
-                keys=[key for key, _pid in siblings],
-                children=[left_pid] + [pid for _key, pid in siblings],
-            ),
-        )
-        self._pager.meta.root = new_root
-
-    def delete(self, key: Any) -> None:
-        """Remove ``key``; :class:`KeyError` if absent.
-
-        Deletion is free-list based rather than rebalancing: a leaf that
-        empties is unlinked from the chain, freed, and its separator
-        dropped from the parent.  Pages are reused by later allocations;
-        the tree never merges siblings (checkpoints rebuild it compactly
-        anyway).
-        """
-        path, page_id, leaf = self._descend(key)
-        idx = bisect.bisect_left(leaf.keys, key)
-        if idx >= len(leaf.keys) or leaf.keys[idx] != key:
-            raise KeyError(key)
-        self._dirty = True
-        old = leaf.values[idx]
-        if isinstance(old, OverflowRef):
-            self._free_chain(old)
-        del leaf.keys[idx]
-        del leaf.values[idx]
-        self._pager.meta.entry_count -= 1
-        if leaf.keys or not path:
-            self._write_node(page_id, leaf)
-            return
-        # Empty non-root leaf: unlink from the chain, free, drop from parent.
-        if leaf.prev_leaf:
-            prev = self._read_node(leaf.prev_leaf)
-            if isinstance(prev, LeafNode):
-                prev.next_leaf = leaf.next_leaf
-                self._write_node(leaf.prev_leaf, prev)
-        if leaf.next_leaf:
-            nxt = self._read_node(leaf.next_leaf)
-            if isinstance(nxt, LeafNode):
-                nxt.prev_leaf = leaf.prev_leaf
-                self._write_node(leaf.next_leaf, nxt)
-        self._pool.free_page(page_id)
-        self._remove_from_parent(path, page_id)
-
-    def _remove_from_parent(self, path: list, child_pid: int) -> None:
-        page_id, node, idx = path.pop()
-        if node.children[idx] != child_pid:
-            raise PageCorruptionError(
-                page_id, f"descent path stale: child {child_pid} not at slot {idx}"
-            )
-        del node.children[idx]
-        if node.keys:
-            del node.keys[max(0, idx - 1)]
-        if node.children:
-            if not path and not node.keys and len(node.children) == 1:
-                # Root with a single child: collapse one level.
-                self._pager.meta.root = node.children[0]
-                self._pool.free_page(page_id)
-            else:
-                self._write_node(page_id, node)
-            return
-        # The internal node emptied entirely; free it and recurse.
-        self._pool.free_page(page_id)
-        if path:
-            self._remove_from_parent(path, page_id)
-        else:
-            # The whole tree emptied: fresh empty leaf as root.
-            root = self._pool.new_page()
-            self._write_node(root, LeafNode(keys=[], values=[]))
-            self._pager.meta.root = root
-
     # -- bulk build ----------------------------------------------------------
 
     @classmethod
@@ -533,28 +313,43 @@ class PagedBTree:
         items: Iterable[tuple[Any, bytes]],
         *,
         fs: _faultfs.FileSystem | None = None,
-        pool_pages: int = DEFAULT_POOL_PAGES,
         shard: int | None = None,
     ) -> "PagedBTree":
-        """Build a fresh tree from **key-sorted** ``(key, value)`` pairs.
+        """Build a fresh pages file from **key-sorted** ``(key, value)`` pairs.
 
-        Streams: leaves are packed full and written as they fill, so
-        resident memory is bounded by the pool plus one (first_key,
-        page_id) pair per leaf for the internal levels.  This is the
-        checkpoint path — :meth:`flush` (fsync) is the caller's job.
+        Streams: each leaf, internal and overflow page is written
+        straight through the pager once, when it is finished, at a page
+        id taken by extending the file.  Resident memory is one leaf
+        plus one (first_key, page_id) pair per leaf for the internal
+        levels.  The returned tree reads like any other, but its meta
+        page is written only by :meth:`flush` (fsync included) or
+        :meth:`close`; this is the checkpoint path, which flushes after
+        :meth:`set_data_crc`.  A build that raises leaves the file
+        closed and without a meta page.
         """
-        tree = cls(path, fs=fs, pool_pages=pool_pages, create=True, shard=shard)
+        tree = cls.__new__(cls)
+        tree._attach(PageFile(path, fs=fs, create=True), DEFAULT_POOL_PAGES, shard)
+        tree._dirty = True
         tree._bulk_loads.inc()
-        tree._bulk_load(items)
+        try:
+            tree._bulk_load(items)
+        except BaseException:
+            tree.abandon()
+            raise
         return tree
 
     def _bulk_load(self, items: Iterable[tuple[Any, bytes]]) -> None:
         # Linear time: every key is packed once for sizing, and each
         # node's packed size is kept as a running byte count rather than
-        # recomputed per appended key.
-        pager, pool = self._pager, self._pool
+        # recomputed per appended key.  Page ids follow the file's
+        # growth: the first leaf is page 1 (the root of an empty tree),
+        # a value's overflow pages come when the value does, the next
+        # leaf's id when the current one is full, and an internal
+        # node's id when the node is.
+        pager = self._pager
+        write = pager.write_page
         empty_leaf = HEADER_SIZE + 4  # header + prev_leaf
-        cur_pid = pager.meta.root  # fresh tree: the pre-created empty leaf
+        cur_pid = pager.allocate()
         cur = LeafNode(keys=[], values=[])
         cur_size = empty_leaf
         prev_pid = 0
@@ -578,9 +373,9 @@ class PagedBTree:
             stored = self._store_value(value)
             cell = LeafNode.cell_size(key_len, stored)
             if cur.keys and cur_size + cell > PAGE_SIZE:
-                nxt_pid = pool.new_page()
+                nxt_pid = pager.allocate()
                 cur.prev_leaf, cur.next_leaf = prev_pid, nxt_pid
-                self._write_node(cur_pid, cur)
+                write(cur_pid, cur.pack())
                 leaf_index.append((cur.keys[0], first_len, cur_pid))
                 prev_pid, cur_pid = cur_pid, nxt_pid
                 cur = LeafNode(keys=[], values=[])
@@ -593,7 +388,7 @@ class PagedBTree:
             count += 1
 
         cur.prev_leaf, cur.next_leaf = prev_pid, 0
-        self._write_node(cur_pid, cur)
+        write(cur_pid, cur.pack())
         leaf_index.append((cur.keys[0] if cur.keys else None, first_len, cur_pid))
         pager.meta.entry_count = count
 
@@ -609,8 +404,8 @@ class PagedBTree:
             for first_key, key_len, child_pid in level[1:]:
                 entry = 2 + key_len + 4
                 if size + entry > PAGE_SIZE:
-                    pid = pool.new_page()
-                    self._write_node(pid, node)
+                    pid = pager.allocate()
+                    write(pid, node.pack())
                     next_level.append((node_first, node_first_len, pid))
                     node = InternalNode(keys=[], children=[child_pid])
                     node_first, node_first_len = first_key, key_len
@@ -619,8 +414,8 @@ class PagedBTree:
                     node.keys.append(first_key)
                     node.children.append(child_pid)
                     size += entry
-            pid = pool.new_page()
-            self._write_node(pid, node)
+            pid = pager.allocate()
+            write(pid, node.pack())
             next_level.append((node_first, node_first_len, pid))
             level = next_level
         pager.meta.root = level[0][2]
@@ -630,27 +425,28 @@ class PagedBTree:
     def verify(self, *, on_page: Callable[[int], None] | None = None) -> dict[str, Any]:
         """Deep-check every reachable page; raise on any inconsistency.
 
-        Dirty frames are written back first, then every read goes
-        straight through the pager (not the pool) so disk-level damage
-        is caught even when a clean copy is cached.  On the read-only
-        paths that matter — fsck, checkpoint read-back verification —
-        nothing is dirty and the file is not touched.  Checks page
-        CRCs, in-node key order, uniform leaf depth, the doubly-linked
-        leaf chain (global key order across leaves), overflow chain
-        lengths, the free list (no cycles, only free pages), and the
-        meta entry count.  Returns a stats dict.
+        Every read goes straight through the pager (not the pool) so
+        disk-level damage is caught even when a clean copy is cached;
+        the file is not written.  Checks page CRCs, in-node key order,
+        uniform leaf depth, the doubly-linked leaf chain (global key
+        order across leaves), overflow chain lengths, the meta entry
+        count, and that the meta page names no free list.  Returns a
+        stats dict.
 
         ``on_page`` (when given) is called with ``1`` for every node
         page walked — the progress-tracker hook for long fsck runs.
         """
-        self._pool.flush()
         meta = self._pager.meta
+        if meta.free_head:
+            raise PageCorruptionError(
+                0, f"meta page names free-list head {meta.free_head}; "
+                "pages files have no free list",
+            )
         stats = {
             "pages": meta.page_count,
             "leaves": 0,
             "internals": 0,
             "overflow_pages": 0,
-            "free_pages": 0,
             "entries": 0,
             "depth": 0,
             "data_crc": meta.data_crc,
@@ -704,10 +500,6 @@ class PagedBTree:
                     f"leaf chain broken: prev={node.prev_leaf} next={node.next_leaf},"
                     f" expected prev={expect_prev} next={expect_next}",
                 )
-        for free_pid in self._pager.free_list():
-            stats["free_pages"] += 1
-            if stats["free_pages"] > meta.page_count:
-                raise PageCorruptionError(free_pid, "free list longer than the file")
         self._depth.set(stats["depth"])
         return stats
 
@@ -745,26 +537,28 @@ class PagedBTree:
     # -- durability ----------------------------------------------------------
 
     def flush(self) -> None:
-        """Write back dirty frames + meta and fsync the page file."""
-        self._pool.flush()
+        """Write the meta page and fsync the page file (a build's last
+        step; a reader's file refuses the write)."""
         self._pager.write_meta()
         self._pager.fsync()
         self._dirty = False
 
     def close(self) -> None:
-        """Flush (only if something was written) and release the file.
-
-        A tree that was only read closes without touching the file, so
-        a published checkpoint stays byte-identical under read traffic.
-        """
-        if self._dirty and not getattr(self._pager._fh, "closed", True):
-            self.flush()
-        self._pool.clear()
-        self._pager.close()
+        """Flush a build whose meta page is not yet written, and release
+        the file.  A reader never writes, so a published checkpoint
+        stays byte-identical under read traffic."""
+        try:
+            if self._dirty:
+                self.flush()
+        finally:
+            self._pool.clear()
+            self._pager.close()
 
     def abandon(self) -> None:
-        """Release the file WITHOUT flushing (crash-path cleanup of a
-        doomed build; the caller deletes the file next)."""
+        """Release the file without writing the meta page (crash-path
+        cleanup of a doomed build; the caller deletes the file next)."""
+        self._dirty = False
+        self._pool.clear()
         self._pager.close()
 
     def __enter__(self) -> "PagedBTree":

@@ -2,23 +2,24 @@
 
 Everything the paged storage engine puts on disk is a **4 KiB page**
 (:data:`PAGE_SIZE`).  This module owns the byte-level grammar — the page
-header, the ``struct``-packed leaf/internal node layouts, the key codec,
-the overflow-chain encoding, and the free-list — plus :class:`PageFile`,
-the pager that reads, writes, allocates, and frees pages through the
+header, the ``struct``-packed leaf/internal node layouts, the key codec
+and the overflow-chain encoding — plus :class:`PageFile`, the pager that
+reads, writes and allocates pages through the
 :mod:`repro.storage.faultfs` filesystem facade (so the crash matrix can
-tear page writes exactly like WAL writes).
+tear page writes exactly like WAL writes).  A pages file is written
+once, by its build; a reader opens it read-only.
 
 The full grammar, with a worked hexdump, is documented in
 ``docs/storage_format.md``; this docstring keeps only the summary.
 
 Page header (12 bytes, little-endian, ``<BBHII``)::
 
-    offset 0  u8   type        1=meta 2=internal 3=leaf 4=overflow 5=free
+    offset 0  u8   type        1=meta 2=internal 3=leaf 4=overflow
+                               (5 is reserved)
     offset 1  u8   flags       reserved, 0
     offset 2  u16  count       keys (leaf/internal) or payload bytes (overflow)
     offset 4  u32  crc32       CRC-32 of the page with this field zeroed
-    offset 8  u32  next        leaf: next leaf · overflow: next chunk ·
-                               free: next free page · else 0
+    offset 8  u32  next        leaf: next leaf · overflow: next chunk · else 0
 
 The CRC covers the *whole* page (header included, CRC field zeroed), so a
 torn or bit-flipped page is detected on first read — ``repro fsck`` walks
@@ -48,7 +49,7 @@ import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import Any, BinaryIO
 
 from repro.errors import StorageError
 from repro.storage import faultfs as _faultfs
@@ -60,15 +61,15 @@ PAGE_SIZE = 4096
 HEADER = struct.Struct("<BBHII")
 HEADER_SIZE = HEADER.size  # 12
 
-#: Page types (header byte 0).
+#: Page types (header byte 0).  Type 5 is reserved: it marked free-list
+#: pages, and no pages file has a free list.
 PT_META = 1
 PT_INTERNAL = 2
 PT_LEAF = 3
 PT_OVERFLOW = 4
-PT_FREE = 5
 
-#: Meta-page payload: magic, version, page_size, root, free_head,
-#: page_count, entry_count, data_crc.
+#: Meta-page payload: magic, version, page_size, root, free_head (always
+#: 0), page_count, entry_count, data_crc.
 META = struct.Struct("<4sHIIIIQI")
 META_MAGIC = b"RPG1"
 META_VERSION = 1
@@ -100,7 +101,7 @@ class PageCorruptionError(StorageError):
 
 
 class PageOverflowError(StorageError):
-    """A node no longer fits in one page; the caller must split it."""
+    """A node does not fit in one page."""
 
 
 # -- key codec ---------------------------------------------------------------
@@ -183,7 +184,7 @@ def finalize_page(page: bytearray) -> bytes:
     The CRC covers the full page with the CRC field itself zeroed, so
     header damage (a flipped type byte, a torn ``next`` pointer) is
     caught exactly like payload damage.  Works for any page size (tests
-    pack toy-sized pages to force splits cheaply).
+    pack toy-sized pages).
     """
     page[4:8] = b"\x00\x00\x00\x00"
     crc = zlib.crc32(page) & 0xFFFFFFFF
@@ -205,12 +206,6 @@ def verify_page(page: bytes, page_id: int) -> None:
         raise PageCorruptionError(
             page_id, f"checksum mismatch: stored {stored:08x}, computed {actual:08x}"
         )
-
-
-def _blank_page(page_type: int, count: int = 0, next_page: int = 0) -> bytearray:
-    page = bytearray(PAGE_SIZE)
-    HEADER.pack_into(page, 0, page_type, 0, count, 0, next_page)
-    return page
 
 
 def page_type(page: bytes) -> int:
@@ -254,12 +249,6 @@ class LeafNode:
         if isinstance(value, OverflowRef):
             return 2 + key_len + 1 + 8
         return 2 + key_len + 1 + 4 + len(value)
-
-    def packed_size(self) -> int:
-        size = HEADER_SIZE + 4
-        for key, value in zip(self.keys, self.values):
-            size += self.cell_size(len(pack_key(key)), value)
-        return size
 
     def pack(self, *, page_size: int = PAGE_SIZE) -> bytes:
         out = bytearray()
@@ -399,12 +388,6 @@ class InternalNode:
     keys: list[Any]
     children: list[int]
 
-    def packed_size(self) -> int:
-        size = HEADER_SIZE + 4 * len(self.children)
-        for key in self.keys:
-            size += 2 + len(pack_key(key))
-        return size
-
     def pack(self, *, page_size: int = PAGE_SIZE) -> bytes:
         if len(self.children) != len(self.keys) + 1:
             raise StorageError(
@@ -460,7 +443,7 @@ class _Meta:
 
 
 class PageFile:
-    """Raw page I/O over one file: read, write, allocate, free.
+    """Raw page I/O over one file: read, write, allocate.
 
     The pager is deliberately dumb — no caching, no tree knowledge; the
     :class:`~repro.storage.bufferpool.BufferPool` provides caching and
@@ -468,12 +451,15 @@ class PageFile:
     structure.  All writes go through the :mod:`~repro.storage.faultfs`
     facade so crash tests can tear them.
 
+    ``create=True`` starts an empty file to build in: :meth:`allocate`
+    extends it by one page id at a time, and nothing is written until
+    the builder writes a page.  Without it the file is opened
+    read-only, so a published pages file cannot be written again.
+
     Page 0 is the **meta page**: magic, format version, page size, root
-    page id, free-list head, page count, entry count, and the data CRC
-    the store layer stamps (CRC-32 of the canonical records JSON).
-    Freed pages form a singly-linked **free list** threaded through
-    their headers' ``next`` fields; :meth:`allocate` pops the head and
-    only extends the file when the list is empty.
+    page id, free-list head (always 0: pages files have no free list),
+    page count, entry count, and the data CRC the store layer stamps
+    (CRC-32 of the canonical records JSON).  A build writes it last.
     """
 
     def __init__(
@@ -485,15 +471,16 @@ class PageFile:
     ):
         self.path = Path(path)
         self._fs = fs if fs is not None else _faultfs.REAL_FS
-        mode = "w+b" if create else "r+b"
         if not create and not self.path.exists():
             raise StorageError(f"page file {self.path} does not exist")
-        self._fh: BinaryIO = self._fs.open(self.path, mode)
+        self._fh: BinaryIO = self._fs.open(self.path, "w+b" if create else "rb")
         self.meta = _Meta()
-        if create:
-            self.write_meta()
-        else:
-            self._load_meta()
+        if not create:
+            try:
+                self._load_meta()
+            except BaseException:
+                self._fh.close()
+                raise
 
     # -- meta ----------------------------------------------------------------
 
@@ -521,8 +508,9 @@ class PageFile:
         )
 
     def write_meta(self) -> None:
-        """Persist the meta page (root, free list, counts, data CRC)."""
-        page = _blank_page(PT_META)
+        """Persist the meta page (root, counts, data CRC)."""
+        page = bytearray(PAGE_SIZE)
+        HEADER.pack_into(page, 0, PT_META, 0, 0, 0, 0)
         META.pack_into(
             page,
             HEADER_SIZE,
@@ -556,41 +544,10 @@ class PageFile:
     # -- allocation ----------------------------------------------------------
 
     def allocate(self) -> int:
-        """A fresh page id: free-list head if any, else file extension."""
-        if self.meta.free_head:
-            page_id = self.meta.free_head
-            raw = self.read_page(page_id)
-            if page_type(raw) != PT_FREE:
-                raise PageCorruptionError(
-                    page_id, f"free-list page has type {raw[0]}"
-                )
-            self.meta.free_head = HEADER.unpack_from(raw, 0)[4]
-            return page_id
+        """A fresh page id, at the end of the file."""
         page_id = self.meta.page_count
         self.meta.page_count += 1
         return page_id
-
-    def free(self, page_id: int) -> None:
-        """Return ``page_id`` to the free list (head insertion)."""
-        if page_id <= 0:
-            raise StorageError(f"cannot free page {page_id}")
-        page = _blank_page(PT_FREE, next_page=self.meta.free_head)
-        self.write_page(page_id, finalize_page(page))
-        self.meta.free_head = page_id
-
-    def free_list(self) -> Iterator[int]:
-        """Page ids on the free list, head first (fsck / tests)."""
-        seen: set[int] = set()
-        page_id = self.meta.free_head
-        while page_id:
-            if page_id in seen:
-                raise PageCorruptionError(page_id, "free-list cycle")
-            seen.add(page_id)
-            yield page_id
-            raw = self.read_page(page_id)
-            if page_type(raw) != PT_FREE:
-                raise PageCorruptionError(page_id, f"free-list page has type {raw[0]}")
-            page_id = HEADER.unpack_from(raw, 0)[4]
 
     # -- durability ----------------------------------------------------------
 
@@ -615,7 +572,6 @@ __all__ = [
     "PT_INTERNAL",
     "PT_LEAF",
     "PT_OVERFLOW",
-    "PT_FREE",
     "OVERFLOW_THRESHOLD",
     "OVERFLOW_CAPACITY",
     "OverflowRef",

@@ -7,7 +7,8 @@ CRC-verifies the bytes a future query *would* read:
 
 * every reachable page of the checkpointed B+ tree pages file (deep
   :meth:`~repro.storage.paged_btree.PagedBTree.verify` — CRCs, key
-  order, leaf chain, free list), opened read-only beside the live store;
+  order, leaf chain, no free list), opened read-only beside the live
+  store;
 * every sealed WAL segment plus the active log, via the same strict CRC
   scan fsck uses (:meth:`~repro.storage.wal.WriteAheadLog.scan_file`);
 * the snapshot manifest itself (parses, references an existing pages

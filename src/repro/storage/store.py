@@ -1193,8 +1193,9 @@ class RecordStore:
         2. **Build** ``store.pages.NNNNNN.tmp`` by streaming the records
            in pk order through :meth:`PagedBTree.bulk_build` (unmodified
            base records pass through as stored bytes), computing the
-           records CRC on the way; fsync; then **verify by re-opening**
-           — every page CRC-checked, entry count and data CRC compared.
+           records CRC on the way; each page is written once, the meta
+           page last; fsync; then **verify by re-opening** read-only —
+           every page CRC-checked, entry count and data CRC compared.
         3. **Publish the pages file** (atomic rename to its final name +
            directory fsync).  A crash here leaves an unreferenced pages
            file: a stray, repairable by ``repro fsck``.
@@ -1267,11 +1268,7 @@ class RecordStore:
         tree: PagedBTree | None = None
         try:
             tree = PagedBTree.bulk_build(
-                tmp_pages,
-                stream(),
-                fs=self._fs,
-                pool_pages=self._pool_pages,
-                shard=self._shard,
+                tmp_pages, stream(), fs=self._fs, shard=self._shard
             )
             record_count = tree.entry_count
             tree.set_data_crc(checksum.value())
@@ -1338,15 +1335,16 @@ class RecordStore:
 
         Every reachable page is re-read and CRC-checked and the tree
         structure validated, because the checkpoint is about to delete
-        the WAL segments that could rebuild this data.
+        the WAL segments that could rebuild this data.  Any failure,
+        the meta page's included, raises one plain
+        :class:`StorageError`: the damage is in a file nothing reads
+        yet, so it must not pass for corruption of the store.
         """
-        verify_tree = PagedBTree(path, fs=self._fs, pool_pages=64)
         try:
-            stats = verify_tree.verify()
+            with PagedBTree(path, fs=self._fs, pool_pages=64) as verify_tree:
+                stats = verify_tree.verify()
         except StorageError as exc:
             raise StorageError(f"paged checkpoint verification failed: {exc}") from exc
-        finally:
-            verify_tree.close()
         if stats["entries"] != count or stats["data_crc"] != data_crc:
             raise StorageError(
                 "paged checkpoint verification failed: pages file holds "

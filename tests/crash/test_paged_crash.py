@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import FaultFS, InjectedFault, RecordStore, fsck
+from repro.query import QueryEngine
+from repro.storage import HEALTHY, FaultFS, InjectedFault, RecordStore, ShardedStore, fsck
 from repro.storage.faultfs import flip_bit_on_disk
 from repro.storage.pages import PAGE_SIZE
 from repro.storage.schema import Field, FieldType, Schema
@@ -218,3 +219,35 @@ def test_manifest_read_back_checks_every_field(needle, offset, tmp_path):
         assert reopened.has_index("name")
     assert fsck(directory, repair=True).exit_code() == 0  # stray pages file
     assert fsck(directory).exit_code() == 0
+
+
+def test_damaged_checkpoint_write_quarantines_no_shard(tmp_path):
+    """A bit flipped in any write of one shard's checkpoint, the meta
+    page's included, fails that checkpoint with the same plain
+    ``StorageError``: the damage is in a temporary file nothing reads,
+    so no shard may be quarantined for it.  After a reopen every shard
+    serves and every record is there."""
+    writes = 0
+    while True:
+        directory = tmp_path / f"db{writes}"
+        with ShardedStore(SCHEMA, directory, shards=3) as store:
+            store.put_many([_rec(i) for i in range(30)])
+            store.checkpoint()
+        fs = FaultFS()
+        with ShardedStore(SCHEMA, directory, fs=fs) as store:
+            store.insert(_rec(100))
+            fs.arm("bit_flip", path="shard-01/store.pages", skip=writes)
+            try:
+                store.checkpoint()
+            except StorageError as exc:
+                assert type(exc) is StorageError, repr(exc)
+                assert "verification failed" in str(exc)
+            fired = fs.fired("bit_flip")
+        with ShardedStore(SCHEMA, directory) as store:
+            assert [row["state"] for row in store.health.rows()] == [HEALTHY] * 3
+            assert sorted(store.keys()) == [*range(30), 100]
+            assert len(QueryEngine(store).execute("*")) == 31
+        if not fired:
+            break
+        writes += 1
+    assert writes >= 2  # at least one node page and the meta page

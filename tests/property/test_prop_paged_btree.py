@@ -4,8 +4,9 @@ Point reads descend through internal nodes cached on buffer-pool frames.
 This machine makes those caches churn: keys of 500-1000 bytes and values
 up to 1.5 KiB give pages a toy fanout (two to seven cells per node), so
 a few dozen keys already mean a three-level tree, and a 2-4 frame pool
-evicts on nearly every step.  Inserts split and rewrite pages through
-``put_page``, deletes free them, and reopening starts from a cold pool.
+evicts on nearly every step.  A pages file is written once, so a change
+to the model is a new file: the ``rebuild`` rule bulk-builds the changed
+model into one and reopens it, and reopening starts from a cold pool.
 
 Every read must match the model, and after every step every node
 cached in the pool must agree with a fresh decode of its frame's bytes
@@ -43,43 +44,47 @@ class PagedBTreeMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.dir = Path(tempfile.mkdtemp(prefix="paged-btree-sm-"))
-        self.path = self.dir / "t.pages"
+        self.builds = 0
+        self.path = self.dir / "t.0.pages"
         self.model: dict[str, bytes] = {}
         self.tree: PagedBTree | None = None
+
+    def _build(self, pool):
+        """Bulk-build the model into a new file and open it read-only."""
+        old = self.path if self.tree is not None else None
+        if self.tree is not None:
+            self.tree.close()
+            self.tree = None
+        self.builds += 1
+        self.path = self.dir / f"t.{self.builds}.pages"
+        PagedBTree.bulk_build(self.path, sorted(self.model.items())).close()
+        self.tree = PagedBTree(self.path, pool_pages=pool)
+        if old is not None:
+            old.unlink()
 
     @initialize(initial=st.dictionaries(keys, values, max_size=60), pool=pool_sizes)
     def build(self, initial, pool):
         self.model = dict(initial)
-        self.tree = PagedBTree.bulk_build(
-            self.path, sorted(initial.items()), pool_pages=pool
-        )
-
-    @rule(key=keys, value=values)
-    def insert(self, key, value):
-        self.tree.insert(key, value)
-        self.model[key] = value
+        self._build(pool)
 
     @rule(
-        first=st.integers(min_value=0, max_value=KEY_SPACE - 1),
-        count=st.integers(min_value=2, max_value=20),
-        value=values,
+        puts=st.dictionaries(keys, values, max_size=12),
+        run=st.tuples(
+            st.integers(min_value=0, max_value=KEY_SPACE - 1),
+            st.integers(min_value=0, max_value=20),
+            values,
+        ),
+        drops=st.sets(keys, max_size=12),
+        pool=pool_sizes,
     )
-    def insert_run(self, first, count, value):
+    def rebuild(self, puts, run, drops, pool):
+        first, count, value = run
         for i in range(first, min(first + count, KEY_SPACE)):
-            self.insert(_key(i), value)
-
-    @rule(key=keys)
-    def delete(self, key):
-        if key in self.model:
-            self.tree.delete(key)
-            del self.model[key]
-        else:
-            try:
-                self.tree.delete(key)
-            except KeyError:
-                pass
-            else:
-                raise AssertionError(f"deleted absent key {key[:3]}")
+            self.model[_key(i)] = value
+        for key in drops:
+            self.model.pop(key, None)
+        self.model.update(puts)
+        self._build(pool)
 
     @rule(key=keys)
     def get(self, key):
@@ -121,7 +126,7 @@ class PagedBTreeMachine(RuleBasedStateMachine):
                 self.tree.verify()
         finally:
             if self.tree is not None:
-                self.tree.abandon()  # the directory goes next; no flush
+                self.tree.close()
             shutil.rmtree(self.dir, ignore_errors=True)
 
 

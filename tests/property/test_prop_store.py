@@ -2,12 +2,13 @@
 
 Hypothesis drives arbitrary interleavings of single-record writes
 (upsert/update/delete), bulk writes (``put_many``, ``update_where``,
-``delete_where``), index declaration, checkpoints and two kinds of
-restart — a clean close and reopen, and a crash that abandons the open
-store without ``close()`` — checking after every step that the store
-agrees with a plain-dict model.  Restarts exercise WAL replay on top of
-the paged checkpoint; besides point reads and index probes, four queries
-run through the query engine and must match a filter over the model.
+``delete_where``), index declaration, checkpoints and three kinds of
+restart — a clean close and reopen, a crash that abandons the open
+store without ``close()``, and a crash inside a checkpoint at a faultfs
+failpoint — checking after every step that the store agrees with a
+plain-dict model.  Restarts exercise WAL replay on top of the paged
+checkpoint; besides point reads and index probes, four queries run
+through the query engine and must match a filter over the model.
 
 The same machine runs over a durable :class:`RecordStore` and a durable
 3-shard :class:`ShardedStore`, both queried by :class:`QueryEngine`.  On
@@ -31,8 +32,14 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.errors import DuplicateKeyError, RecordNotFoundError, ShardUnavailableError
+from repro.errors import (
+    DuplicateKeyError,
+    RecordNotFoundError,
+    ShardUnavailableError,
+    StorageError,
+)
 from repro.query import QueryEngine
+from repro.storage.faultfs import FAILPOINTS, FaultFS, InjectedFault
 from repro.storage.schema import Field, FieldType, Schema
 from repro.storage.sharded import ShardedStore
 from repro.storage.store import IndexKind, RecordStore
@@ -72,12 +79,16 @@ class StoreMachine(RuleBasedStateMachine):
         self.quarantined: set[int] = set()
         self._open()
 
-    def _open(self):
+    def _open(self, fs=None):
         if self.shards is None:
-            self.store = RecordStore(SCHEMA, self._dir)
+            self.store = RecordStore(SCHEMA, self._dir, fs=fs)
         else:
-            self.store = ShardedStore(SCHEMA, self._dir, shards=self.shards)
+            self.store = ShardedStore(SCHEMA, self._dir, shards=self.shards, fs=fs)
         self.engine = QueryEngine(self.store)
+
+    def _shard_dir(self, shard: int) -> str | None:
+        """Path fragment of shard ``shard``'s files (``None`` unsharded)."""
+        return None if self.shards is None else f"shard-{shard:02d}/"
 
     def teardown(self):
         self.store.close()
@@ -157,8 +168,8 @@ class StoreMachine(RuleBasedStateMachine):
         self.store.checkpoint()
         self.indexes_durable = self.indexes_declared
 
-    def _reopened(self):
-        self._open()
+    def _reopened(self, fs=None):
+        self._open(fs)
         self.indexes_declared = self.indexes_durable
         assert self.store.has_index("name") == self.indexes_durable
         assert self.store.has_index("year") == self.indexes_durable
@@ -172,6 +183,31 @@ class StoreMachine(RuleBasedStateMachine):
     def crash(self):
         # The process dies: the store is never closed, and a new one
         # recovers from whatever reached the directory.
+        self._abandoned.append(self.store)
+        self._reopened()
+
+    @rule(
+        failpoint=st.sampled_from(FAILPOINTS),
+        skip=st.integers(0, 6),
+        shard=st.integers(0, 2),
+    )
+    def crash_in_checkpoint(self, failpoint, skip, shard):
+        # Reopen on a fault-injecting filesystem, fail one write, fsync
+        # or rename of a checkpoint, and let the process die there.  On
+        # a sharded store the fault targets one shard's files, whose
+        # checkpoint runs in one thread, so a ``skip`` always lands on
+        # the same event.  The reopen keeps only durable index
+        # declarations, and a checkpoint, published or not, re-declares
+        # exactly those, so the model's index state stands either way.
+        self.store.close()
+        fs = FaultFS()
+        self._reopened(fs)
+        fs.arm(failpoint, skip=skip, path=self._shard_dir(shard))
+        try:
+            self.store.checkpoint()
+        except (InjectedFault, StorageError):
+            pass
+        fs.disarm_all()
         self._abandoned.append(self.store)
         self._reopened()
 

@@ -1,13 +1,13 @@
-"""Unit tests for repro.storage.bufferpool.
+"""Unit tests for repro.storage.bufferpool: the read cache.
 
-The invariants under test are the ones the paged B+ tree leans on:
+The pool caches a page file that was written once and opened read-only,
+as every pages file is.  The invariants under test are the ones the
+paged B+ tree leans on:
 
-* at most ``capacity`` frames resident (unless every frame is pinned);
-* a pinned frame is **never** evicted, whatever the access pattern;
-* a dirty frame is written back before its slot is reused, so a reader
-  that misses always sees the latest bytes;
-* pin counts balance — every ``pin`` exit decrements, an extra unpin
-  raises.
+* at most ``capacity`` frames resident, evicted least-recently-used;
+* every page request — each page of a walk, and a single :meth:`read` —
+  counts one hit or one miss, and each eviction one eviction;
+* a frame's decoded-node slot lives exactly as long as the frame.
 """
 
 import tempfile
@@ -19,46 +19,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
+from repro.obs import metrics
 from repro.storage.bufferpool import BufferPool, page_stats_scope
 from repro.storage.pages import LeafNode, PageFile
 
 
 def _make_pager(tmp_path, pages: int, name: str = "pool.pages") -> PageFile:
-    """A page file whose page ``i`` holds key ``i`` (self-describing)."""
-    pager = PageFile(tmp_path / name, create=True)
-    for _ in range(pages):
-        pid = pager.allocate()
-        pager.write_page(pid, LeafNode(keys=[pid], values=[b"v"]).pack())
-    pager.write_meta()
-    return pager
+    """A read-only page file whose page ``i`` holds key ``i``
+    (self-describing), written once beforehand."""
+    with PageFile(tmp_path / name, create=True) as builder:
+        for _ in range(pages):
+            pid = builder.allocate()
+            builder.write_page(pid, LeafNode(keys=[pid], values=[b"v"]).pack())
+        builder.write_meta()
+    return PageFile(tmp_path / name)
 
 
 class TestLRU:
     def test_capacity_bound_and_lru_order(self, tmp_path):
         pager = _make_pager(tmp_path, 10)
         pool = BufferPool(pager, capacity=3)
-        for pid in (1, 2, 3, 4):
-            with pool.pin(pid):
-                pass
+        evictions = metrics.counter("storage.bufferpool.evictions")
+        before = evictions.value
+        with page_stats_scope() as stats:
+            for pid in (1, 2, 3, 4):
+                assert LeafNode.unpack(pool.read(pid)).keys == [pid]
+        assert (stats.hits, stats.misses) == (0, 4)
         assert len(pool) == 3
         assert pool.resident() == [2, 3, 4]  # 1 was LRU, evicted
-        with pool.pin(2):  # touch 2: now 3 is LRU
-            pass
-        with pool.pin(5):
-            pass
+        pool.read(2)  # touch 2: now 3 is LRU
+        pool.read(5)
         assert pool.resident() == [4, 2, 5]
+        assert evictions.value - before == 2
 
     def test_hit_does_not_reread(self, tmp_path):
         pager = _make_pager(tmp_path, 3)
         pool = BufferPool(pager, capacity=3)
-        with pool.pin(1) as first:
-            pass
+        first = pool.read(1)
         reads = []
         original = pager.read_page
         pager.read_page = lambda pid: reads.append(pid) or original(pid)
-        with pool.pin(1) as again:
-            assert again == first
+        with page_stats_scope() as stats:
+            assert pool.read(1) is first
         assert reads == []
+        assert (stats.hits, stats.misses) == (1, 0)
 
     def test_capacity_validation(self, tmp_path):
         pager = _make_pager(tmp_path, 1)
@@ -66,47 +70,9 @@ class TestLRU:
             BufferPool(pager, capacity=0)
 
 
-class TestPinning:
-    def test_pinned_frame_never_evicted(self, tmp_path):
-        pager = _make_pager(tmp_path, 10)
-        pool = BufferPool(pager, capacity=2)
-        with pool.pin(1):
-            for pid in (2, 3, 4, 5):
-                with pool.pin(pid):
-                    pass
-            assert 1 in pool.resident()
-            assert pool.pin_count(1) == 1
-        assert pool.pin_count(1) == 0
-
-    def test_all_pinned_overflows_rather_than_evicts(self, tmp_path):
-        pager = _make_pager(tmp_path, 5)
-        pool = BufferPool(pager, capacity=2)
-        with pool.pin(1), pool.pin(2), pool.pin(3):
-            # over capacity, but every frame has a live reader
-            assert len(pool) == 3
-        with pool.pin(4):
-            pass
-        assert len(pool) <= 2  # shrinks back once pins drop
-
-    def test_unbalanced_unpin_raises(self, tmp_path):
-        pager = _make_pager(tmp_path, 2)
-        pool = BufferPool(pager, capacity=2)
-        with pool.pin(1):
-            pass
-        with pytest.raises(StorageError):
-            pool._release(1)
-
-    def test_free_pinned_page_rejected(self, tmp_path):
-        pager = _make_pager(tmp_path, 2)
-        pool = BufferPool(pager, capacity=2)
-        with pool.pin(1):
-            with pytest.raises(StorageError):
-                pool.free_page(1)
-            assert 1 in pool.resident()  # refused, still resident
-
-
 class TestUnpinnedWalk:
-    """``walk``: the no-pin read path, and the frame's decoded-node slot."""
+    """``walk``: the one lookup every read takes, and the frame's
+    decoded-node slot."""
 
     @staticmethod
     def _chain(pids):
@@ -114,17 +80,15 @@ class TestUnpinnedWalk:
         rest = iter(pids[1:])
         return lambda pid, frame: next(rest, 0)
 
-    def test_walk_counts_and_bumps_like_pin(self, tmp_path):
+    def test_walk_counts_and_bumps_like_a_read(self, tmp_path):
         pager = _make_pager(tmp_path, 10)
         pool = BufferPool(pager, capacity=3)
-        with pool.pin(1):
-            pass
+        pool.read(1)
         with page_stats_scope() as stats:
             frame = pool.walk(1, self._chain([1, 2, 3]))
         assert (stats.hits, stats.misses) == (1, 2)
         assert LeafNode.unpack(frame.data).keys == [3]
         assert pool.resident() == [1, 2, 3]
-        assert all(pool.pin_count(pid) == 0 for pid in (1, 2, 3))
         pool.walk(4, self._chain([4]))  # a miss evicts the LRU frame, 1
         assert pool.resident() == [2, 3, 4]
 
@@ -141,25 +105,16 @@ class TestUnpinnedWalk:
         cached = pool.decoded()[0][2]
         pool.walk(1, decode)
         assert pool.decoded()[0][2] is cached  # a hit keeps the decoded node
-        # put_page installs a new frame: the old node cannot outlive its bytes.
-        pool.put_page(1, LeafNode(keys=[100], values=[b"w"]).pack())
-        assert pool.decoded() == []
-        pool.walk(1, decode)
-        assert pool.decoded()[0][2].keys == [100]
-        # Eviction and free_page drop the frame and its node.
+        pool.read(1)  # a plain read of the page keeps it too
+        assert pool.decoded()[0][2] is cached
+        # Eviction drops the frame and its node together.
         pool.walk(2, decode)
         pool.walk(3, decode)
         assert [pid for pid, _data, _node in pool.decoded()] == [2, 3]
-        pool.free_page(2)
-        assert [pid for pid, _data, _node in pool.decoded()] == [3]
-
-    def test_put_page_keeps_pins(self, tmp_path):
-        pager = _make_pager(tmp_path, 3)
-        pool = BufferPool(pager, capacity=3)
-        with pool.pin(1):
-            pool.put_page(1, LeafNode(keys=[7], values=[b"x"]).pack())
-            assert pool.pin_count(1) == 1
-        assert pool.pin_count(1) == 0
+        pool.walk(1, decode)
+        assert [pid for pid, _data, _node in pool.decoded()] == [3, 1]
+        assert pool.decoded()[1][2] is not cached  # decoded afresh
+        assert pool.decoded()[1][2] == cached
 
     def test_walk_counts_a_failed_read(self, tmp_path):
         pager = _make_pager(tmp_path, 3)
@@ -169,39 +124,18 @@ class TestUnpinnedWalk:
             with pytest.raises(StorageError):
                 pool.walk(1, self._chain([1]))
         assert (stats.hits, stats.misses) == (0, 1)
+        assert len(pool) == 0
 
-
-class TestDirtyWriteBack:
-    def test_eviction_writes_back_dirty_frame(self, tmp_path):
-        pager = _make_pager(tmp_path, 5)
-        pool = BufferPool(pager, capacity=2)
-        pool.put_page(1, LeafNode(keys=[100], values=[b"new"]).pack())
-        assert pool.is_dirty(1)
-        for pid in (2, 3, 4):  # push page 1 out
-            with pool.pin(pid):
-                pass
-        assert 1 not in pool.resident()
-        # a fresh miss must see the written-back bytes
-        with pool.pin(1) as raw:
-            assert LeafNode.unpack(raw).keys == [100]
-
-    def test_flush_cleans_without_evicting(self, tmp_path):
+    def test_clear_drops_every_frame(self, tmp_path):
         pager = _make_pager(tmp_path, 3)
         pool = BufferPool(pager, capacity=3)
-        pool.put_page(2, LeafNode(keys=[7], values=[b"x"]).pack())
-        pool.flush()
-        assert not pool.is_dirty(2)
-        assert 2 in pool.resident()
-        assert LeafNode.unpack(pager.read_page(2)).keys == [7]
-
-    def test_clear_with_pin_rejected(self, tmp_path):
-        pager = _make_pager(tmp_path, 2)
-        pool = BufferPool(pager, capacity=2)
-        with pool.pin(1):
-            with pytest.raises(StorageError):
-                pool.clear()
+        for pid in (1, 2, 3):
+            pool.read(pid)
         pool.clear()
         assert len(pool) == 0
+        with page_stats_scope() as stats:
+            pool.read(2)
+        assert (stats.hits, stats.misses) == (0, 1)
 
 
 class TestPropertyInvariants:
@@ -219,28 +153,33 @@ class TestPropertyInvariants:
         pager = _make_pager(tmp_path, 12)
         try:
             pool = BufferPool(pager, capacity=capacity)
+            lru: list[int] = []  # the model: most recently used last
             for pid in accesses:
-                with pool.pin(pid) as raw:
-                    assert LeafNode.unpack(raw).keys == [pid]
-                assert len(pool) <= capacity
-                assert pool.pin_count(pid) == 0
+                assert LeafNode.unpack(pool.read(pid)).keys == [pid]
+                if pid in lru:
+                    lru.remove(pid)
+                lru.append(pid)
+                del lru[:-capacity]
+                assert pool.resident() == lru
         finally:
             pager.close()
 
 
 class TestConcurrentReaders:
-    def test_pin_counts_balance_under_contention(self, tmp_path):
+    def test_concurrent_reads_return_their_pages(self, tmp_path):
         pager = _make_pager(tmp_path, 16)
         pool = BufferPool(pager, capacity=4)
         errors = []
+        counts = []
 
         def reader(seed: int) -> None:
             try:
-                for i in range(300):
-                    pid = (seed * 7 + i) % 16 + 1
-                    with pool.pin(pid) as raw:
-                        if LeafNode.unpack(raw).keys != [pid]:
+                with page_stats_scope() as stats:
+                    for i in range(300):
+                        pid = (seed * 7 + i) % 16 + 1
+                        if LeafNode.unpack(pool.read(pid)).keys != [pid]:
                             errors.append(f"page {pid} returned wrong bytes")
+                counts.append(stats.hits + stats.misses)
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(repr(exc))
 
@@ -248,8 +187,8 @@ class TestConcurrentReaders:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
-        # quiescent: no pins left anywhere, pool back within capacity
-        assert all(pool.pin_count(pid) == 0 for pid in pool.resident())
+        assert counts == [300] * 8  # every read counted once
         assert len(pool) <= 4

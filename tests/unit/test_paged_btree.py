@@ -1,16 +1,19 @@
 """Unit tests for repro.storage.paged_btree.
 
-The tree is exercised against a plain ``dict`` model: after any sequence
-of inserts, updates, and deletes, ``items()`` must equal the model's
-sorted items — across splits, overflow chains, free-list reuse, and a
-close/reopen cycle.  ``verify()`` (the deep structural check fsck runs)
-must pass after every phase.
+Trees are bulk-built from a plain ``dict`` model and checked against
+it: point reads, ``items()`` and every ``range_items`` bound must match
+the model's sorted items — across leaf and internal levels, overflow
+chains, pool sizes, and a close/reopen cycle.  ``verify()`` (the deep
+structural check fsck runs) must pass.  A pages file is written once:
+the build writes each page once, the meta page last, and a reader's
+file refuses writes.
 """
 
 import hashlib
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -19,7 +22,19 @@ from repro.obs import metrics
 from repro.storage.bufferpool import page_stats_scope
 from repro.storage import pages
 from repro.storage.paged_btree import MAX_KEY_BYTES, PagedBTree
-from repro.storage.pages import OVERFLOW_CAPACITY, InternalNode, LeafDirectory
+from repro.storage.pages import (
+    HEADER,
+    HEADER_SIZE,
+    META,
+    OVERFLOW_CAPACITY,
+    OVERFLOW_THRESHOLD,
+    PAGE_SIZE,
+    InternalNode,
+    LeafDirectory,
+    PageCorruptionError,
+    PageFile,
+    finalize_page,
+)
 from tests.cached_nodes import assert_node_matches_page
 
 _PATTERN = bytes(range(256)) * 16
@@ -47,15 +62,20 @@ def _golden_items():
         yield _golden_key(i), _golden_value(i)
 
 
+def _build(path, model: dict, **kwargs) -> PagedBTree:
+    return PagedBTree.bulk_build(path, sorted(model.items()), **kwargs)
+
+
 def _model_check(tree: PagedBTree, model: dict) -> None:
     assert len(tree) == len(model)
     assert list(tree.items()) == sorted(model.items())
+    assert all(tree.get(key) == value for key, value in model.items())
     tree.verify()
 
 
 class TestBasics:
     def test_empty_tree(self, tmp_path):
-        with PagedBTree(tmp_path / "t.pages", create=True) as tree:
+        with PagedBTree.bulk_build(tmp_path / "t.pages", []) as tree:
             assert len(tree) == 0
             assert tree.get(1) is None
             assert tree.get(1, b"dflt") == b"dflt"
@@ -63,160 +83,121 @@ class TestBasics:
             assert list(tree.items()) == []
             tree.verify()
 
-    def test_insert_get_update(self, tmp_path):
-        with PagedBTree(tmp_path / "t.pages", create=True) as tree:
-            tree.insert(2, b"two")
-            tree.insert(1, b"one")
-            assert tree.get(1) == b"one"
-            assert len(tree) == 2
-            tree.insert(1, b"uno")  # update in place
-            assert tree.get(1) == b"uno"
-            assert len(tree) == 2
-            assert list(tree.keys()) == [1, 2]
-
-    def test_delete(self, tmp_path):
-        with PagedBTree(tmp_path / "t.pages", create=True) as tree:
-            tree.insert(1, b"a")
-            tree.delete(1)
-            assert 1 not in tree
-            assert len(tree) == 0
-            with pytest.raises(KeyError):
-                tree.delete(1)
-
     def test_oversized_key_rejected(self, tmp_path):
-        with PagedBTree(tmp_path / "t.pages", create=True) as tree:
-            with pytest.raises(StorageError):
-                tree.insert("k" * (MAX_KEY_BYTES + 10), b"v")
+        with pytest.raises(StorageError):
+            PagedBTree.bulk_build(
+                tmp_path / "t.pages", [("a", b"v"), ("k" * (MAX_KEY_BYTES + 10), b"v")]
+            )
 
     def test_mixed_key_types_round_trip(self, tmp_path):
         path = tmp_path / "t.pages"
-        with PagedBTree(path, create=True) as tree:
-            tree.insert(("a", 1), b"tuple")
-            tree.insert(("a", 2), b"tuple2")
+        model = {("a", 1): b"tuple", ("a", 2): b"tuple2", ("b", -1.5, True): b"mixed"}
+        _build(path, model).close()
+        with PagedBTree(path) as tree:
             assert tree.get(("a", 1)) == b"tuple"
             assert [k for k, _ in tree.range_items(("a", 1), ("a", 2))] == [
                 ("a", 1),
                 ("a", 2),
             ]
+            key = next(k for k in tree.keys() if k[0] == "b")
+            assert key == ("b", -1.5, True) and type(key[2]) is bool
+            _model_check(tree, model)
 
 
 class TestSplitsAndScale:
     def test_random_ops_match_dict_model(self, tmp_path):
-        rng = random.Random(8)
-        path = tmp_path / "t.pages"
-        model: dict = {}
-        with PagedBTree(path, create=True, pool_pages=16) as tree:
-            for _ in range(3000):
-                key = rng.randrange(600)
-                op = rng.random()
-                if op < 0.65 or key not in model:
-                    value = f"value-{key}-{rng.randrange(10)}".encode() * rng.randrange(
-                        1, 8
-                    )
-                    tree.insert(key, value)
-                    model[key] = value
-                else:
-                    tree.delete(key)
-                    del model[key]
-            _model_check(tree, model)
-            stats = tree.verify()
-            assert stats["depth"] >= 2  # the workload forced splits
-        # survives close/reopen byte-identically
-        with PagedBTree(path, pool_pages=16) as tree:
-            _model_check(tree, model)
+        """Random reads of random models, each built once and reopened
+        at a different pool size: point reads, membership and ranges
+        with every kind of bound."""
+        for seed, pool in [(8, 2), (9, 5), (10, 16), (11, 256)]:
+            rng = random.Random(seed)
+            path = tmp_path / f"t{seed}.pages"
+            model = {
+                rng.randrange(3000): f"value-{i}".encode() * rng.randrange(1, 8)
+                for i in range(1200)
+            }
+            model[rng.randrange(3000)] = b"o" * (OVERFLOW_CAPACITY + 7)
+            _build(path, model).close()
+            ordered = sorted(model.items())
+            with PagedBTree(path, pool_pages=pool) as tree:
+                assert tree.verify()["depth"] >= 2
+                for _ in range(300):
+                    key = rng.randrange(-5, 3005)
+                    assert tree.get(key) == model.get(key)
+                    assert (key in tree) == (key in model)
+                    lo = rng.choice([None, key])
+                    hi = rng.choice([None, key + rng.randrange(40)])
+                    inclusive = rng.random() < 0.5
+                    want = [
+                        (k, v)
+                        for k, v in ordered
+                        if (lo is None or lo <= k)
+                        and (hi is None or (k <= hi if inclusive else k < hi))
+                    ]
+                    got = list(tree.range_items(lo, hi, inclusive=inclusive))
+                    assert got == want
+                assert len(tree.pool) <= pool
+                _model_check(tree, model)
 
     def test_splits_fit_with_uneven_key_sizes(self, tmp_path):
-        """6- and 1006-byte keys mixed: halving an internal node by key
-        count can leave one half too big for a page."""
+        """6- and 1006-byte keys mixed: internal nodes must be cut by
+        bytes, not by key count, for every one to fit its page."""
         rng = random.Random(96)
         model: dict = {}
-        with PagedBTree(tmp_path / "t.pages", create=True, pool_pages=8) as tree:
-            for _ in range(200):
-                key = f"{rng.randrange(100000):06d}"
-                if rng.random() < 0.3:
-                    key += "L" * 1000
-                tree.insert(key, b"v" * 1000)
-                model[key] = b"v" * 1000
+        for _ in range(200):
+            key = f"{rng.randrange(100000):06d}"
+            if rng.random() < 0.3:
+                key += "L" * 1000
+            model[key] = b"v" * 1000
+        path = tmp_path / "t.pages"
+        _build(path, model).close()
+        with PagedBTree(path, pool_pages=8) as tree:
             _model_check(tree, model)
             assert tree.verify()["depth"] >= 3
 
     def test_leaf_split_of_near_maximal_cells(self, tmp_path):
-        """Cells of ~1 KiB key plus value: the byte midpoint of the
-        overflowing leaf leaves a half that does not fit, so it splits
-        into pieces that do."""
+        """Cells of ~1 KiB key plus value: the build cuts them into
+        leaves that each fit a page, with as few as one or two cells."""
 
         def key(i: int) -> str:
             return f"{i:03d}" + "k" * (500 + (i * 37) % 500)
 
-        model = {key(0): b"", key(11): b"", key(67): b""}
+        model = {key(i): b"" for i in (0, 11, *range(49, 56), 67)}
+        model[key(66)] = b"v" * 593
+        model[key(68)] = b"v" * OVERFLOW_THRESHOLD
         path = tmp_path / "t.pages"
-        with PagedBTree.bulk_build(path, sorted(model.items()), pool_pages=2) as tree:
-            for i in range(49, 56):
-                tree.insert(key(i), b"")
-                model[key(i)] = b""
-            tree.insert(key(66), b"v" * 593)
-            model[key(66)] = b"v" * 593
+        _build(path, model).close()
+        with PagedBTree(path, pool_pages=2) as tree:
             _model_check(tree, model)
+            assert tree.verify()["leaves"] >= len(model) // 3
 
     def test_range_items(self, tmp_path):
-        with PagedBTree(tmp_path / "t.pages", create=True) as tree:
-            for i in range(200):
-                tree.insert(i, str(i).encode())
+        model = {i: str(i).encode() for i in range(200)}
+        with _build(tmp_path / "t.pages", model) as tree:
             inclusive = [k for k, _ in tree.range_items(10, 20)]
             assert inclusive == list(range(10, 21))
             exclusive = [k for k, _ in tree.range_items(10, 20, inclusive=False)]
             assert exclusive == list(range(10, 20))
             assert [k for k, _ in tree.range_items(150, None)] == list(range(150, 200))
             assert [k for k, _ in tree.range_items(None, 5)] == list(range(6))
+            assert [k for k, _ in tree.range_items(None, 5, inclusive=False)] == list(
+                range(5)
+            )
+            assert list(tree.range_items(20, 10)) == []
+            assert list(tree.range_items(500, None)) == []
 
 
 class TestOverflow:
     def test_large_values_spill_and_round_trip(self, tmp_path):
         path = tmp_path / "t.pages"
         big = bytes(range(256)) * 64  # 16 KiB, several overflow pages
-        with PagedBTree(path, create=True) as tree:
-            tree.insert("big", big)
-            tree.insert("small", b"s")
+        with PagedBTree.bulk_build(path, [("big", big), ("small", b"s")]) as tree:
             assert tree.get("big") == big
             stats = tree.verify()
             assert stats["overflow_pages"] >= 4
         with PagedBTree(path) as tree:
             assert tree.get("big") == big
-
-    def test_overflow_chain_freed_on_delete(self, tmp_path):
-        with PagedBTree(tmp_path / "t.pages", create=True) as tree:
-            tree.insert("big", b"x" * (OVERFLOW_CAPACITY * 3))
-            occupied = tree.verify()["overflow_pages"]
-            assert occupied >= 3
-            tree.delete("big")
-            stats = tree.verify()
-            assert stats["overflow_pages"] == 0
-            assert stats["free_pages"] >= occupied
-
-    def test_update_replaces_overflow_chain(self, tmp_path):
-        with PagedBTree(tmp_path / "t.pages", create=True) as tree:
-            tree.insert("k", b"a" * (OVERFLOW_CAPACITY * 2))
-            tree.insert("k", b"tiny")
-            assert tree.get("k") == b"tiny"
-            stats = tree.verify()
-            assert stats["overflow_pages"] == 0
-            assert stats["free_pages"] >= 2  # the old chain was reclaimed
-
-
-class TestFreeList:
-    def test_deleted_pages_are_reused(self, tmp_path):
-        with PagedBTree(tmp_path / "t.pages", create=True, pool_pages=16) as tree:
-            for i in range(2000):
-                tree.insert(i, f"v{i}".encode() * 4)
-            for i in range(1500):
-                tree.delete(i)
-            tree.verify()
-            before = tree._pager.meta.page_count
-            for i in range(1000):
-                tree.insert(i, f"w{i}".encode() * 4)
-            grown = tree._pager.meta.page_count - before
-            assert grown <= 5  # refill consumed the free list, not the file
-            tree.verify()
+            assert list(tree.range_items("big", "big")) == [("big", big)]
 
 
 class TestBulkBuild:
@@ -228,7 +209,6 @@ class TestBulkBuild:
             assert list(tree.items()) == items
             stats = tree.verify()
             assert stats["depth"] >= 2
-            assert stats["free_pages"] == 0  # a fresh build wastes nothing
         finally:
             tree.close()
 
@@ -255,7 +235,7 @@ class TestBulkBuild:
 
     def test_bulk_build_golden_bytes(self, tmp_path):
         path = tmp_path / "golden.pages"
-        tree = PagedBTree.bulk_build(path, _golden_items(), pool_pages=8)
+        tree = PagedBTree.bulk_build(path, _golden_items())
         stats = tree.verify()
         tree.close()
         assert (stats["leaves"], stats["internals"], stats["depth"]) == (321, 5, 3)
@@ -271,37 +251,109 @@ class TestBulkBuild:
         finally:
             tree.close()
 
+    def test_build_writes_each_page_once_and_the_meta_page_last(
+        self, tmp_path, monkeypatch
+    ):
+        written: list[int] = []
+        original = PageFile.write_page
+        monkeypatch.setattr(
+            PageFile,
+            "write_page",
+            lambda pager, page_id, page: written.append(page_id)
+            or original(pager, page_id, page),
+        )
+        path = tmp_path / "golden.pages"
+        tree = PagedBTree.bulk_build(path, _golden_items())
+        tree.set_data_crc(0xFEED)
+        tree.flush()
+        tree.close()
+        assert Counter(written) == Counter(range(333))  # pages 0..332, once each
+        assert written[-1] == 0
+        written.clear()
+        PagedBTree.bulk_build(tmp_path / "empty.pages", []).close()
+        assert written == [1, 0]  # one empty root leaf, then the meta page
+
 
 class TestLifecycle:
     def test_read_only_open_never_writes(self, tmp_path):
         path = tmp_path / "t.pages"
-        with PagedBTree(path, create=True) as tree:
-            for i in range(100):
-                tree.insert(i, b"v")
+        PagedBTree.bulk_build(path, [(i, b"v") for i in range(100)]).close()
         published = path.read_bytes()
         with PagedBTree(path) as tree:
             assert tree.get(50) == b"v"
             list(tree.items())
+            list(tree.range_items(10, 20))
             tree.verify()
         assert path.read_bytes() == published  # byte-for-byte untouched
 
+    def test_reader_file_refuses_writes(self, tmp_path):
+        path = tmp_path / "t.pages"
+        PagedBTree.bulk_build(path, [(i, b"v") for i in range(100)]).close()
+        published = path.read_bytes()
+        tree = PagedBTree(path)
+        tree.set_data_crc(0xBAD)
+        with pytest.raises(OSError):
+            tree.flush()
+        tree.abandon()
+        assert path.read_bytes() == published
+        with PagedBTree(path) as tree:
+            assert tree.data_crc == 0
+
     def test_data_crc_survives_reopen(self, tmp_path):
         path = tmp_path / "t.pages"
-        with PagedBTree(path, create=True) as tree:
+        with PagedBTree.bulk_build(path, [(1, b"one")]) as tree:
             tree.set_data_crc(0xCAFEBABE)
         with PagedBTree(path) as tree:
             assert tree.data_crc == 0xCAFEBABE
+            assert tree.get(1) == b"one"
 
     def test_abandon_discards_unflushed_writes(self, tmp_path):
+        """An abandoned build never writes its meta page, so the file
+        does not open: only a flushed build is a pages file."""
         path = tmp_path / "t.pages"
-        with PagedBTree(path, create=True) as tree:
-            tree.insert(1, b"committed")
-        tree = PagedBTree(path)
-        tree.insert(2, b"doomed")
+        tree = PagedBTree.bulk_build(path, [(1, b"doomed"), (2, b"doomed")])
+        tree.set_data_crc(0xCAFEBABE)
         tree.abandon()
+        with pytest.raises(PageCorruptionError) as excinfo:
+            PagedBTree(path)
+        assert excinfo.value.page_id == 0
+
+
+class TestVerify:
+    @staticmethod
+    def _rewrite_meta(path, **changes) -> None:
+        """Re-stamp the meta page of ``path`` with ``changes`` applied."""
+        raw = bytearray(path.read_bytes())
+        fields = dict(
+            zip(
+                ("magic", "version", "page_size", "root", "free_head",
+                 "page_count", "entry_count", "data_crc"),
+                META.unpack_from(raw, HEADER_SIZE),
+            )
+        )
+        fields.update(changes)
+        META.pack_into(raw, HEADER_SIZE, *fields.values())
+        raw[:PAGE_SIZE] = finalize_page(raw[:PAGE_SIZE])
+        path.write_bytes(bytes(raw))
+
+    def test_verify_rejects_a_free_list_head(self, tmp_path):
+        """A meta page naming a free list (here one well-formed page of
+        the old free type) fails verification: pages files have none."""
+        path = tmp_path / "t.pages"
+        with PagedBTree.bulk_build(path, [(i, b"v") for i in range(100)]) as tree:
+            page_count = tree.verify()["pages"]
+        free = bytearray(PAGE_SIZE)
+        HEADER.pack_into(free, 0, 5, 0, 0, 0, 0)
+        with open(path, "ab") as fh:
+            fh.write(finalize_page(free))
+        self._rewrite_meta(path, free_head=page_count, page_count=page_count + 1)
         with PagedBTree(path) as tree:
-            assert tree.get(1) == b"committed"
-            assert tree.get(2) is None
+            assert tree.get(5) == b"v"  # reads never look at the head
+            with pytest.raises(PageCorruptionError, match="free list"):
+                tree.verify()
+        self._rewrite_meta(path, free_head=0)
+        with PagedBTree(path) as tree:
+            assert tree.verify()["entries"] == 100
 
 
 class TestCachedDescent:
@@ -311,7 +363,7 @@ class TestCachedDescent:
     @pytest.fixture
     def golden_path(self, tmp_path):
         path = tmp_path / "golden.pages"
-        PagedBTree.bulk_build(path, _golden_items(), pool_pages=8).close()
+        PagedBTree.bulk_build(path, _golden_items()).close()
         return path
 
     @pytest.fixture
@@ -364,7 +416,6 @@ class TestCachedDescent:
             assert len(key_decodes) <= 1  # at most the next cell
             assert stats.hits + stats.misses == 2 * depth
             assert decodes == []
-            assert tree.pool.pin_count(tree._pager.meta.root) == 0
 
     def test_overflow_value_and_neighbours_read_back(self, golden_path):
         with PagedBTree(golden_path, pool_pages=4) as tree:
@@ -473,17 +524,3 @@ class TestCachedDescent:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         return errors
-
-    def test_writes_replace_cached_nodes(self, tmp_path):
-        def key(i: int) -> str:  # ~200-byte keys: internal fanout ~19
-            return f"{(i * 7919) % 1500:05d}" + "p" * 200
-
-        with PagedBTree(tmp_path / "t.pages", create=True, pool_pages=8) as tree:
-            for i in range(1500):
-                tree.insert(key(i), b"v" * 40)
-                if i % 37 == 0:
-                    assert tree.get(key(i // 2)) == b"v" * 40
-                    for page_id, data, node in tree.pool.decoded():
-                        assert_node_matches_page(node, data, page_id)
-            assert tree.verify()["depth"] >= 3
-            assert all(tree.get(key(i)) == b"v" * 40 for i in range(0, 1500, 7))

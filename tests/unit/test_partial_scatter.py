@@ -255,3 +255,62 @@ class TestPartialUnderAGuard:
         assert reads[0] == 320
         assert exc_info.value.rows_examined == 320
         assert big.store.health.rows()[0]["window_errors"] == 0
+
+
+class TestFailureCounts:
+    """Every read entry point counts one ``query.failures`` per call that
+    raises, so the availability SLO (failures over executions) sees
+    failed counts, aggregates and pages as it sees failed executes."""
+
+    @pytest.fixture
+    def three(self):
+        store = ShardedStore(SCHEMA, shards=3)
+        store.put_many(_corpus())
+        yield QueryEngine(store)
+        store.close()
+
+    @staticmethod
+    def _failures_moved(call) -> int:
+        from repro.obs import metrics
+
+        failures = metrics.counter("query.failures")
+        before = failures.value
+        try:
+            call()
+        except Exception:
+            pass
+        else:  # pragma: no cover - diagnostic
+            raise AssertionError("the call was expected to raise")
+        return failures.value - before
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e: e.execute("year >= 1905", max_rows=10),
+            lambda e: e.count("year >= "),
+            lambda e: e.aggregate("year >= 1905", "year", guard=Guard(max_rows=10)),
+            lambda e: e.aggregate("year >= 1905", "name"),
+            lambda e: e.execute_paged("year >= 1905", page_size=0),
+            lambda e: e.execute_paged("year >= 1905 LIMIT 3", page_size=5),
+        ],
+        ids=[
+            "execute-budget", "count-syntax", "aggregate-budget",
+            "aggregate-not-numeric", "paged-size", "paged-limit",
+        ],
+    )
+    def test_each_failed_call_counts_once(self, three, call):
+        assert self._failures_moved(lambda: call(three)) == 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e: e.execute("year >= 1905"),
+            lambda e: e.count("year >= 1905"),
+            lambda e: e.aggregate("year >= 1905", "year"),
+            lambda e: e.execute_paged("year >= 1905", page_size=5),
+        ],
+        ids=["execute", "count", "aggregate", "paged"],
+    )
+    def test_a_quarantined_shard_counts_once(self, three, call):
+        three.store.quarantine(1, "test")
+        assert self._failures_moved(lambda: call(three)) == 1

@@ -3,10 +3,9 @@
 The property tests pin the contract ``docs/storage_format.md`` promises:
 pack → unpack → pack is **byte-identical** for every node kind and every
 key type the codec supports, and any single flipped bit anywhere in a
-page is caught by the CRC on first read.
+page is caught by the CRC on first read.  The pager allocates by
+extending the file, and a file opened for reading refuses writes.
 """
-
-import struct
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,6 @@ from repro.errors import StorageError
 from repro.storage.pages import (
     HEADER_SIZE,
     PAGE_SIZE,
-    PT_FREE,
     PT_LEAF,
     InternalNode,
     LeafNode,
@@ -24,7 +22,6 @@ from repro.storage.pages import (
     PageCorruptionError,
     PageFile,
     PageOverflowError,
-    finalize_page,
     pack_key,
     page_type,
     unpack_key,
@@ -153,12 +150,6 @@ class TestNodePacking:
         assert back.children == node.children
         assert back.pack() == page
 
-    def test_packed_size_matches_pack(self):
-        node = LeafNode(keys=[1, "two"], values=[b"a", b"bb"], next_leaf=9)
-        packed = node.pack(page_size=node.packed_size())
-        assert len(packed) == node.packed_size()
-        assert LeafNode.unpack(packed).keys == [1, "two"]
-
     def test_leaf_overflow_raises(self):
         node = LeafNode(keys=[1], values=[b"x" * 300])
         with pytest.raises(PageOverflowError):
@@ -217,23 +208,25 @@ class TestPageFile:
         with pytest.raises(StorageError):
             PageFile(tmp_path / "absent.pages")
 
-    def test_allocate_prefers_free_list(self, tmp_path):
+    def test_allocate_extends_the_file(self, tmp_path):
         with PageFile(tmp_path / "p.pages", create=True) as pf:
-            pids = [pf.allocate() for _ in range(4)]
-            for pid in pids:
-                pf.write_page(pid, LeafNode(keys=[], values=[]).pack())
-            pf.free(pids[1])
-            pf.free(pids[3])
-            assert list(pf.free_list()) == [pids[3], pids[1]]  # head insertion
-            assert pf.allocate() == pids[3]
-            assert pf.allocate() == pids[1]
-            # list drained: next allocation extends the file
-            assert pf.allocate() == pf.meta.page_count - 1
+            assert [pf.allocate() for _ in range(4)] == [1, 2, 3, 4]
+            assert pf.meta.page_count == 5  # page 0 is the meta page
 
-    def test_free_page_zero_rejected(self, tmp_path):
-        with PageFile(tmp_path / "p.pages", create=True) as pf:
-            with pytest.raises(StorageError):
-                pf.free(0)
+    def test_reader_refuses_writes(self, tmp_path):
+        path = tmp_path / "p.pages"
+        with PageFile(path, create=True) as pf:
+            pid = pf.allocate()
+            pf.write_page(pid, LeafNode(keys=[1], values=[b"v"]).pack())
+            pf.write_meta()
+        published = path.read_bytes()
+        with PageFile(path) as pf:
+            with pytest.raises(OSError):
+                pf.write_page(pid, LeafNode(keys=[2], values=[b"w"]).pack())
+            with pytest.raises(OSError):
+                pf.write_meta()
+            assert LeafNode.unpack(pf.read_page(pid)).keys == [1]
+        assert path.read_bytes() == published
 
     def test_read_detects_disk_corruption(self, tmp_path):
         path = tmp_path / "p.pages"
@@ -248,21 +241,6 @@ class TestPageFile:
             with pytest.raises(PageCorruptionError) as excinfo:
                 pf.read_page(pid)
             assert excinfo.value.page_id == pid
-
-    def test_free_list_cycle_detected(self, tmp_path):
-        path = tmp_path / "p.pages"
-        with PageFile(path, create=True) as pf:
-            a, b = pf.allocate(), pf.allocate()
-            pf.write_page(a, LeafNode(keys=[], values=[]).pack())
-            pf.write_page(b, LeafNode(keys=[], values=[]).pack())
-            pf.free(a)
-            pf.free(b)  # list: b -> a
-            # hand-corrupt a's next pointer back to b
-            page = bytearray(PAGE_SIZE)
-            struct.pack_into("<BBHII", page, 0, PT_FREE, 0, 0, 0, b)
-            pf.write_page(a, finalize_page(page))
-            with pytest.raises(PageCorruptionError):
-                list(pf.free_list())
 
     def test_page_type_helper(self):
         assert page_type(LeafNode(keys=[], values=[]).pack()) == PT_LEAF
