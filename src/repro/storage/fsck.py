@@ -10,25 +10,27 @@ repairable.  CLI surface: ``repro fsck DIR [--repair] [--json]``.
 What it checks
 --------------
 
-* **Snapshot** (``snapshot.json``): parses, has a supported version,
-  and declares its secondary indexes well-formed.  The version-3
-  manifest every checkpoint writes has no inline records; instead the
-  referenced ``store.pages.NNNNNN`` file is opened and deep-verified
-  page by page (every CRC, key order, leaf chain, no free list), and its
-  meta entry count / data CRC are compared against the manifest.
-  Page-level corruption is fatal and reported with the damaged page's
-  id.  A legacy version-2 snapshot (records inline, awaiting its
-  upgrade at the next checkpoint) must agree with its content —
-  ``record_count`` matches the records array and ``checksum`` matches
-  the CRC-32 of the canonical records JSON.
+* **Snapshot** (``snapshot.json``): read through the same reader
+  recovery uses (:func:`~repro.storage.store.read_manifest`), so fsck
+  flags exactly the manifests that refuse to open: not a JSON object,
+  an unsupported version, a bad ``wal_seal``, malformed index
+  declarations, a bad pages reference, or a record count or CRC that
+  disagrees with the pages file's meta page (or, for a legacy
+  version-2 snapshot, with its inline records).  The referenced
+  ``store.pages.NNNNNN`` file is then deep-verified page by page (every
+  CRC, key order, leaf chain, no free list); page-level corruption is
+  fatal and reported with the damaged page's id.
 * **Segment chain**: sealed segment numbering has no gaps above the
   snapshot's ``wal_seal``; every frame in every live segment passes the
   ``W1`` grammar, length, and CRC checks; tail damage appears only where
   a crash can legally put it — the final file of the chain.
-* **Crash artifacts**: stale sealed segments (at or below ``wal_seal``,
-  left by a crash mid-checkpoint), stray snapshot temp files, and stray
-  pages files — ``store.pages.*`` not referenced by the manifest,
-  including ``.tmp`` builds a crash abandoned mid-checkpoint.
+* **Checkpoint artifacts**: stale sealed segments (at or below
+  ``wal_seal``), stray snapshot temp files, and stray pages files —
+  ``store.pages.*`` not referenced by the manifest, including ``.tmp``
+  builds.  A crash mid-checkpoint leaves them, and so, for a moment,
+  does every checkpoint in flight; these findings carry
+  ``artifact=True`` so the scrubber, which checks live shards, can
+  ignore them.
 
 Repair policy
 -------------
@@ -53,14 +55,17 @@ Repair never invents data and never touches anything mid-chain:
   whose index declarations are malformed;
 * mid-chain damage (a bad sealed segment with later segments after it)
   is **fatal**: repairing it would silently drop an unbounded amount of
-  acknowledged data, so fsck reports and refuses.
+  acknowledged data, so fsck reports and refuses;
+* beside a damaged snapshot it cannot roll back, no pages file is
+  deleted: any of them may hold the only copy of the data.
 
 Exit codes (see :meth:`FsckReport.exit_code`): 0 — clean (or everything
 found was repaired); 1 — repairable issues found but ``repair`` was off;
 2 — fatal damage.
 
 Observability: each run bumps ``storage.fsck.runs`` and reports
-``storage.fsck.issues`` / ``storage.fsck.repairs``.
+``storage.fsck.issues`` / ``storage.fsck.repairs``; the scrubber's
+per-shard checks are fsck runs too.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import CorruptLogError, StorageError
 from repro.obs import logging as _logging
@@ -78,11 +83,12 @@ from repro.obs import progress as _progress
 from repro.storage.paged_btree import PagedBTree
 from repro.storage.pages import PageCorruptionError
 from repro.storage.store import (
-    _SNAPSHOT_VERSION,
-    _SUPPORTED_SNAPSHOT_VERSIONS,
-    index_declarations,
+    SNAPSHOT_NAME,
+    WAL_NAME,
+    pages_files,
+    pages_name,
     publish_manifest,
-    records_checksum,
+    read_manifest,
 )
 from repro.storage.wal import SegmentScan, WriteAheadLog, sealed_segment_paths
 
@@ -99,11 +105,16 @@ FATAL = "fatal"  #: unrepairable damage; exit 2
 
 @dataclass(slots=True)
 class FsckIssue:
-    """One finding: a severity, a message, and the file it concerns."""
+    """One finding: a severity, a message, and the file it concerns.
+
+    ``artifact`` marks a file a checkpoint leaves behind until it
+    finishes (see the module docstring).
+    """
 
     severity: str
     message: str
     path: str | None = None
+    artifact: bool = False
 
     def render(self) -> str:
         where = f" [{self.path}]" if self.path else ""
@@ -121,10 +132,14 @@ class FsckReport:
     entries_checked: int = 0
     snapshot_records: int | None = None  #: ``None`` when no snapshot exists
 
-    def add(self, severity: str, message: str, path: Path | str | None = None) -> None:
+    def add(
+        self, severity: str, message: str, path: Path | str | None = None,
+        *, artifact: bool = False,
+    ) -> None:
         self.issues.append(
             FsckIssue(severity=severity, message=message,
-                      path=str(path) if path is not None else None)
+                      path=str(path) if path is not None else None,
+                      artifact=artifact)
         )
 
     @property
@@ -179,14 +194,15 @@ def fsck(
     directory: Path | str,
     *,
     repair: bool = False,
-    wal_name: str = "store.wal",
-    snapshot_name: str = "snapshot.json",
+    on_page: Callable[[int], None] | None = None,
 ) -> FsckReport:
     """Check (and with ``repair=True``, repair) the store at ``directory``.
 
     Schema-agnostic: works frame-by-frame against the on-disk format, so
     it runs on any store directory regardless of what the records mean.
     See the module docstring for the check list and the repair policy.
+    ``on_page`` is called with ``1`` for every page the deep walk of the
+    referenced pages file reads (the scrubber meters its reads with it).
     """
     directory = Path(directory)
     report = FsckReport(directory=str(directory), repair=repair)
@@ -195,15 +211,21 @@ def fsck(
         if not directory.is_dir():
             report.add(FATAL, "store directory does not exist", directory)
             return report
-        snapshot_path = directory / snapshot_name
-        wal_base = directory / wal_name
+        snapshot_path = directory / SNAPSHOT_NAME
+        wal_base = directory / WAL_NAME
         # Indeterminate total: the walk covers pages (deep verify) plus
         # WAL entries, and neither count is known until the files are
         # read.  The tracker still surfaces done/rate on /progressz.
         with _progress.start("storage.fsck", directory=str(directory)) as tracker:
+
+            def walked(n: int) -> None:
+                tracker.tick(n)
+                if on_page is not None:
+                    on_page(n)
+
             _check_stray_tmp(report, snapshot_path, repair)
             before = len(report.issues)
-            wal_seal, pages_name = _check_snapshot(report, snapshot_path, tracker)
+            wal_seal, referenced = _check_snapshot(report, directory, walked)
             snapshot_fatal = any(
                 issue.severity == FATAL for issue in report.issues[before:]
             )
@@ -225,7 +247,7 @@ def fsck(
                     if issue.severity == FATAL:
                         issue.severity = REPAIRED if repair else REPAIRABLE
                 if repair:
-                    wal_seal, pages_name = _rollback_snapshot(
+                    wal_seal, referenced = _rollback_snapshot(
                         report, directory, snapshot_path, target
                     )
                 else:
@@ -246,8 +268,11 @@ def fsck(
                     # offers to delete them as stale/stray.
                     wal_seal = target
                     if target:
-                        pages_name = f"store.pages.{target:06d}"
-            _check_stray_pages(report, directory, pages_name, repair)
+                        referenced = pages_name(target)
+            # Beside a snapshot nothing can roll back, any pages file
+            # may hold the only copy of the data: none is a stray.
+            if not snapshot_fatal or target is not None:
+                _check_stray_pages(report, directory, referenced, repair)
             _check_chain(report, wal_base, wal_seal, repair, tracker)
         return report
     finally:
@@ -269,7 +294,7 @@ def fsck(
 def _pages_files(directory: Path) -> list[tuple[int, Path]]:
     """``(seal, path)`` of canonical ``store.pages.NNNNNN`` files, ascending."""
     out = []
-    for path in directory.glob("store.pages.*"):
+    for path in pages_files(directory):
         seal_text = path.name.rsplit(".", 1)[-1]
         if seal_text.isdigit():
             out.append((int(seal_text), path))
@@ -350,11 +375,11 @@ def _rollback_snapshot(
     page, so the manifest/pages cross-check holds on the next open, and
     recovery replays the WAL from there.  Secondary-index declarations
     live only in the snapshot and are lost — callers re-declare them
-    (``ShardedStore.reopen_shard`` mirrors a sibling shard).
+    (``ShardedStore.reopen_shard`` restores a sibling shard's, durably).
 
     Returns the ``(wal_seal, pages_name)`` now in effect.
     """
-    keep_name = f"store.pages.{target:06d}" if target else None
+    keep_name = pages_name(target) if target else None
     for _seal, path in _pages_files(directory):
         if path.name == keep_name:
             continue
@@ -390,151 +415,67 @@ def _rollback_snapshot(
     return target, keep_name
 
 
+def _artifact(report: FsckReport, path: Path, what: str, repair: bool) -> None:
+    """Report a checkpoint artifact; with ``repair``, delete it."""
+    if repair:
+        path.unlink()
+        report.add(REPAIRED, f"removed {what}", path, artifact=True)
+    else:
+        report.add(REPAIRABLE, what, path, artifact=True)
+
+
 def _check_stray_tmp(report: FsckReport, snapshot_path: Path, repair: bool) -> None:
     tmp = snapshot_path.with_suffix(".json.tmp")
-    if not tmp.exists():
-        return
-    if repair:
-        tmp.unlink()
-        report.add(REPAIRED, "removed stray snapshot temp file (crash artifact)", tmp)
-    else:
-        report.add(REPAIRABLE, "stray snapshot temp file (crash artifact)", tmp)
+    if tmp.exists():
+        _artifact(report, tmp, "stray snapshot temp file (crash artifact)", repair)
 
 
 def _check_snapshot(
-    report: FsckReport, snapshot_path: Path, tracker: _progress.ProgressTracker
+    report: FsckReport, directory: Path, on_page: Callable[[int], None]
 ) -> tuple[int, str | None]:
-    """Validate the snapshot manifest.
+    """Check the manifest with recovery's reader, then deep-verify the
+    pages file a version-3 manifest references.
 
     Returns ``(wal_seal, pages_name)`` — the seal the snapshot covers
-    (0 when there is none) and, for a v3 manifest, the name of the pages
-    file it references (``None`` for a legacy inline snapshot), so the
-    caller can treat every *other* ``store.pages.*`` file as a stray.
+    (0 when there is none or the reader rejects it) and the pages file
+    it names (``None`` for a legacy inline snapshot), so the caller can
+    treat every *other* ``store.pages.*`` file as a stray.
     """
-    if not snapshot_path.exists():
+    try:
+        manifest = read_manifest(directory)
+    except StorageError as exc:
+        report.add(FATAL, str(exc), directory / SNAPSHOT_NAME)
+        return 0, None
+    if manifest is None:
         report.add(INFO, "no snapshot (recovery is WAL-only)")
         return 0, None
+    report.snapshot_records = manifest.record_count
+    if manifest.pages is None:
+        if manifest.version == 1:
+            report.add(INFO, "version-1 snapshot (no manifest; count/checksum unchecked)")
+        return manifest.wal_seal, None
+    pages_path = directory / manifest.pages
     try:
-        state = json.loads(snapshot_path.read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        report.add(FATAL, f"snapshot is not valid JSON: {exc}", snapshot_path)
-        return 0, None
-    version = state.get("version")
-    if version not in _SUPPORTED_SNAPSHOT_VERSIONS:
-        report.add(FATAL, f"unsupported snapshot version {version!r}", snapshot_path)
-        return 0, None
-    try:
-        index_declarations(state)
-    except StorageError as exc:
-        report.add(FATAL, str(exc), snapshot_path)
-    if version == _SNAPSHOT_VERSION:
-        pages_name = _check_paged_snapshot(report, snapshot_path, state, tracker)
-        return int(state.get("wal_seal", 0)), pages_name
-    records = state.get("records")
-    if not isinstance(records, list):
-        report.add(FATAL, "snapshot has no records array", snapshot_path)
-        return 0, None
-    report.snapshot_records = len(records)
-    if version >= 2:
-        if state.get("record_count") != len(records):
-            report.add(
-                FATAL,
-                f"snapshot manifest says {state.get('record_count')} records, "
-                f"found {len(records)}",
-                snapshot_path,
-            )
-        expected = state.get("checksum")
-        actual = records_checksum(records)
-        if expected != actual:
-            report.add(
-                FATAL,
-                f"snapshot checksum mismatch: manifest {expected}, content {actual}",
-                snapshot_path,
-            )
-    else:
-        report.add(INFO, "version-1 snapshot (no manifest; count/checksum unchecked)")
-    return int(state.get("wal_seal", 0)), None
-
-
-def _check_paged_snapshot(
-    report: FsckReport,
-    snapshot_path: Path,
-    state: dict[str, Any],
-    tracker: _progress.ProgressTracker,
-) -> str | None:
-    """Deep-verify the pages file a v3 manifest references.
-
-    Walks every reachable page through the pager (CRC-checked reads, key
-    order, uniform depth, leaf chain, overflow chains, no free list) and
-    compares the meta page's entry count / data CRC against the
-    manifest.  Returns the referenced pages-file name when the manifest
-    at least names one, so stray detection knows what to keep.
-    """
-    pages_name = state.get("pages")
-    if not isinstance(pages_name, str) or not pages_name or "/" in pages_name:
-        report.add(
-            FATAL,
-            f"paged snapshot has a bad pages reference: {pages_name!r}",
-            snapshot_path,
-        )
-        return None
-    record_count = state.get("record_count")
-    if isinstance(record_count, int):
-        report.snapshot_records = record_count
-    pages_path = snapshot_path.parent / pages_name
-    if not pages_path.exists():
-        report.add(
-            FATAL,
-            f"paged snapshot references missing pages file {pages_name}",
-            pages_path,
-        )
-        return pages_name
-    tree: PagedBTree | None = None
-    try:
-        tree = PagedBTree(pages_path, pool_pages=64)
-        stats = tree.verify(on_page=tracker.tick)
+        with manifest.open_pages() as tree:
+            stats = tree.verify(on_page=on_page)
     except PageCorruptionError as exc:
         report.add(FATAL, f"page-level corruption in pages file: {exc}", pages_path)
-        return pages_name
-    except (StorageError, OSError) as exc:
+    except StorageError as exc:
+        report.add(FATAL, str(exc), pages_path)
+    except OSError as exc:
         report.add(FATAL, f"unreadable pages file: {exc}", pages_path)
-        return pages_name
-    finally:
-        if tree is not None:
-            tree.abandon()
-    damaged = False
-    if stats["entries"] != record_count:
-        damaged = True
-        report.add(
-            FATAL,
-            f"paged snapshot manifest says {record_count} records, "
-            f"pages file holds {stats['entries']}",
-            pages_path,
-        )
-    try:
-        expected_crc = int(str(state.get("checksum", "")), 16)
-    except ValueError:
-        expected_crc = -1
-    if stats["data_crc"] != expected_crc:
-        damaged = True
-        report.add(
-            FATAL,
-            f"pages checksum mismatch: manifest {state.get('checksum')!r}, "
-            f"pages file {stats['data_crc']:08x}",
-            pages_path,
-        )
-    if not damaged:
+    else:
         report.add(
             INFO,
             f"pages file verified: {stats['pages']} pages, "
             f"{stats['entries']} entries, depth {stats['depth']}",
             pages_path,
         )
-    return pages_name
+    return manifest.wal_seal, manifest.pages
 
 
 def _check_stray_pages(
-    report: FsckReport, directory: Path, pages_name: str | None, repair: bool
+    report: FsckReport, directory: Path, referenced: str | None, repair: bool
 ) -> None:
     """Flag ``store.pages.*`` files the manifest does not reference.
 
@@ -543,19 +484,11 @@ def _check_stray_pages(
     superseded files) leaves extras behind.  They are never read by
     recovery, so deleting them is always safe.
     """
-    for path in sorted(directory.glob("store.pages.*")):
-        if pages_name is not None and path.name == pages_name:
+    for path in pages_files(directory):
+        if path.name == referenced:
             continue
-        kind = (
-            "temp pages file"
-            if path.name.endswith(".tmp")
-            else "unreferenced pages file"
-        )
-        if repair:
-            path.unlink()
-            report.add(REPAIRED, f"removed stray {kind} (crash artifact)", path)
-        else:
-            report.add(REPAIRABLE, f"stray {kind} (crash artifact)", path)
+        kind = "temp" if path.name.endswith(".tmp") else "unreferenced"
+        _artifact(report, path, f"stray {kind} pages file (crash artifact)", repair)
 
 
 def _check_chain(
@@ -570,18 +503,9 @@ def _check_chain(
     for seal, path in sealed_segment_paths(wal_base):
         (stale if seal <= wal_seal else live).append((seal, path))
     for seal, path in stale:
-        if repair:
-            path.unlink()
-            report.add(
-                REPAIRED,
-                f"removed stale segment {seal:06d} (covered by snapshot, "
-                "left by a crash mid-checkpoint)",
-                path,
-            )
-        else:
-            report.add(
-                REPAIRABLE, f"stale segment {seal:06d} (covered by snapshot)", path
-            )
+        _artifact(
+            report, path, f"stale segment {seal:06d} (covered by snapshot)", repair
+        )
     expected = None
     for seal, path in live:
         if expected is not None and seal != expected:

@@ -2,22 +2,21 @@
 
 Silent corruption is only "silent" until a query trips over it.  The
 :class:`Scrubber` walks every shard of a
-:class:`~repro.storage.sharded.ShardedStore` on a schedule and
-CRC-verifies the bytes a future query *would* read:
+:class:`~repro.storage.sharded.ShardedStore` on a schedule and runs
+:func:`~repro.storage.fsck.fsck`'s check pass (no repair) on each shard
+directory, beside the live store: the manifest through recovery's own
+reader, every reachable page of the pages file it references, and every
+WAL segment.  A shard is damaged exactly when fsck says so, with one
+exception: the files a checkpoint in flight leaves behind until it
+finishes (a snapshot temp file, a stray or temporary pages file, a
+stale WAL segment) are ignored, since the live store may be
+checkpointing while the scrub runs.  Every other finding that is not
+informational counts as damage — a torn tail on the live log included,
+because the next append would land on the torn line.
 
-* every reachable page of the checkpointed B+ tree pages file (deep
-  :meth:`~repro.storage.paged_btree.PagedBTree.verify` — CRCs, key
-  order, leaf chain, no free list), opened read-only beside the live
-  store;
-* every sealed WAL segment plus the active log, via the same strict CRC
-  scan fsck uses (:meth:`~repro.storage.wal.WriteAheadLog.scan_file`);
-* the snapshot manifest itself (parses, references an existing pages
-  file).
-
-Findings feed the shard health machine
-(:class:`~repro.storage.health.ShardHealthMachine`): a corruption
-observation quarantines the shard, pulling it out of partial-mode query
-fan-out *before* a user query ever touches the damage.  With
+Damage quarantines the shard in its health machine
+(:class:`~repro.storage.health.ShardHealthMachine`), pulling it out of
+partial-mode query fan-out *before* a user query ever touches it.  With
 ``repair=True`` the scrubber goes one step further and runs the full
 self-healing loop per quarantined shard::
 
@@ -31,19 +30,19 @@ verify clean returns the shard to quarantine with the reason recorded.
 
 Scrubbing competes with foreground queries for disk bandwidth, so reads
 are metered through a token bucket (``bytes_per_s``; burst capped at one
-second of budget).  Page reads are charged per 4 KiB page; WAL files are
-charged at file granularity (segments are bounded by the rotation
-threshold, so the burst error is bounded too).
+second of budget).  Page reads are charged per 4 KiB page as fsck walks
+them; WAL files are charged at file granularity once fsck has read them
+(segments are bounded by the rotation threshold, so the burst error is
+bounded too).
 
-The scrubber never mutates shard state on its own: a clean pass records
-successes, a dirty pass records errors — the health machine decides.
-Only an explicit ``repair=True`` deletes or rewrites files, and only
-through fsck's repair path.
+The scrubber never changes shard files on its own: a clean pass records
+successes, a dirty pass quarantines.  Only an explicit ``repair=True``
+deletes or rewrites files, and only through fsck's repair path.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -53,11 +52,12 @@ from typing import Any, Callable
 from repro.obs import logging as _logging
 from repro.obs import metrics as _metrics
 from repro.obs import progress as _progress
+from repro.storage.fsck import INFO, fsck
 from repro.storage.health import QUARANTINED
-from repro.storage.paged_btree import PagedBTree
 from repro.storage.pages import PAGE_SIZE
 from repro.storage.sharded import ShardedStore
-from repro.storage.wal import WriteAheadLog, sealed_segment_paths
+from repro.storage.store import WAL_NAME, pages_files
+from repro.storage.wal import sealed_segment_paths
 
 __all__ = ["ScrubReport", "Scrubber", "ShardScrubResult"]
 
@@ -110,9 +110,9 @@ class ShardScrubResult:
     wal_files: int = 0
     bytes: int = 0
     errors: list[str] = field(default_factory=list)
-    #: The exceptions behind ``errors`` — fed to the health machine so
-    #: corruption classifies as corruption, not as a generic I/O error.
-    exceptions: list[BaseException] = field(default_factory=list)
+    #: Set when fsck itself raised (an I/O error, not a finding): fed to
+    #: the health machine, which windows it instead of quarantining.
+    exception: BaseException | None = None
     repaired: bool = False
 
     @property
@@ -185,10 +185,6 @@ class Scrubber:
     bytes_per_s:
         Token-bucket read budget; ``None`` disables metering (tests,
         one-shot CLI runs).
-    pool_pages:
-        Buffer-pool size for the read-only page walks — small on
-        purpose, the scrubber should not evict the live store's cache
-        favorites by proxy of the OS page cache.
     """
 
     def __init__(
@@ -196,13 +192,11 @@ class Scrubber:
         store: ShardedStore,
         *,
         bytes_per_s: float | None = DEFAULT_BYTES_PER_S,
-        pool_pages: int = 8,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.store = store
         self.bytes_per_s = bytes_per_s
-        self.pool_pages = pool_pages
         self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -251,9 +245,9 @@ class Scrubber:
                         shard=index,
                         errors=result.errors,
                     )
-                    for exc in result.exceptions:
-                        health.record_error(index, exc, source="scrub")
-                    if not result.exceptions:
+                    if result.exception is not None:
+                        health.record_error(index, result.exception, source="scrub")
+                    else:
                         health.quarantine(index, f"[scrub] {result.errors[0]}")
                 if repair and health.state(index) == QUARANTINED:
                     result.repaired = self._repair_shard(
@@ -288,8 +282,6 @@ class Scrubber:
         self, index: int, bucket: _TokenBucket, tracker: Any
     ) -> bool:
         """quarantine → fsck --repair → re-verify → reopen + readmit."""
-        from repro.storage.fsck import fsck  # local import: fsck imports storage
-
         health = self.store.health
         directory = self.store.shard_path(index)
         health.start_repair(index)
@@ -312,7 +304,11 @@ class Scrubber:
             return False
         # Reopen replays the repaired on-disk state (full WAL chain after
         # a snapshot rollback) and readmit returns the shard to service.
-        self.store.readmit(index, reopen=True)
+        try:
+            self.store.readmit(index, reopen=True)
+        except Exception as exc:  # the reopen or its checkpoint failed
+            health.repair_failed(index, f"reopen raised {type(exc).__name__}: {exc}")
+            return False
         _REPAIRS.inc()
         _logging.info("storage.scrub.repaired", shard=index)
         return True
@@ -322,45 +318,11 @@ class Scrubber:
     def _scrub_shard(
         self, index: int, bucket: _TokenBucket, tracker: Any
     ) -> ShardScrubResult:
+        """fsck's check pass over one shard directory, metered."""
         result = ShardScrubResult(shard=index)
         directory = self.store.shard_path(index)
         if not directory.is_dir():
             return result  # never checkpointed / fresh shard: nothing on disk
-        self._scrub_snapshot(directory, result, bucket, tracker)
-        self._scrub_wal(directory, result, bucket)
-        return result
-
-    def _scrub_snapshot(
-        self,
-        directory: Path,
-        result: ShardScrubResult,
-        bucket: _TokenBucket,
-        tracker: Any,
-    ) -> None:
-        snapshot = directory / "snapshot.json"
-        if not snapshot.exists():
-            return
-        try:
-            raw = snapshot.read_bytes()
-        except OSError as exc:
-            result.errors.append(f"snapshot.json unreadable: {exc}")
-            result.exceptions.append(exc)
-            return
-        self._charge(bucket, result, len(raw))
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            result.errors.append(f"snapshot.json unparsable: {exc}")
-            result.exceptions.append(exc)
-            return
-        pages_name = doc.get("pages") if isinstance(doc, dict) else None
-        if not isinstance(pages_name, str) or not pages_name:
-            return  # inline (v1/v2) snapshot: the JSON parse was the check
-        pages_path = directory / pages_name
-        if not pages_path.exists():
-            msg = f"snapshot references missing pages file {pages_name}"
-            result.errors.append(msg)
-            return
 
         def on_page(n: int) -> None:
             result.pages += n
@@ -369,38 +331,22 @@ class Scrubber:
             self._charge(bucket, result, n * PAGE_SIZE)
 
         try:
-            tree = PagedBTree(pages_path, pool_pages=self.pool_pages)
-        except Exception as exc:
-            result.errors.append(f"{pages_name}: {exc}")
-            result.exceptions.append(exc)
-            return
-        try:
-            tree.verify(on_page=on_page)
-        except Exception as exc:
-            result.errors.append(f"{pages_name}: {exc}")
-            result.exceptions.append(exc)
-        finally:
-            tree.close()
-
-    def _scrub_wal(
-        self, directory: Path, result: ShardScrubResult, bucket: _TokenBucket
-    ) -> None:
-        wal_base = directory / "store.wal"
-        paths = [path for _seal, path in sealed_segment_paths(wal_base)]
-        if wal_base.exists():
-            paths.append(wal_base)
-        for path in paths:
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue  # reclaimed between listing and stat
-            self._charge(bucket, result, size)
-            result.wal_files += 1
-            scan = WriteAheadLog.scan_file(path, strict=False)
-            if not scan.clean:
-                result.errors.append(
-                    f"{path.name}: CRC/framing damage at offset {scan.valid_bytes}"
-                )
+            report = fsck(directory, on_page=on_page)
+        except Exception as exc:  # an I/O failure, not a finding
+            result.errors.append(f"fsck raised {type(exc).__name__}: {exc}")
+            result.exception = exc
+            return result
+        result.wal_files = report.segments_checked
+        wal = directory / WAL_NAME
+        for path in [wal, *(path for _seal, path in sealed_segment_paths(wal))]:
+            with contextlib.suppress(OSError):  # reclaimed since fsck read it
+                self._charge(bucket, result, path.stat().st_size)
+        result.errors = [
+            f"{Path(issue.path).name}: {issue.message}" if issue.path else issue.message
+            for issue in report.issues
+            if issue.severity != INFO and not issue.artifact
+        ]
+        return result
 
     def _charge(
         self, bucket: _TokenBucket, result: ShardScrubResult, n: int
@@ -416,7 +362,7 @@ class Scrubber:
             directory = self.store.shard_path(index)
             if not directory.is_dir():
                 continue
-            for path in directory.glob("store.pages.*"):
+            for path in pages_files(directory):
                 try:
                     total += path.stat().st_size // PAGE_SIZE
                 except OSError:

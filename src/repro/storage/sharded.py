@@ -74,7 +74,12 @@ from repro.obs import progress as _progress
 from repro.storage import faultfs as _faultfs
 from repro.storage.health import ShardHealthMachine
 from repro.storage.schema import Schema
-from repro.storage.store import IndexKind, RecordStore, _check_data_format
+from repro.storage.store import (
+    IndexKind,
+    RecordStore,
+    _check_data_format,
+    read_manifest,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.retry import RetryPolicy
@@ -771,9 +776,12 @@ class ShardedStore:
         The re-admission step after a repair: recovery replays whatever
         the repair left on disk (e.g. a full WAL chain after a snapshot
         rollback).  Secondary-index *declarations* live only in the
-        snapshot, so a rollback loses them — they are re-declared here by
-        mirroring a sibling shard (declarations are uniform across
-        shards; the indexes themselves rebuild lazily).
+        manifest, so a rollback loses them.  They are restored from a
+        sibling shard (declarations are uniform across shards): the
+        declarations in the sibling's manifest are made durable by a
+        checkpoint of this shard, and the sibling's undurable ones are
+        declared in memory only, as they are on the sibling.  The
+        indexes themselves rebuild lazily.
         """
         if self.root is None:
             raise StorageError("reopen_shard needs a disk-backed store")
@@ -787,23 +795,21 @@ class ShardedStore:
             shard=index,
             **self._shard_kwargs,
         )
-        sibling = next(
-            (s for j, s in enumerate(self.shards) if j != index), None
-        )
-        if sibling is not None:
-            for field in sibling.indexed_fields:
-                if not store.has_index(field):
-                    kind = sibling.index_kind(field)
-                    if kind is not None:
-                        store.create_index(field, kind)
-            declared = set(store.composite_indexes())
-            for fields in sibling.composite_indexes():
-                if fields not in declared:
-                    store.create_composite_index(fields)
+        # Installed before the checkpoint below, so a failed checkpoint
+        # leaves the shard open for the next close or reopen.
         shards = list(self.shards)
         shards[index] = store
         self.shards = tuple(shards)
         self._records_gauges[index].set(len(store))
+        sibling = next((j for j in range(self.shard_count) if j != index), None)
+        if sibling is not None:
+            try:
+                manifest = read_manifest(self.shard_path(sibling))
+            except StorageError:
+                manifest = None  # a damaged sibling vouches for nothing
+            if manifest is not None and store.declare_indexes(manifest.indexes):
+                store.checkpoint()
+            store.declare_indexes(self.shards[sibling].declared_indexes())
         _logging.info("storage.sharded.reopen", shard=index, records=len(store))
         return store
 

@@ -64,6 +64,7 @@ import contextlib
 import enum
 import gc
 import json
+import re
 import threading
 import zlib
 from dataclasses import dataclass
@@ -399,6 +400,143 @@ def publish_manifest(
     fs.fsync_dir(path.parent)
 
 
+#: A store directory holds the active write-ahead log (sealed segments
+#: append ``.NNNNNN``), the snapshot manifest, and the pages files that
+#: checkpoints publish (``store.pages.NNNNNN``, built as ``….tmp``).
+WAL_NAME = "store.wal"
+SNAPSHOT_NAME = "snapshot.json"
+_PAGES_PREFIX = "store.pages."
+
+
+def pages_name(seal: int) -> str:
+    """Pages file published by the checkpoint covering WAL seal ``seal``.
+
+    Versioned by seal (like WAL segments) so a crash mid-checkpoint can
+    never leave the manifest pointing at a half-rewritten file: a new
+    checkpoint always publishes a *new* name, the manifest flips
+    atomically, and superseded files are removed last (a crash before
+    that leaves fsck-repairable strays).
+    """
+    return f"{_PAGES_PREFIX}{seal:06d}"
+
+
+def pages_files(directory: Path) -> list[Path]:
+    """Every ``store.pages.*`` file in ``directory``, ``.tmp`` builds
+    included, sorted by name."""
+    return sorted(directory.glob(_PAGES_PREFIX + "*"))
+
+
+_CRC_RE = re.compile("[0-9a-f]{8}")
+
+
+def _is_count(value: Any) -> bool:
+    return type(value) is int and value >= 0
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A snapshot manifest whose fields passed :func:`read_manifest`."""
+
+    path: Path
+    version: int
+    wal_seal: int
+    indexes: list[dict[str, Any]]
+    record_count: int
+    #: Version 3: the referenced pages file and the CRC of its records.
+    pages: str | None = None
+    checksum: int = 0
+    #: Versions 1 and 2: the records, inline.
+    records: list[dict[str, Any]] | None = None
+
+    def open_pages(
+        self,
+        *,
+        fs: _faultfs.FileSystem | None = None,
+        pool_pages: int = DEFAULT_POOL_PAGES,
+        shard: int | None = None,
+    ) -> PagedBTree:
+        """Open the referenced pages file and check its meta page against
+        the manifest's record count and CRC.
+
+        Only the meta page is read, so a paged open stays O(1); the deep
+        page walk is fsck's (:meth:`PagedBTree.verify`).
+        """
+        assert self.pages is not None
+        path = self.path.parent / self.pages
+        if not path.exists():
+            raise StorageError(
+                f"paged snapshot references missing pages file {self.pages}"
+            )
+        tree = PagedBTree(path, fs=fs, pool_pages=pool_pages, shard=shard)
+        if tree.entry_count == self.record_count and tree.data_crc == self.checksum:
+            return tree
+        tree.close()
+        raise StorageError(
+            "paged snapshot manifest disagrees with its pages file: manifest "
+            f"{self.record_count} records (crc {self.checksum:08x}), pages file "
+            f"{tree.entry_count} (crc {tree.data_crc:08x})"
+        )
+
+
+def read_manifest(directory: Path) -> Manifest | None:
+    """Read and check ``directory``'s snapshot manifest (``None`` if absent).
+
+    The one reader of ``snapshot.json``: recovery and ``repro fsck``
+    both go through it, so they agree on what a damaged manifest is.
+    The rules are listed in ``docs/storage_format.md`` (Manifest rules);
+    :meth:`Manifest.open_pages` checks a version-3 manifest against its
+    pages file.  Any failure raises :class:`~repro.errors.StorageError`.
+    """
+    path = directory / SNAPSHOT_NAME
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    try:
+        state = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StorageError(f"snapshot is not valid JSON: {exc}") from exc
+    if not isinstance(state, dict):
+        raise StorageError(
+            f"snapshot is a JSON {type(state).__name__}, not an object"
+        )
+    version = state.get("version")
+    if type(version) is not int or version not in _SUPPORTED_SNAPSHOT_VERSIONS:
+        raise StorageError(f"unsupported snapshot version {version!r}")
+    wal_seal = state.get("wal_seal", 0)
+    if not _is_count(wal_seal):
+        raise StorageError(f"snapshot wal_seal {wal_seal!r} is not a segment number")
+    indexes = index_declarations(state)
+    record_count = state.get("record_count")
+    checksum = state.get("checksum")
+    if version == _SNAPSHOT_VERSION:
+        pages = state.get("pages")
+        if not isinstance(pages, str) or not pages or "/" in pages:
+            raise StorageError(f"paged snapshot has a bad pages reference: {pages!r}")
+        if not _is_count(record_count):
+            raise StorageError(f"snapshot record_count {record_count!r} is not a count")
+        if not isinstance(checksum, str) or not _CRC_RE.fullmatch(checksum):
+            raise StorageError(f"snapshot checksum {checksum!r} is not a hex CRC-32")
+        return Manifest(
+            path, version, wal_seal, indexes, record_count,
+            pages=pages, checksum=int(checksum, 16),
+        )
+    records = state.get("records")
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise StorageError("snapshot has no records array")
+    if version == 2:
+        if record_count != len(records):
+            raise StorageError(
+                f"snapshot manifest says {record_count} records, found {len(records)}"
+            )
+        actual = records_checksum(records)
+        if checksum != actual:
+            raise StorageError(
+                f"snapshot checksum mismatch: manifest {checksum}, content {actual}"
+            )
+    return Manifest(path, version, wal_seal, indexes, len(records), records=records)
+
+
 class RecordStore:
     """One table of validated records with optional durability.
 
@@ -502,23 +640,7 @@ class RecordStore:
     @property
     def _wal_path(self) -> Path:
         assert self._directory is not None
-        return self._directory / "store.wal"
-
-    @property
-    def _snapshot_path(self) -> Path:
-        assert self._directory is not None
-        return self._directory / "snapshot.json"
-
-    def _pages_name(self, seal: int) -> str:
-        """Pages file published by the checkpoint covering WAL seal ``seal``.
-
-        Versioned by seal (like WAL segments) so a crash mid-checkpoint
-        can never leave the manifest pointing at a half-rewritten file:
-        a new checkpoint always publishes a *new* name, the manifest
-        flips atomically, and superseded files are removed last (a crash
-        before that leaves fsck-repairable strays).
-        """
-        return f"store.pages.{seal:06d}"
+        return self._directory / WAL_NAME
 
     @property
     def is_paged(self) -> bool:
@@ -882,20 +1004,25 @@ class RecordStore:
         assert index.structure is not None
         return index.structure
 
-    def _declare_index(self, index_def: Mapping[str, Any]) -> None:
-        """Register a checked index declaration without building it (open)."""
-        if "fields" in index_def:
-            fields = tuple(index_def["fields"])
-            name = COMPOSITE_SEPARATOR.join(fields)
-            self._indexes[name] = _SecondaryIndex(
-                field=name, kind=IndexKind.BTREE, structure=None, fields=fields
-            )
-        else:
-            field = index_def["field"]
-            self._indexes[field] = _SecondaryIndex(
-                field=field, kind=IndexKind(index_def["kind"]), structure=None
-            )
-        self.index_epoch += 1
+    def declare_indexes(self, index_defs: Iterable[Mapping[str, Any]]) -> bool:
+        """Declare, without building, each checked manifest entry (see
+        :func:`index_declarations`) not declared yet; returns whether
+        any was.  Recovery declares its manifest's indexes this way."""
+        added = False
+        for index_def in index_defs:
+            fields = tuple(index_def.get("fields", ()))
+            name = COMPOSITE_SEPARATOR.join(fields) if fields else index_def["field"]
+            if name not in self._indexes:
+                self._indexes[name] = _SecondaryIndex(
+                    field=name,
+                    kind=IndexKind(index_def["kind"]),
+                    structure=None,
+                    fields=fields,
+                )
+                added = True
+        if added:
+            self.index_epoch += 1
+        return added
 
     def _build_indexes(self, indexes: Sequence[_SecondaryIndex]) -> None:
         """Fill every index in ``indexes`` in one pass over the records.
@@ -1168,7 +1295,8 @@ class RecordStore:
 
     # -- durability ---------------------------------------------------------------
 
-    def _index_defs(self) -> list[dict[str, Any]]:
+    def declared_indexes(self) -> list[dict[str, Any]]:
+        """The index declarations, as a manifest records them."""
         index_defs: list[dict[str, Any]] = []
         for idx in self._indexes.values():
             if idx.is_composite:
@@ -1236,9 +1364,9 @@ class RecordStore:
         assert self._directory is not None
         self._wal.rotate()
         covered = self._wal.highest_seal
-        pages_name = self._pages_name(covered)
-        pages_path = self._directory / pages_name
-        tmp_pages = self._directory / (pages_name + ".tmp")
+        published = pages_name(covered)
+        pages_path = self._directory / published
+        tmp_pages = self._directory / (published + ".tmp")
         tmp_pages.unlink(missing_ok=True)
         checksum = StreamingChecksum()
         if isinstance(self._records, PagedRecordMap):
@@ -1287,12 +1415,12 @@ class RecordStore:
             raise
         self._fs.fsync_dir(self._directory)
         publish_manifest(
-            self._snapshot_path,
-            pages=pages_name,
+            self._directory / SNAPSHOT_NAME,
+            pages=published,
             wal_seal=covered,
             record_count=record_count,
             checksum=checksum.hexdigest(),
-            indexes=self._index_defs(),
+            indexes=self.declared_indexes(),
             fs=self._fs,
             retry=self._retry,
         )
@@ -1305,7 +1433,7 @@ class RecordStore:
                 removed += 1
         if isinstance(self._records, PagedRecordMap):
             self._records.close()
-        self._remove_pages_files(keep=pages_name)
+        self._remove_pages_files(keep=published)
         if removed:
             self._fs.fsync_dir(self._directory)
         self._records = PagedRecordMap(
@@ -1324,7 +1452,7 @@ class RecordStore:
             "storage.checkpoint",
             wal_seal=covered,
             records=record_count,
-            pages=pages_name,
+            pages=published,
             segments_removed=removed,
             bytes_reclaimed=reclaimed,
             **attrs,
@@ -1356,7 +1484,7 @@ class RecordStore:
         """Delete ``store.pages.*`` files except ``keep`` (and any tmps)."""
         assert self._directory is not None
         removed = False
-        for path in sorted(self._directory.glob("store.pages.*")):
+        for path in pages_files(self._directory):
             if path.name == keep:
                 continue
             self._fs.remove(path)
@@ -1395,36 +1523,35 @@ class RecordStore:
     def _recover(self) -> None:
         """Rebuild in-memory state: snapshot, then surviving WAL segments.
 
-        Strict by design — mid-chain damage raises
-        :class:`~repro.errors.CorruptLogError` rather than silently
-        dropping acknowledged data; ``repro fsck`` is the explicit tool
-        for diagnosing and repairing a damaged directory.
+        Strict by design — a damaged manifest raises
+        :class:`~repro.errors.StorageError` (see :func:`read_manifest`)
+        and mid-chain damage raises :class:`~repro.errors.CorruptLogError`
+        rather than silently dropping acknowledged data; ``repro fsck``
+        is the explicit tool for diagnosing and repairing a damaged
+        directory.
         """
         _RECOVERY_COUNT.inc()
-        if self._snapshot_path.exists():
-            with open(self._snapshot_path, encoding="utf-8") as fh:
-                state = json.load(fh)
-            version = state.get("version")
-            if version not in _SUPPORTED_SNAPSHOT_VERSIONS:
-                raise StorageError(f"unsupported snapshot version {version!r}")
-            index_defs = index_declarations(state)
-            if version == _SNAPSHOT_VERSION:
-                self._recover_paged(state)
+        assert self._directory is not None
+        manifest = read_manifest(self._directory)
+        if manifest is not None:
+            if manifest.records is None:
+                # Read-through: only the tree's meta page is read, and
+                # records stay on disk until touched.
+                self._records = PagedRecordMap(
+                    manifest.open_pages(
+                        fs=self._fs, pool_pages=self._pool_pages, shard=self._shard
+                    )
+                )
             else:
                 # Legacy v1/v2 snapshot: records inline, loaded in full
                 # this once — the next checkpoint upgrades it to v3.
-                records = state["records"]
-                if version >= 2 and state.get("record_count") != len(records):
-                    raise StorageError(
-                        "snapshot record count disagrees with its manifest "
-                        "(corrupt snapshot; run `repro fsck` for details)"
-                    )
-                for record in records:
+                for record in manifest.records:
                     self.schema.validate(record)
                     self._records[self.schema.primary_key_of(record)] = dict(record)
-            for index_def in index_defs:
-                self._declare_index(index_def)
-            self._snapshot_seal = int(state.get("wal_seal", 0))
+            # Indexes, in either version, are declared but not built;
+            # see _ensure_index_built.
+            self.declare_indexes(manifest.indexes)
+            self._snapshot_seal = manifest.wal_seal
         chain = WriteAheadLog.scan_chain(self._wal_path, min_seal=self._snapshot_seal)
         # Buffer runs of consecutive puts so replay of a bulk ingest goes
         # through the same sorted batched index maintenance that wrote it.
@@ -1448,41 +1575,6 @@ class RecordStore:
             stale_segments=len(chain.stale),
             snapshot_seal=self._snapshot_seal,
         )
-
-    def _recover_paged(self, state: dict[str, Any]) -> None:
-        """Open a v3 (paged) snapshot read-through — O(1), not O(n).
-
-        Only the tree's meta page is read: the manifest's record count
-        and checksum are compared against the meta fields the checkpoint
-        stamped, and records stay on disk until touched.  (Secondary
-        indexes, in either version, are *declared* but not built; see
-        :meth:`_ensure_index_built`.)  Deep page validation is
-        ``repro fsck``'s job, exactly as chain validation is for the WAL.
-        """
-        assert self._directory is not None
-        pages_name = state.get("pages")
-        if not isinstance(pages_name, str) or "/" in pages_name:
-            raise StorageError(f"paged snapshot has invalid pages name {pages_name!r}")
-        pages_path = self._directory / pages_name
-        if not pages_path.exists():
-            raise StorageError(
-                f"paged snapshot references missing pages file {pages_name} "
-                "(run `repro fsck` for details)"
-            )
-        tree = PagedBTree(
-            pages_path, fs=self._fs, pool_pages=self._pool_pages, shard=self._shard
-        )
-        expected_crc = int(state.get("checksum", "0"), 16)
-        if (
-            tree.entry_count != state.get("record_count")
-            or tree.data_crc != expected_crc
-        ):
-            tree.close()
-            raise StorageError(
-                "paged snapshot manifest disagrees with its pages file "
-                "(corrupt checkpoint; run `repro fsck` for details)"
-            )
-        self._records = PagedRecordMap(tree)
 
     def _replay_op(
         self, payload: dict[str, Any], pending: list[dict[str, Any]]

@@ -171,6 +171,20 @@ class TestFatal:
         assert report.exit_code() == 2
         assert any("chain gap" in i.message for i in report.issues)
 
+    def test_unrecoverable_snapshot_keeps_its_pages_file(self, tmp_path):
+        # The manifest is unreadable and the pages file it named is
+        # damaged, with the history behind it reclaimed: nothing can roll
+        # back, so repair refuses — and must not delete the pages file as
+        # a stray, the only copy of the data.
+        directory = tmp_path / "db"
+        _build_store(directory)
+        pages = directory / json.loads((directory / "snapshot.json").read_text())["pages"]
+        flip_bit_on_disk(pages, 4096 + 64)
+        (directory / "snapshot.json").write_bytes(b"{")
+        report = fsck(directory, repair=True)
+        assert report.exit_code() == 2
+        assert pages.exists()
+
     def test_mid_chain_damage_is_not_repaired(self, tmp_path):
         directory = tmp_path / "db"
         with RecordStore(SCHEMA, directory, sync=True) as store:
@@ -224,6 +238,74 @@ class TestMalformedIndexDeclarations:
             with RecordStore(SCHEMA, directory) as store:
                 assert set(store.keys()) == set(range(11))
                 assert store.indexed_fields == ()
+
+
+def _edit_manifest(directory, edit) -> None:
+    snapshot = directory / "snapshot.json"
+    state = json.loads(snapshot.read_text())
+    edit(state)
+    snapshot.write_text(json.dumps(state))
+
+
+class TestManifestReader:
+    """Recovery and fsck read ``snapshot.json`` through one reader: any
+    damage it finds raises ``StorageError`` on open, and fsck reports the
+    same damage as a finding instead of raising."""
+
+    def test_truncated_manifest_refuses_to_open(self, tmp_path):
+        directory = tmp_path / "db"
+        _build_store(directory)
+        snapshot = directory / "snapshot.json"
+        snapshot.write_bytes(snapshot.read_bytes()[:-7])
+        with pytest.raises(StorageError, match="not valid JSON"):
+            RecordStore(SCHEMA, directory)
+
+    def test_non_hex_checksum_refuses_to_open(self, tmp_path):
+        directory = tmp_path / "db"
+        _build_store(directory)
+        _edit_manifest(directory, lambda state: state.update(checksum="zz00zz00"))
+        with pytest.raises(StorageError, match="checksum"):
+            RecordStore(SCHEMA, directory)
+
+    @pytest.mark.parametrize(
+        "damage, needle",
+        [
+            (lambda state: {**state, "wal_seal": "one"}, "wal_seal"),
+            (lambda state: [state], "not an object"),
+        ],
+        ids=["non-integer-wal-seal", "not-an-object"],
+    )
+    def test_reported_by_fsck_not_raised(self, tmp_path, damage, needle):
+        directory = tmp_path / "db"
+        _build_store(directory)
+        snapshot = directory / "snapshot.json"
+        state = json.loads(snapshot.read_text())
+        snapshot.write_text(json.dumps(damage(state)))
+        with pytest.raises(StorageError, match=needle):
+            RecordStore(SCHEMA, directory)
+        report = fsck(directory)
+        assert any(
+            i.severity != INFO and needle in i.message for i in report.issues
+        )
+        # The pages file is intact, so repair rolls the manifest back to it.
+        assert report.exit_code() == 1
+        assert fsck(directory, repair=True).exit_code() == 0
+        with RecordStore(SCHEMA, directory) as store:
+            assert set(store.keys()) == set(range(11))
+
+    def test_v2_records_must_match_their_checksum(self, tmp_path):
+        # A bit rotted in an inline record: at open, not only under fsck,
+        # or the next checkpoint would republish the rotted record under
+        # a fresh CRC that fsck passes.
+        directory = tmp_path / "db"
+        _build_v2_store(directory)
+
+        def rot(state):
+            state["records"][3]["name"] = "rec-8"
+
+        _edit_manifest(directory, rot)
+        with pytest.raises(StorageError, match="checksum mismatch"):
+            RecordStore(SCHEMA, directory)
 
 
 class TestReportSurface:

@@ -13,7 +13,7 @@ from repro.obs import metrics
 from repro.obs.server import TelemetryServer
 from repro.query.executor import QueryEngine
 from repro.resilience import QueryService
-from repro.storage import ShardedStore, Scrubber
+from repro.storage import RecordStore, ShardedStore, Scrubber
 from repro.storage.faultfs import flip_bit_on_disk
 from repro.storage.pages import PAGE_SIZE
 from repro.storage.schema import Field, FieldType, Schema
@@ -95,6 +95,27 @@ class TestHealthzShards:
             time.sleep(0.1)
             _, _, body = _get(srv.url + "/healthz")
         assert json.loads(body)["cached"] is False
+
+
+class TestHealthzInlineFsck:
+    def test_manifest_that_is_not_an_object_reads_degraded(self, tmp_path):
+        # fsck reports the damage and can roll the snapshot back to its
+        # intact pages file, so the store is degraded, not down.
+        with RecordStore(SCHEMA, tmp_path / "db") as store:
+            store.put_many(_corpus())
+            store.checkpoint()
+        manifest = tmp_path / "db" / "snapshot.json"
+        manifest.write_text(json.dumps([json.loads(manifest.read_text())]))
+        with TelemetryServer(port=0, store_dir=str(tmp_path / "db")) as srv:
+            status, _, body = _get(srv.url + "/healthz")
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["status"] == "degraded"
+        assert payload["store"]["exit_code"] == 1
+        assert any(
+            "not an object" in issue["message"]
+            for issue in payload["store"]["issues"]
+        )
 
 
 class TestHealthzScrubberVerdict:

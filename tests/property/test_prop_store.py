@@ -12,15 +12,21 @@ through the query engine and must match a filter over the model.
 
 The same machine runs over a durable :class:`RecordStore` and a durable
 3-shard :class:`ShardedStore`, both queried by :class:`QueryEngine`.  On
-the sharded store two more rules quarantine and readmit shards: while a
+the sharded store more rules quarantine and readmit shards: while a
 shard is out of service a strict query raises, and a ``partial=True``
 query matches the model without that shard's records.  Quarantine is
-persisted, so it also has to survive the restarts.
+persisted, so it also has to survive the restarts.  The scrubber joins
+them: a sweep over undamaged shards quarantines nothing, and a sweep
+after damage planted in one shard's manifest or live log quarantines
+exactly that shard, which a repairing sweep then heals with every
+record.
 """
 
+import json
 import shutil
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -41,8 +47,9 @@ from repro.errors import (
 from repro.query import QueryEngine
 from repro.storage.faultfs import FAILPOINTS, FaultFS, InjectedFault
 from repro.storage.schema import Field, FieldType, Schema
+from repro.storage.scrub import Scrubber
 from repro.storage.sharded import ShardedStore
-from repro.storage.store import IndexKind, RecordStore
+from repro.storage.store import SNAPSHOT_NAME, WAL_NAME, IndexKind, RecordStore
 
 SCHEMA = Schema(
     [
@@ -58,6 +65,33 @@ keys = st.integers(min_value=0, max_value=20)
 names = st.sampled_from(NAMES)
 years = st.integers(min_value=1960, max_value=2000)
 rows = st.lists(st.tuples(keys, names, years), max_size=8)
+
+#: Damage fsck can roll back (manifest edits, a truncated manifest) or
+#: trim (a torn tail on the live log) without losing a committed record.
+DAMAGES = ("record_count", "checksum", "version", "indexes", "truncated", "torn_tail")
+
+
+def _plant(directory: Path, damage: str) -> None:
+    """Plant ``damage`` in the store directory ``directory``."""
+    if damage == "torn_tail":
+        with open(directory / WAL_NAME, "ab") as fh:
+            fh.write(b'W1 deadbeef 42 {"op":')
+        return
+    manifest = directory / SNAPSHOT_NAME
+    raw = manifest.read_bytes()
+    if damage == "truncated":
+        manifest.write_bytes(raw[: len(raw) // 2])
+        return
+    state = json.loads(raw)
+    if damage == "record_count":
+        state["record_count"] += 1
+    elif damage == "checksum":
+        state["checksum"] = f"{int(state['checksum'], 16) ^ 1:08x}"
+    elif damage == "version":
+        state["version"] = 9
+    else:
+        state["indexes"] = [{"field": 7, "kind": "btree"}]
+    manifest.write_text(json.dumps(state))
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -171,8 +205,10 @@ class StoreMachine(RuleBasedStateMachine):
     def _reopened(self, fs=None):
         self._open(fs)
         self.indexes_declared = self.indexes_durable
-        assert self.store.has_index("name") == self.indexes_durable
-        assert self.store.has_index("year") == self.indexes_durable
+        # Every shard reopens with the same declarations.
+        for store in getattr(self.store, "shards", (self.store,)):
+            assert store.has_index("name") == self.indexes_durable
+            assert store.has_index("year") == self.indexes_durable
 
     @rule()
     def restart(self):
@@ -291,6 +327,32 @@ class ShardedStoreMachine(StoreMachine):
     def readmit(self, shard):
         self.store.readmit(shard)
         self.quarantined.discard(shard)
+
+    @rule(shard=st.integers(min_value=0, max_value=2), damage=st.sampled_from(DAMAGES))
+    def scrub_heals_planted_damage(self, shard, damage):
+        directory = self.store.shard_path(shard)
+        if not (directory / SNAPSHOT_NAME).exists():
+            return  # no checkpoint yet: nothing to roll back to
+        _plant(directory, damage)
+        scrubber = Scrubber(self.store, bytes_per_s=None)
+        assert scrubber.run_once().corrupt_shards == (shard,)
+        self.quarantined.add(shard)
+        assert set(self.store.health.quarantined_shards()) == self.quarantined
+        self.queries_match_model()
+        # The repairing sweep heals every quarantined shard, the damaged
+        # one and any an operator pulled, and reopens each from disk.
+        healed = scrubber.run_once(repair=True)
+        assert all(healed.shards[i].repaired for i in self.quarantined)
+        self.quarantined.clear()
+        assert self.store.health.quarantined_shards() == ()
+
+    @rule()
+    def scrub_passes_undamaged(self):
+        # Whatever the rules before left on disk (a crash inside a
+        # checkpoint included), an undamaged store scrubs clean.
+        report = Scrubber(self.store, bytes_per_s=None).run_once()
+        assert report.clean, report.render()
+        assert set(self.store.health.quarantined_shards()) == self.quarantined
 
 
 _SETTINGS = settings(max_examples=40, stateful_step_count=40, deadline=None)

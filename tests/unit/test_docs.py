@@ -40,10 +40,13 @@ def _python_blocks(markdown_path: Path) -> list[tuple[int, str]]:
     return blocks
 
 
+# Each case is named by its file and the fence's ordinal in that file, so
+# editing prose above a fence does not rename the test; the line number
+# still locates a failure.
 _ALL_BLOCKS = [
-    pytest.param(path, line, code, id=f"{path}:{line}")
+    pytest.param(path, line, code, id=f"{path}#{ordinal}")
     for path in DOC_FILES
-    for line, code in _python_blocks(path)
+    for ordinal, (line, code) in enumerate(_python_blocks(path), start=1)
 ]
 
 

@@ -1,5 +1,7 @@
 """Background scrubber: CRC sweeps, rate limiting, and the repair loop."""
 
+import json
+
 import pytest
 
 from repro.storage import (
@@ -32,6 +34,11 @@ def _store(tmp_path, *, shards: int = 3, n: int = 300, fmt: str = "paged"):
     store.checkpoint()
     store.put_many([_rec(i) for i in range(n, n + 30)])
     return store
+
+
+def _json_edit(edit):
+    """A manifest damage that rewrites one field of the parsed document."""
+    return lambda raw: json.dumps(edit(json.loads(raw))).encode()
 
 
 class TestTokenBucket:
@@ -129,6 +136,54 @@ class TestScrubDetects:
         assert store.health.state(0) == QUARANTINED
         store.close()
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _json_edit(lambda m: {**m, "record_count": m["record_count"] + 1}),
+            _json_edit(lambda m: {**m, "checksum": f"{int(m['checksum'], 16) ^ 1:08x}"}),
+            _json_edit(lambda m: {**m, "version": 9}),
+            _json_edit(lambda m: {**m, "indexes": [{"field": 7, "kind": "btree"}]}),
+            lambda raw: raw[: len(raw) // 2],
+        ],
+        ids=["record-count", "checksum", "version", "indexes", "truncated"],
+    )
+    def test_manifest_damage_quarantines_then_heals(self, tmp_path, damage):
+        # Each damage stops the shard from reopening.  Its pages file
+        # and WAL are intact, so the repair rolls the manifest back to
+        # them and every record survives.
+        store = _store(tmp_path)
+        manifest = store.shard_path(1) / "snapshot.json"
+        raw = manifest.read_bytes()
+        manifest.write_bytes(damage(raw))
+        assert manifest.read_bytes() != raw
+        scrubber = Scrubber(store, bytes_per_s=None)
+        report = scrubber.run_once()
+        assert report.corrupt_shards == (1,)
+        assert store.health.quarantined_shards() == (1,)
+        assert "[scrub]" in store.health.reason(1)
+
+        healed = scrubber.run_once(repair=True)
+        assert healed.shards[1].repaired
+        assert store.health.state(1) == HEALTHY
+        assert sorted(store.keys()) == list(range(330))
+        assert scrubber.run_once().clean
+        store.close()
+
+    def test_checkpoint_artifacts_are_ignored(self, tmp_path):
+        # What a checkpoint in flight leaves behind until it finishes: a
+        # snapshot temp file, a pages file in the making, an unreferenced
+        # pages file and a stale WAL segment.
+        store = _store(tmp_path)
+        shard = store.shard_path(0)
+        (shard / "snapshot.json.tmp").write_bytes(b"{")
+        (shard / "store.pages.000007.tmp").write_bytes(b"\0" * PAGE_SIZE)
+        (shard / "store.pages.000000").write_bytes(b"\0" * PAGE_SIZE)
+        (shard / "store.wal.000001").write_bytes(b"")
+        report = Scrubber(store, bytes_per_s=None).run_once()
+        assert report.clean
+        assert store.health.state(0) == HEALTHY
+        store.close()
+
 
 class TestSelfHealing:
     def test_repair_restores_service_and_data(self, tmp_path):
@@ -159,6 +214,52 @@ class TestSelfHealing:
         assert sorted(store.keys()) == expected  # zero committed-record loss
         # A second sweep over the repaired store is clean.
         assert scrubber.run_once().clean
+        store.close()
+
+    def test_healed_shard_keeps_its_index_declarations(self, tmp_path):
+        # The rollback publishes a manifest without index declarations;
+        # the readmit must make the sibling's durable again, or the next
+        # plain reopen serves the shard without them.
+        fs = FaultFS()
+        store = ShardedStore(SCHEMA, tmp_path / "db", shards=3, fs=fs)
+        store.create_index("name")
+        store.put_many([_rec(i) for i in range(300)])
+        store.checkpoint()
+        store.put_many([_rec(i) for i in range(300, 330)])
+        fs.arm("fail_after_rename", path="shard-00/snapshot.json")
+        with pytest.raises(InjectedFault):
+            store.checkpoint()
+        pages = sorted((tmp_path / "db" / "shard-00").glob("store.pages.*"))[-1]
+        flip_bit_on_disk(pages, byte_index=1 * PAGE_SIZE + 50, bit=2)
+        assert Scrubber(store, bytes_per_s=None).run_once(repair=True).shards[0].repaired
+        store.close()
+
+        with ShardedStore(SCHEMA, tmp_path / "db") as reopened:
+            assert [s.has_index("name") for s in reopened.shards] == [True] * 3
+            assert [r["id"] for r in reopened.find_by("name", "rec-00007")] == [7]
+            assert len(reopened) == 330
+
+    def test_failed_reopen_returns_shard_to_quarantine(self, tmp_path):
+        # The rollback drops the declarations, so the readmit checkpoints
+        # the reopened shard; when that write fails the shard must go
+        # back to quarantine, not leak the error out of the sweep.
+        fs = FaultFS()
+        store = ShardedStore(SCHEMA, tmp_path / "db", shards=3, fs=fs)
+        store.create_index("name")
+        store.put_many([_rec(i) for i in range(300)])
+        store.checkpoint()
+        manifest = store.shard_path(0) / "snapshot.json"
+        manifest.write_bytes(manifest.read_bytes()[:-5])
+        fs.arm("fail_before_fsync", path="shard-00/")
+        scrubber = Scrubber(store, bytes_per_s=None)
+        assert not scrubber.run_once(repair=True).shards[0].repaired
+        assert store.health.state(0) == QUARANTINED
+        assert "reopen raised InjectedFault" in store.health.reason(0)
+
+        fs.disarm_all()
+        assert scrubber.run_once(repair=True).shards[0].repaired
+        assert store.health.state(0) == HEALTHY
+        assert len(store) == 300
         store.close()
 
     def test_repair_refuses_when_history_is_gone(self, tmp_path):
