@@ -61,12 +61,35 @@ class TextRenderer(Renderer):
 
 
 def _wrap(text: str, width: int, wrapped: dict[tuple[str, int], list[str]]) -> list[str]:
-    """``textwrap.wrap`` of ``text``, at least one line, done once per
-    distinct text in ``wrapped``: an author heading repeats on each of its
-    rows, and a co-authored title on each co-author's row."""
+    """``textwrap.wrap(text, width) or [""]``, done once per distinct
+    text in ``wrapped``: an author heading repeats on each of its rows,
+    and a co-authored title on each co-author's row.
+
+    A text whose only whitespace is single spaces between words, with no
+    hyphen and no word wider than ``width``, is filled here: one line if
+    it fits, else words taken greedily, which is what ``textwrap`` makes
+    of it.  Any other text goes to ``textwrap``, which also splits at
+    hyphens, breaks long words and normalises whitespace.
+    """
     lines = wrapped.get((text, width))
-    if lines is None:
-        lines = wrapped[text, width] = textwrap.wrap(text, width) or [""]
+    if lines is not None:
+        return lines
+    words = text.split(" ")
+    if "-" in text or words != text.split() or max(map(len, words)) > width:
+        lines = textwrap.wrap(text, width) or [""]
+    elif len(text) <= width:
+        lines = [text]
+    else:
+        lines = []
+        line = words[0]
+        for word in words[1:]:
+            if len(line) + 1 + len(word) <= width:
+                line += " " + word
+            else:
+                lines.append(line)
+                line = word
+        lines.append(line)
+    wrapped[text, width] = lines
     return lines
 
 
@@ -83,7 +106,7 @@ def _entry_lines(entry: IndexEntry, wrapped: dict[tuple[str, int], list[str]]) -
     title_lines = title_lines + [""] * (height - len(title_lines))
     cite_lines += [""] * (height - len(cite_lines))
 
-    rows = []
-    for a, t, c in zip(author_lines, title_lines, cite_lines):
-        rows.append(f"{a:<{_AUTHOR_WIDTH}} {t:<{_TITLE_WIDTH}} {c:>{_CITE_WIDTH}}".rstrip())
-    return rows
+    return [
+        f"{a.ljust(_AUTHOR_WIDTH)} {t.ljust(_TITLE_WIDTH)} {c.rjust(_CITE_WIDTH)}".rstrip()
+        for a, t, c in zip(author_lines, title_lines, cite_lines)
+    ]

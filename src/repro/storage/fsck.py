@@ -375,7 +375,8 @@ def _rollback_snapshot(
     page, so the manifest/pages cross-check holds on the next open, and
     recovery replays the WAL from there.  Secondary-index declarations
     live only in the snapshot and are lost — callers re-declare them
-    (``ShardedStore.reopen_shard`` restores a sibling shard's, durably).
+    (a :class:`~repro.storage.sharded.ShardedStore` restores its
+    siblings', durably, at open and in ``reopen_shard``).
 
     Returns the ``(wal_seal, pages_name)`` now in effect.
     """

@@ -261,18 +261,28 @@ class PagedBTree:
             node = self._read_node(page_id)
         return page_id, node
 
-    def items(self) -> Iterator[tuple[Any, bytes]]:
-        """All ``(key, value)`` pairs in key order, via the leaf chain."""
-        _pid, leaf = self._leftmost_leaf()
+    def _chain(self, leaf: LeafNode) -> Iterator[LeafNode]:
+        """``leaf`` and each leaf after it, via the leaf chain."""
         while True:
-            for key, stored in zip(leaf.keys, leaf.values):
-                yield key, self._load_value(stored)
+            yield leaf
             if not leaf.next_leaf:
                 return
             node = self._read_node(leaf.next_leaf)
             if not isinstance(node, LeafNode):
                 raise PageCorruptionError(leaf.next_leaf, "leaf chain left the leaves")
             leaf = node
+
+    def leaves(self) -> Iterator[tuple[list[Any], list[bytes]]]:
+        """Each leaf's keys and values, leaf by leaf in key order, with
+        overflow values loaded.  A caller that decodes a whole leaf at
+        once reads the tree through this."""
+        for leaf in self._chain(self._leftmost_leaf()[1]):
+            yield leaf.keys, [self._load_value(stored) for stored in leaf.values]
+
+    def items(self) -> Iterator[tuple[Any, bytes]]:
+        """All ``(key, value)`` pairs in key order."""
+        for keys, values in self.leaves():
+            yield from zip(keys, values)
 
     def keys(self) -> Iterator[Any]:
         for key, _value in self.items():
@@ -289,19 +299,13 @@ class PagedBTree:
         else:
             leaf = LeafNode.unpack(self._search(lo)[0].data)
             idx = bisect.bisect_left(leaf.keys, lo)
-        while True:
+        for leaf in self._chain(leaf):
             while idx < len(leaf.keys):
                 key = leaf.keys[idx]
                 if hi is not None and (key > hi if inclusive else key >= hi):
                     return
                 yield key, self._load_value(leaf.values[idx])
                 idx += 1
-            if not leaf.next_leaf:
-                return
-            node = self._read_node(leaf.next_leaf)
-            if not isinstance(node, LeafNode):
-                raise PageCorruptionError(leaf.next_leaf, "leaf chain left the leaves")
-            leaf = node
             idx = 0
 
     # -- bulk build ----------------------------------------------------------

@@ -7,10 +7,10 @@ format: the checkpointed records live on disk in a
 everything written since that checkpoint lives in a small in-memory
 *overlay* (a dict of records plus a tombstone set for deletes).  Reads
 check the overlay first and fall through to the tree; iteration is a
-two-pointer merge of the pk-sorted base with the sorted overlay.  The
-result behaves like the dict the store already uses — ``in`` /
-``[key]`` / ``pop`` / ``update`` / ``values`` / ``items`` — with two
-deliberate differences:
+two-pointer merge of the pk-sorted base, decoded a leaf at a time, with
+the sorted overlay.  The result behaves like the dict the store already
+uses — ``in`` / ``[key]`` / ``pop`` / ``update`` / ``values`` /
+``items`` — with two deliberate differences:
 
 * iteration order is **primary-key order**, not insertion order (the
   base is a sorted tree; a merged iteration has no insertion order to
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from itertools import chain
 from typing import Any, Iterator, Mapping
 
 from repro.storage.paged_btree import PagedBTree
@@ -52,6 +53,14 @@ def encode_record(record: Mapping[str, Any]) -> bytes:
 
 def decode_record(raw: bytes) -> dict[str, Any]:
     return json.loads(raw.decode("utf-8"))
+
+
+def decode_leaf(values: list[bytes]) -> list[dict[str, Any]]:
+    """The records of one leaf's values, decoded by one ``json.loads``
+    over the JSON array they join into (the grammar
+    :class:`StreamingChecksum` hashes).  One call per leaf, not per
+    record, and the leaf's records share each field-name string."""
+    return json.loads(b"[" + b",".join(values) + b"]")
 
 
 class StreamingChecksum:
@@ -163,14 +172,18 @@ class PagedRecordMap:
     def items(self) -> Iterator[tuple[Any, dict[str, Any]]]:
         """Merged ``(pk, record)`` pairs in primary-key order.
 
-        Do not mutate the map while iterating (the store collects first
-        and applies after, so its own call sites never do).
+        The base is decoded a leaf at a time (:func:`decode_leaf`), at
+        most one leaf ahead of the consumer.  Do not mutate the map
+        while iterating (the store collects first and applies after, so
+        its own call sites never do).
         """
-        for key, raw in self._merged_encoded():
-            if raw is None:
-                yield key, self._overlay[key]
-            else:
-                yield key, decode_record(raw)
+        base = (
+            pair
+            for keys, values in self._tree.leaves()
+            for pair in zip(keys, decode_leaf(values))
+        )
+        overlay = ((key, self._overlay[key]) for key in sorted(self._overlay))
+        return self._merged(base, overlay)
 
     # -- checkpoint streaming ------------------------------------------------
 
@@ -180,39 +193,34 @@ class PagedRecordMap:
         Unmodified base records pass through as their stored bytes; only
         overlay records are (re-)encoded.
         """
-        for key, raw in self._merged_encoded():
-            if raw is None:
-                yield key, encode_record(self._overlay[key])
-            else:
-                yield key, raw
+        overlay = (
+            (key, encode_record(self._overlay[key])) for key in sorted(self._overlay)
+        )
+        return self._merged(self._tree.items(), overlay)
 
-    def _merged_encoded(self) -> Iterator[tuple[Any, bytes | None]]:
-        """Two-pointer merge; overlay entries carry ``None`` for bytes."""
-        overlay_keys = sorted(self._overlay)
-        base = self._tree.items()
-        base_entry = next(base, None)
-        i = 0
-        while base_entry is not None and i < len(overlay_keys):
-            base_key = base_entry[0]
-            over_key = overlay_keys[i]
-            if base_key < over_key:
-                if base_key not in self._deleted:
-                    yield base_key, base_entry[1]
-                base_entry = next(base, None)
-            elif over_key < base_key:
-                yield over_key, None
-                i += 1
-            else:  # same key: overlay wins
-                yield over_key, None
-                i += 1
-                base_entry = next(base, None)
-        while base_entry is not None:
-            if base_entry[0] not in self._deleted:
-                yield base_entry[0], base_entry[1]
-            base_entry = next(base, None)
-        while i < len(overlay_keys):
-            yield overlay_keys[i], None
-            i += 1
+    def _merged(
+        self, base: Iterator[tuple[Any, Any]], overlay: Iterator[tuple[Any, Any]]
+    ) -> Iterator[tuple[Any, Any]]:
+        """Two-pointer merge of the base's pairs with the overlay's, both
+        in pk order: an overlay pair replaces the base pair of its key,
+        and deleted keys are skipped.  Once the overlay is spent, the
+        rest of the base passes straight through."""
+        deleted = self._deleted
+        entry = next(base, None)
+        for over_key, over_value in overlay:
+            while entry is not None and entry[0] < over_key:
+                if entry[0] not in deleted:
+                    yield entry
+                entry = next(base, None)
+            if entry is not None and entry[0] == over_key:
+                entry = next(base, None)
+            yield over_key, over_value
+        if entry is None:
+            return
+        rest = chain((entry,), base)
+        if deleted:
+            rest = (pair for pair in rest if pair[0] not in deleted)
+        yield from rest
 
     def close(self) -> None:
         self._tree.close()
@@ -223,4 +231,5 @@ __all__ = [
     "StreamingChecksum",
     "encode_record",
     "decode_record",
+    "decode_leaf",
 ]

@@ -243,6 +243,13 @@ class ShardedStore:
             )
             for i in range(count)
         )
+        if self.root is not None:
+            try:
+                self._declare_sibling_indexes(range(count))
+            except BaseException:
+                for shard in self.shards:
+                    shard.close()
+                raise
         #: Per-shard health states; persisted into the manifest on every
         #: transition so quarantine survives a reopen.
         self.health = ShardHealthMachine(count, **dict(health_config or {}))
@@ -775,13 +782,8 @@ class ShardedStore:
 
         The re-admission step after a repair: recovery replays whatever
         the repair left on disk (e.g. a full WAL chain after a snapshot
-        rollback).  Secondary-index *declarations* live only in the
-        manifest, so a rollback loses them.  They are restored from a
-        sibling shard (declarations are uniform across shards): the
-        declarations in the sibling's manifest are made durable by a
-        checkpoint of this shard, and the sibling's undurable ones are
-        declared in memory only, as they are on the sibling.  The
-        indexes themselves rebuild lazily.
+        rollback), and the index declarations a rollback loses are
+        restored from the siblings (:meth:`_declare_sibling_indexes`).
         """
         if self.root is None:
             raise StorageError("reopen_shard needs a disk-backed store")
@@ -801,17 +803,36 @@ class ShardedStore:
         shards[index] = store
         self.shards = tuple(shards)
         self._records_gauges[index].set(len(store))
-        sibling = next((j for j in range(self.shard_count) if j != index), None)
-        if sibling is not None:
-            try:
-                manifest = read_manifest(self.shard_path(sibling))
-            except StorageError:
-                manifest = None  # a damaged sibling vouches for nothing
-            if manifest is not None and store.declare_indexes(manifest.indexes):
-                store.checkpoint()
-            store.declare_indexes(self.shards[sibling].declared_indexes())
+        self._declare_sibling_indexes([index])
         _logging.info("storage.sharded.reopen", shard=index, records=len(store))
         return store
+
+    def _declare_sibling_indexes(self, targets: Iterable[int]) -> None:
+        """Declare on each shard in ``targets`` every index a sibling
+        declares.
+
+        Declarations are uniform across shards, but each shard keeps its
+        own in its manifest, and fsck's rollback publishes a manifest
+        without them (or none).  The declarations in a sibling's
+        manifest are made durable by a checkpoint of the target; those a
+        sibling holds in memory only are declared in memory only, as
+        they are on the sibling.  The indexes themselves rebuild lazily.
+        """
+        durable: list[list[dict[str, Any]]] = []
+        for j in range(self.shard_count):
+            try:
+                manifest = read_manifest(self.shard_path(j))
+            except StorageError:
+                manifest = None  # a damaged shard vouches for nothing
+            durable.append([] if manifest is None else manifest.indexes)
+        for i in targets:
+            store = self.shards[i]
+            siblings = [j for j in range(self.shard_count) if j != i]
+            if store.declare_indexes(d for j in siblings for d in durable[j]):
+                store.checkpoint()
+            store.declare_indexes(
+                d for j in siblings for d in self.shards[j].declared_indexes()
+            )
 
     # -- parallel helper ---------------------------------------------------
 

@@ -674,7 +674,12 @@ class RecordStore:
     def scan(
         self, predicate: Callable[[Mapping[str, Any]], bool] | None = None
     ) -> Iterator[dict[str, Any]]:
-        """Iterate over (copies of) all records, optionally filtered."""
+        """Iterate over (copies of) all records, optionally filtered.
+
+        On a paged store the records come in primary-key order, and the
+        paged base is decoded one leaf at a time, at most one leaf ahead
+        of the consumer.
+        """
         _SCAN_COUNT.inc()
         examined = 0
         try:

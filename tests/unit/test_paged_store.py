@@ -25,9 +25,11 @@ from repro.storage import (
 from repro.storage.paged_store import (
     PagedRecordMap,
     StreamingChecksum,
+    decode_leaf,
     decode_record,
     encode_record,
 )
+from repro.storage.pages import OVERFLOW_THRESHOLD
 from repro.storage.schema import Field, FieldType, Schema
 from tests.legacy_v2 import write_v2_store
 
@@ -215,16 +217,46 @@ class TestPagedRecordStore:
             store.checkpoint()
         decoded = []
 
-        def counting_decode(raw):
-            decoded.append(raw)
-            return decode_record(raw)
+        def counting_decode(values):
+            decoded.extend(values)
+            return decode_leaf(values)
 
-        monkeypatch.setattr(paged_store, "decode_record", counting_decode)
+        monkeypatch.setattr(paged_store, "decode_leaf", counting_decode)
         with RecordStore(PUBLICATION_SCHEMA, directory=tmp_path) as store:
             assert store.is_paged and decoded == []
             for name in ("surnames", "year", "volume", "volume+page"):
                 assert store.index_statistics(name)["entries"] >= len(store)
             assert len(decoded) == len(store) == 200
+
+    def test_scan_decodes_leaves_under_the_overlay(self, tmp_path):
+        # The paged base is decoded a leaf at a time, overflow values
+        # included, and merged with the overlay's new and replaced keys
+        # and its deletions; the next checkpoint streams the same state.
+        big = "x" * (OVERFLOW_THRESHOLD + 100)
+        model = {
+            i: {"id": i, "name": big + str(i) if i % 5 == 0 else f"rec-{i}", "year": i}
+            for i in range(0, 120, 2)
+        }
+        with RecordStore(SCHEMA, directory=tmp_path) as store:
+            store.put_many(list(model.values()))
+            store.checkpoint()
+        with RecordStore(SCHEMA, directory=tmp_path) as store:
+            assert store.is_paged and store.overlay_size == 0
+            for i in (-3, 1, 59, 121, 500):  # new keys, around and between
+                store.insert(_rec(i))
+                model[i] = _rec(i)
+            for i in (0, 10, 64, 118):  # replaced, overflowing or not
+                model[i] = store.update(i, {"name": big if i == 64 else "new"})
+            for i in (2, 20, 66, 116):  # deleted
+                store.delete(i)
+                del model[i]
+            assert store.overlay_size == 13
+            want = [model[key] for key in sorted(model)]
+            assert list(store.scan()) == want
+            store.checkpoint()
+            manifest = json.loads((tmp_path / "snapshot.json").read_text())
+            assert manifest["checksum"] == records_checksum(want)
+            assert manifest["record_count"] == len(want)
 
     def test_upgrade_v2_snapshot_to_paged(self, tmp_path):
         write_v2_store(

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.corpus.wvlr import PUBLICATION_SCHEMA
 from repro.errors import DuplicateKeyError, StorageError, ValidationError
 from repro.storage import (
     SHARD_MANIFEST,
+    IndexKind,
     ShardedStore,
     fsck,
     fsck_sharded,
@@ -15,6 +17,7 @@ from repro.storage import (
 from repro.storage.faultfs import flip_bit_on_disk
 from repro.storage.pages import PAGE_SIZE
 from repro.storage.schema import Field, FieldType, Schema
+from repro.storage.store import read_manifest
 
 SCHEMA = Schema(
     [Field("id", FieldType.INT), Field("name", FieldType.STRING)],
@@ -222,6 +225,34 @@ class TestShardedFsck:
         report = fsck_sharded(root)
         assert report.exit_code() == 2
         assert not report.shard_reports
+
+    def test_repaired_shard_reopens_with_its_siblings_indexes(
+        self, tmp_path, synthetic_records
+    ):
+        # fsck's rollback publishes shard 0's manifest with no index
+        # declarations; the next open declares the siblings' on it and
+        # makes them durable there.
+        root = tmp_path / "db"
+        rows = [r.to_store_dict() for r in synthetic_records[:300]]
+        with ShardedStore(PUBLICATION_SCHEMA, root, shards=3, sync=True) as store:
+            store.create_index("surnames", IndexKind.HASH)
+            store.put_many(rows)
+            store.checkpoint()
+        manifest = root / "shard-00" / "snapshot.json"
+        manifest.write_bytes(manifest.read_bytes()[: manifest.stat().st_size // 2])
+        assert fsck_sharded(root, repair=True).exit_code() == 0
+        assert read_manifest(root / "shard-00").indexes == []
+
+        surname = rows[0]["surnames"][0]
+        want = sorted(r["id"] for r in rows if surname in r["surnames"])
+        with ShardedStore(PUBLICATION_SCHEMA, root) as reopened:
+            assert [s.has_index("surnames") for s in reopened.shards] == [True] * 3
+            assert reopened.index_kind("surnames") is IndexKind.HASH
+            assert sorted(r["id"] for r in reopened.find_by("surnames", surname)) == want
+            assert len(reopened) == len(rows)
+        assert read_manifest(root / "shard-00").indexes == [
+            {"field": "surnames", "kind": "hash"}
+        ]
 
     def test_plain_store_is_not_sharded_root(self, tmp_path):
         from repro.storage import RecordStore
