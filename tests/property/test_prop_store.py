@@ -1,14 +1,16 @@
 """Stateful property test: the record store against a dict model.
 
 Hypothesis drives arbitrary interleavings of single-record writes
-(upsert/update/delete), bulk writes (``put_many``, ``update_where``,
-``delete_where``), index declaration, checkpoints and three kinds of
+(insert/upsert/update/delete), bulk writes (``put_many``, mixed
+``apply_batch``, ``update_where``, ``delete_where``), transactions that
+commit or roll back, index declaration, checkpoints and three kinds of
 restart — a clean close and reopen, a crash that abandons the open
 store without ``close()``, and a crash inside a checkpoint at a faultfs
 failpoint — checking after every step that the store agrees with a
 plain-dict model.  Restarts exercise WAL replay on top of the paged
-checkpoint; besides point reads and index probes, four queries run
-through the query engine and must match a filter over the model.
+checkpoint; besides point reads and probes of a hash, an ordered and a
+composite index, four queries run through the query engine and must
+match a filter over the model.
 
 The same machine runs over a durable :class:`RecordStore` and a durable
 3-shard :class:`ShardedStore`, both queried by :class:`QueryEngine`.  On
@@ -20,6 +22,10 @@ them: a sweep over undamaged shards quarantines nothing, and a sweep
 after damage planted in one shard's manifest or live log quarantines
 exactly that shard, which a repairing sweep then heals with every
 record.
+
+An in-memory :class:`RecordStore` runs the same write rules, without the
+restart, crash and checkpoint rules (it has no directory to recover
+from).
 """
 
 import json
@@ -35,6 +41,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 
@@ -65,6 +72,17 @@ keys = st.integers(min_value=0, max_value=20)
 names = st.sampled_from(NAMES)
 years = st.integers(min_value=1960, max_value=2000)
 rows = st.lists(st.tuples(keys, names, years), max_size=8)
+#: A mixed batch: ``("put", key, name, year)`` or ``("del", key)``.
+batch_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), keys, names, years),
+        st.tuples(st.just("del"), keys),
+    ),
+    max_size=8,
+)
+#: A key no rule ever writes: deleting it in a batch is a no-op.
+ABSENT = 99
+COMPOSITE = ("name", "year")
 
 #: Damage fsck can roll back (manifest edits, a truncated manifest) or
 #: trim (a torn tail on the live log) without losing a committed record.
@@ -138,6 +156,7 @@ class StoreMachine(RuleBasedStateMachine):
     def create_indexes(self):
         self.store.create_index("name", IndexKind.HASH)
         self.store.create_index("year", IndexKind.BTREE)
+        self.store.create_composite_index(COMPOSITE)
         if not self.indexes_declared:
             self.indexes_declared = True
             self.indexes_durable = False
@@ -146,6 +165,16 @@ class StoreMachine(RuleBasedStateMachine):
     def upsert(self, key, name, year):
         record = {"id": key, "name": name, "year": year}
         self.store.upsert(record)
+        self.model[key] = record
+
+    @rule(key=keys, name=names, year=years)
+    def insert(self, key, name, year):
+        record = {"id": key, "name": name, "year": year}
+        if key in self.model:
+            with pytest.raises(DuplicateKeyError):
+                self.store.insert(record)
+            return
+        self.store.insert(record)
         self.model[key] = record
 
     @rule(key=keys)
@@ -181,6 +210,48 @@ class StoreMachine(RuleBasedStateMachine):
         for record in records:
             self.model[record["id"]] = dict(record)
 
+    @rule(ops=batch_ops, churn=st.tuples(keys, names, years))
+    def apply_batch(self, ops, churn):
+        # Besides the drawn ops, every batch puts a key and deletes it
+        # again, and deletes a key that is absent.
+        key, name, year = churn
+        ops = [*ops, ("put", key, name, year), ("del", key), ("del", ABSENT)]
+        operations = []
+        for op in ops:
+            if op[0] == "put":
+                record = {"id": op[1], "name": op[2], "year": op[3]}
+                operations.append({"op": "put", "record": record})
+                self.model[op[1]] = dict(record)
+            else:
+                operations.append({"op": "del", "key": op[1]})
+                self.model.pop(op[1], None)
+        self.store.apply_batch(operations)
+
+    @precondition(lambda self: self.shards is None)
+    @rule(puts=rows, deletes=st.lists(keys, max_size=3), commit=st.booleans())
+    def transaction(self, puts, deletes, commit):
+        view = {key: dict(record) for key, record in self.model.items()}
+
+        class Rollback(Exception):
+            pass
+
+        try:
+            with self.store.transaction() as txn:
+                for key, name, year in puts:
+                    record = {"id": key, "name": name, "year": year}
+                    txn.upsert(record)
+                    view[key] = dict(record)
+                for key in deletes:
+                    if key in view:
+                        txn.delete(key)
+                        del view[key]
+                if not commit:
+                    raise Rollback
+        except Rollback:
+            pass
+        if commit:
+            self.model = view
+
     @rule(name=names, year=years)
     def update_where(self, name, year):
         count = self.store.update_where(lambda r: r["name"] == name, {"year": year})
@@ -209,6 +280,7 @@ class StoreMachine(RuleBasedStateMachine):
         for store in getattr(self.store, "shards", (self.store,)):
             assert store.has_index("name") == self.indexes_durable
             assert store.has_index("year") == self.indexes_durable
+            assert (COMPOSITE in store.composite_indexes()) == self.indexes_durable
 
     @rule()
     def restart(self):
@@ -276,6 +348,19 @@ class StoreMachine(RuleBasedStateMachine):
         # shards' runs).
         years_out = [r["year"] for r in ranged]
         assert years_out == sorted(years_out)
+
+    @invariant()
+    def composite_consistent(self):
+        if COMPOSITE not in self.store.composite_indexes():
+            return
+        pairs = {(r["name"], r["year"]) for r in self.model.values()}
+        pairs.add(("a", 1959))  # a pair no record holds
+        for pair in sorted(pairs):
+            got = sorted(r["id"] for r in self.store.find_by_composite(COMPOSITE, pair))
+            want = sorted(
+                k for k, r in self.model.items() if (r["name"], r["year"]) == pair
+            )
+            assert got == want
 
     @invariant()
     def queries_match_model(self):
@@ -355,8 +440,21 @@ class ShardedStoreMachine(StoreMachine):
         assert set(self.store.health.quarantined_shards()) == self.quarantined
 
 
+class MemoryStoreMachine(StoreMachine):
+    """The write rules over an in-memory store, which has no directory:
+    nothing to checkpoint, restart or crash, so those rules are off."""
+
+    def _open(self, fs=None):
+        self.store = RecordStore(SCHEMA)
+        self.engine = QueryEngine(self.store)
+
+    checkpoint = restart = crash = crash_in_checkpoint = None
+
+
 _SETTINGS = settings(max_examples=40, stateful_step_count=40, deadline=None)
 TestStoreMachine = StoreMachine.TestCase
 TestStoreMachine.settings = _SETTINGS
 TestShardedStoreMachine = ShardedStoreMachine.TestCase
 TestShardedStoreMachine.settings = _SETTINGS
+TestMemoryStoreMachine = MemoryStoreMachine.TestCase
+TestMemoryStoreMachine.settings = _SETTINGS
