@@ -116,7 +116,8 @@ def test_index_build_insert_loop(benchmark, corpus_1k):
     def build():
         index = OrderedIndex()
         for row in rows:
-            index.insert(row["page"], row["id"])
+            pairs = [(row["page"], row["id"])]
+            index.insert_many(pairs, index.place(pairs))
         return index
 
     index = benchmark(build)

@@ -13,19 +13,20 @@ whatever the kind:
   key's values ascending.  A scan therefore yields ``(key, primary key)``
   pairs in that composite order: the tie order ``ORDER BY`` uses, which
   lets a range scan serve it and shards merge on it.  Keys must be
-  mutually comparable.  A new key costs a list insert that shifts the
-  keys above it; an existing key costs only its bucket's insert.
+  mutually comparable.
 
 Both are built through :meth:`HashIndex.from_buckets`, which takes over
 buckets filled elsewhere (the record store fills every index it builds in
-one scan of its records).  The structures are single-threaded by design,
-matching the embedded single-writer store.
+one scan of its records).  A write's new keys are checked by
+:meth:`~HashIndex.place` before the store logs anything, then inserted
+where it placed them (:meth:`~HashIndex.insert_many`).  The structures
+are single-threaded by design, matching the embedded single-writer store.
 
 Observability: hash probes bump ``storage.hash.probes``; hash writes bump
 ``storage.hash.insert.count`` (entries inserted, builds included) and
 ``storage.hash.remove.count`` (entries actually removed); hash builds bump
-``storage.hash.bulk_loads``.  Ordered lookups (probes and removals) bump
-``storage.btree.searches``; ordered builds bump
+``storage.hash.bulk_loads``.  Ordered lookups (probes, and one per entry
+removed) bump ``storage.btree.searches``; ordered builds bump
 ``storage.btree.bulk_loads`` and ``storage.btree.bulk_load.pairs``.
 Catalogue in ``docs/observability.md``.
 """
@@ -33,7 +34,7 @@ Catalogue in ``docs/observability.md``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.obs import metrics as _metrics
 
@@ -49,13 +50,13 @@ _ORDERED_BUILD_PAIRS = _metrics.counter("storage.btree.bulk_load.pairs")
 class HashIndex:
     """Unordered multimap with the secondary-index interface.
 
-    >>> idx = HashIndex()
-    >>> idx.insert("smith", 1)
-    >>> idx.insert("smith", 2)
-    >>> sorted(idx.search("smith"))
+    >>> idx = HashIndex.from_buckets({"smith": [1]})
+    >>> idx.insert_many([("smith", 2), ("jones", 3)], [])
+    2
+    >>> idx.search("smith")
     [1, 2]
-    >>> idx.remove("smith", 1)
-    True
+    >>> idx.remove_many([("smith", 1), ("smith", 9)])
+    1
     >>> idx.search("smith")
     [2]
     """
@@ -74,27 +75,6 @@ class HashIndex:
         return len(self._buckets)
 
     @classmethod
-    def bulk_load(cls, pairs: Iterable[tuple[Any, Any]]) -> "HashIndex":
-        """Build an index from ``(key, value)`` pairs in one pass.
-
-        Pairs may arrive in any order; a hash index keeps each key's
-        values in arrival order.  One metrics update covers the whole
-        build.
-
-        >>> idx = HashIndex.bulk_load([("a", 3), ("b", 2), ("a", 1)])
-        >>> idx.search("a")
-        [3, 1]
-        """
-        buckets: dict[Any, list[Any]] = {}
-        for key, value in pairs:
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [value]
-            else:
-                bucket.append(value)
-        return cls.from_buckets(buckets)
-
-    @classmethod
     def from_buckets(cls, buckets: dict[Any, list[Any]]) -> "HashIndex":
         """An index that takes over ``buckets`` (key → non-empty value list).
 
@@ -111,30 +91,51 @@ class HashIndex:
         _INSERTS.inc(self._len)
         _BULK_LOADS.inc()
 
-    def insert_many(self, pairs: Iterable[tuple[Any, Any]]) -> int:
-        """Insert many ``(key, value)`` pairs; returns how many.
+    def place(self, pairs: list[tuple[Any, Any]]) -> list[tuple[int, list[Any]]]:
+        """Where the new keys of ``pairs`` go: nowhere, without key order."""
+        return []
 
-        Equivalent to repeated :meth:`insert` but with a single metrics
-        update for the whole batch.
-        """
+    def insert_many(self, pairs: list[tuple[Any, Any]], placed: list) -> int:
+        """Insert ``(key, value)`` pairs, each value after its key's
+        others; returns how many.  One metrics update for the batch."""
         buckets = self._buckets
-        inserted = 0
         for key, value in pairs:
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = [value]
             else:
                 bucket.append(value)
-            inserted += 1
-        self._len += inserted
-        _INSERTS.inc(inserted)
-        return inserted
+        self._len += len(pairs)
+        if pairs:
+            _INSERTS.inc(len(pairs))
+        return len(pairs)
 
-    def insert(self, key: Any, value: Any) -> None:
-        """Insert ``value`` under ``key``."""
-        self._buckets.setdefault(key, []).append(value)
-        self._len += 1
-        _INSERTS.inc()
+    def remove_many(self, pairs: list[tuple[Any, Any]]) -> int:
+        """Remove one entry per ``(key, value)`` pair; returns how many
+        the index held."""
+        removed = sum(self._discard(key, value) for key, value in pairs)
+        if removed:
+            _REMOVES.inc(removed)
+        return removed
+
+    def _discard(self, key: Any, value: Any) -> int:
+        """Remove one ``value`` under ``key``; 1 if it was there.  A key
+        whose last value goes leaves the index."""
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            return 0
+        try:
+            bucket.remove(value)
+        except ValueError:
+            return 0
+        self._len -= 1
+        if not bucket:
+            del self._buckets[key]
+            self._drop_key(key)
+        return 1
+
+    def _drop_key(self, key: Any) -> None:
+        """Hook: ``key`` has left the buckets."""
 
     def search(self, key: Any) -> list[Any]:
         """All values under ``key`` (empty list when absent)."""
@@ -143,36 +144,6 @@ class HashIndex:
 
     def __contains__(self, key: Any) -> bool:
         return key in self._buckets
-
-    def remove(self, key: Any, value: Any | None = None) -> bool:
-        """Remove one ``value`` (or the whole key); True if removed."""
-        removed = self._discard(key, value)
-        if removed:
-            _REMOVES.inc(removed)
-        return bool(removed)
-
-    def _discard(self, key: Any, value: Any | None) -> int:
-        """Remove ``value`` (or every value) under ``key``; the entries
-        removed.  A key whose last value goes leaves the index."""
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return 0
-        if value is None:
-            removed = len(bucket)
-        else:
-            try:
-                bucket.remove(value)
-            except ValueError:
-                return 0
-            removed = 1
-        self._len -= removed
-        if value is None or not bucket:
-            del self._buckets[key]
-            self._drop_key(key)
-        return removed
-
-    def _drop_key(self, key: Any) -> None:
-        """Hook: ``key`` has left the buckets."""
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         """All (key, value) pairs in arbitrary key order."""
@@ -188,18 +159,22 @@ class HashIndex:
 class OrderedIndex(HashIndex):
     """Ordered multimap: the hash buckets plus a sorted list of their keys.
 
-    >>> idx = OrderedIndex.bulk_load([(5, "b"), (9, "y"), (1, "x"), (5, "a")])
+    >>> idx = OrderedIndex.from_buckets({5: ["b", "a"], 9: ["y"], 1: ["x"]})
     >>> idx.search(5)
     ['a', 'b']
     >>> [k for k, _ in idx.range(1, 5, include_low=False)]
     [5, 5]
-    >>> idx.insert(3, "z")
+    >>> pairs = [(3, "z"), (7, "w"), (5, "c")]
+    >>> idx.place(pairs)
+    [(1, [3]), (2, [7])]
+    >>> idx.insert_many(pairs, idx.place(pairs))
+    3
     >>> list(idx.keys())
-    [1, 3, 5, 9]
-    >>> idx.remove(5)
-    True
+    [1, 3, 5, 7, 9]
+    >>> idx.remove_many([(5, "a"), (5, "b"), (5, "c")])
+    3
     >>> list(idx.items())
-    [(1, 'x'), (3, 'z'), (9, 'y')]
+    [(1, 'x'), (3, 'z'), (7, 'w'), (9, 'y')]
     """
 
     supports_range = True
@@ -216,18 +191,38 @@ class OrderedIndex(HashIndex):
         _ORDERED_BUILDS.inc()
         _ORDERED_BUILD_PAIRS.inc(self._len)
 
-    def insert_many(self, pairs: Iterable[tuple[Any, Any]]) -> int:
-        """Insert many ``(key, value)`` pairs, in any order; returns how many.
-
-        The batch's new keys are merged into the key list in one sort,
-        which raises ``TypeError`` before anything changes when they do
-        not compare with each other or with the keys already held.
-        """
-        pairs = list(pairs)
+    def place(self, pairs: list[tuple[Any, Any]]) -> list[tuple[int, list[Any]]]:
+        """Sort the keys of ``pairs`` the index does not hold and bisect
+        each into the key list: ``(position, keys)`` groups, ascending.
+        The bisection is the check, at O(k log n) comparisons: keys that
+        do not compare raise ``TypeError``, and nothing has changed."""
         buckets = self._buckets
-        new_keys = dict.fromkeys(key for key, _ in pairs if key not in buckets)
-        if new_keys:
-            self._keys = sorted([*self._keys, *new_keys])
+        new_keys = set()
+        for key, _ in pairs:
+            if key not in buckets:
+                new_keys.add(key)
+        if not new_keys:
+            return []
+        keys = self._keys
+        placed: list[tuple[int, list[Any]]] = []
+        at = 0
+        for key in sorted(new_keys):
+            at = bisect_left(keys, key, at)
+            if placed and placed[-1][0] == at:
+                placed[-1][1].append(key)
+            else:
+                placed.append((at, [key]))
+        return placed
+
+    def insert_many(self, pairs: list[tuple[Any, Any]], placed: list) -> int:
+        """Insert ``(key, value)`` pairs, in any order, where :meth:`place`
+        placed their new keys (the index unchanged since); returns how
+        many.  Each group of new keys is one slice insert, highest first,
+        so one new key costs what ``insort`` does."""
+        keys = self._keys
+        for at, group in reversed(placed):
+            keys[at:at] = group
+        buckets = self._buckets
         for key, value in pairs:
             bucket = buckets.get(key)
             if bucket is None:
@@ -237,25 +232,17 @@ class OrderedIndex(HashIndex):
         self._len += len(pairs)
         return len(pairs)
 
-    def insert(self, key: Any, value: Any) -> None:
-        """Insert ``value`` under ``key``, keeping the key's values ascending."""
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            insort(self._keys, key)
-            self._buckets[key] = [value]
-        else:
-            insort(bucket, value)
-        self._len += 1
+    def remove_many(self, pairs: list[tuple[Any, Any]]) -> int:
+        """Remove one entry per ``(key, value)`` pair; returns how many
+        the index held."""
+        if pairs:
+            _SEARCHES.inc(len(pairs))
+        return sum(self._discard(key, value) for key, value in pairs)
 
     def search(self, key: Any) -> list[Any]:
         """All values under ``key``, ascending (empty list when absent)."""
         _SEARCHES.inc()
         return list(self._buckets.get(key, ()))
-
-    def remove(self, key: Any, value: Any | None = None) -> bool:
-        """Remove one ``value`` (or the whole key); True if removed."""
-        _SEARCHES.inc()
-        return bool(self._discard(key, value))
 
     def _drop_key(self, key: Any) -> None:
         del self._keys[bisect_left(self._keys, key)]

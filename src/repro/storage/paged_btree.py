@@ -188,7 +188,9 @@ class PagedBTree:
             self._pager.write_page(pids[i], finalize_page(page))
         return OverflowRef(head=pids[0], length=len(value))
 
-    def _load_value(self, stored: bytes | OverflowRef) -> bytes:
+    def load_value(self, stored: bytes | OverflowRef) -> bytes:
+        """The value a leaf cell stores: its inline bytes, or the bytes of
+        the overflow chain it references."""
         if not isinstance(stored, OverflowRef):
             return stored
         parts: list[bytes] = []
@@ -241,15 +243,20 @@ class PagedBTree:
 
         return self._pool.walk(self._pager.meta.root, step), found
 
-    def get(self, key: Any, default: Any = None) -> bytes | Any:
+    def find(self, key: Any) -> bytes | OverflowRef | None:
+        """The leaf cell stored under ``key`` (inline bytes or an overflow
+        reference, nothing loaded), or ``None``: one counted descent."""
         self._searches.inc()
-        _frame, stored = self._search(key)
+        return self._search(key)[1]
+
+    def get(self, key: Any, default: Any = None) -> bytes | Any:
+        stored = self.find(key)
         if stored is None:
             return default
-        return self._load_value(stored)
+        return self.load_value(stored)
 
     def __contains__(self, key: Any) -> bool:
-        return self._search(key)[1] is not None
+        return self.find(key) is not None
 
     # -- iteration -----------------------------------------------------------
 
@@ -277,7 +284,7 @@ class PagedBTree:
         overflow values loaded.  A caller that decodes a whole leaf at
         once reads the tree through this."""
         for leaf in self._chain(self._leftmost_leaf()[1]):
-            yield leaf.keys, [self._load_value(stored) for stored in leaf.values]
+            yield leaf.keys, [self.load_value(stored) for stored in leaf.values]
 
     def items(self) -> Iterator[tuple[Any, bytes]]:
         """All ``(key, value)`` pairs in key order."""
@@ -285,8 +292,10 @@ class PagedBTree:
             yield from zip(keys, values)
 
     def keys(self) -> Iterator[Any]:
-        for key, _value in self.items():
-            yield key
+        """All keys in order, from the leaves alone: no value or overflow
+        chain is loaded."""
+        for leaf in self._chain(self._leftmost_leaf()[1]):
+            yield from leaf.keys
 
     def range_items(
         self, lo: Any = None, hi: Any = None, *, inclusive: bool = True
@@ -304,7 +313,7 @@ class PagedBTree:
                 key = leaf.keys[idx]
                 if hi is not None and (key > hi if inclusive else key >= hi):
                     return
-                yield key, self._load_value(leaf.values[idx])
+                yield key, self.load_value(leaf.values[idx])
                 idx += 1
             idx = 0
 

@@ -1,16 +1,17 @@
 """Read-through record map over a paged B+ tree.
 
 :class:`PagedRecordMap` is the object :class:`~repro.storage.store.RecordStore`
-swaps in for its plain ``dict`` when a store runs in ``"paged"`` data
-format: the checkpointed records live on disk in a
+swaps in for its plain ``dict`` when a store has a paged checkpoint: the
+checkpointed records live on disk in a
 :class:`~repro.storage.paged_btree.PagedBTree` (the *base*), and
 everything written since that checkpoint lives in a small in-memory
-*overlay* (a dict of records plus a tombstone set for deletes).  Reads
-check the overlay first and fall through to the tree; iteration is a
-two-pointer merge of the pk-sorted base, decoded a leaf at a time, with
-the sorted overlay.  The result behaves like the dict the store already
-uses — ``in`` / ``[key]`` / ``pop`` / ``update`` / ``values`` /
-``items`` — with two deliberate differences:
+*overlay* (a dict of records plus the set of base keys it hides, each
+replaced by an overlay record or deleted).  Reads check the overlay
+first and fall through to the tree; iteration is a two-pointer merge of
+the pk-sorted base, decoded a leaf at a time, with the sorted overlay.
+The reading surface is the dict one the store uses — ``in`` / ``[key]``
+/ ``len`` / iteration / ``values`` / ``items`` — with two deliberate
+differences:
 
 * iteration order is **primary-key order**, not insertion order (the
   base is a sorted tree; a merged iteration has no insertion order to
@@ -19,6 +20,10 @@ uses — ``in`` / ``[key]`` / ``pop`` / ``update`` / ``values`` /
   tree stores canonical JSON bytes), so callers must not rely on
   object identity across reads — the store copies at its API boundary
   anyway.
+
+A store write looks each key up once (:meth:`PagedRecordMap.probe`, at
+most one tree descent) and applies with the probes carried in
+(:meth:`PagedRecordMap.write`).
 
 The map is also the checkpoint *source*: :meth:`sorted_encoded_items`
 streams ``(pk, canonical-JSON-bytes)`` pairs in pk order, reusing the
@@ -42,6 +47,7 @@ from itertools import chain
 from typing import Any, Iterator, Mapping
 
 from repro.storage.paged_btree import PagedBTree
+from repro.storage.pages import OverflowRef
 
 
 def encode_record(record: Mapping[str, Any]) -> bytes:
@@ -99,7 +105,8 @@ class PagedRecordMap:
     def __init__(self, tree: PagedBTree):
         self._tree = tree
         self._overlay: dict[Any, dict[str, Any]] = {}
-        self._deleted: set[Any] = set()
+        #: Base keys the overlay replaces (also in it) or deletes.
+        self._hidden: set[Any] = set()
         self._len = tree.entry_count
 
     @property
@@ -108,8 +115,8 @@ class PagedRecordMap:
 
     @property
     def overlay_size(self) -> int:
-        """Records held in memory pending the next checkpoint."""
-        return len(self._overlay) + len(self._deleted)
+        """Records and deletions held in memory pending the next checkpoint."""
+        return len(self._hidden.union(self._overlay))
 
     # -- dict surface --------------------------------------------------------
 
@@ -117,53 +124,20 @@ class PagedRecordMap:
         return self._len
 
     def __contains__(self, key: Any) -> bool:
-        if key in self._overlay:
-            return True
-        if key in self._deleted:
-            return False
-        return key in self._tree
+        return self.probe(key) is not None
 
     def __getitem__(self, key: Any) -> dict[str, Any]:
-        record = self._overlay.get(key)
-        if record is not None:
-            return record
-        if key in self._deleted:
+        found = self.probe(key)
+        if found is None:
             raise KeyError(key)
-        raw = self._tree.get(key)
-        if raw is None:
-            raise KeyError(key)
-        return decode_record(raw)
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __setitem__(self, key: Any, record: dict[str, Any]) -> None:
-        if key not in self:
-            self._len += 1
-        self._overlay[key] = record
-        self._deleted.discard(key)
-
-    def pop(self, key: Any) -> dict[str, Any]:
-        record = self[key]  # raises KeyError when absent
-        self._len -= 1
-        self._overlay.pop(key, None)
-        if key in self._tree:
-            self._deleted.add(key)
-        return record
-
-    def update(self, other: Mapping[Any, dict[str, Any]]) -> None:
-        for key, record in other.items():
-            self[key] = record
+        return self.record(found)
 
     def __iter__(self) -> Iterator[Any]:
-        for key, _record in self.items():
-            yield key
-
-    def keys(self) -> Iterator[Any]:
-        return iter(self)
+        """Keys in primary-key order: the leaves' keys merged with the
+        overlay's.  No value is loaded and no record decoded."""
+        base = ((key, None) for key in self._tree.keys())
+        overlay = ((key, None) for key in sorted(self._overlay))
+        return (key for key, _ in self._merged(base, overlay))
 
     def values(self) -> Iterator[dict[str, Any]]:
         for _key, record in self.items():
@@ -185,6 +159,44 @@ class PagedRecordMap:
         overlay = ((key, self._overlay[key]) for key in sorted(self._overlay))
         return self._merged(base, overlay)
 
+    # -- the write path ------------------------------------------------------
+
+    def probe(self, key: Any) -> dict[str, Any] | bytes | OverflowRef | None:
+        """What the map holds under ``key``: an overlay record, the base's
+        undecoded cell (see :meth:`record`), or ``None``.  At most one
+        tree descent, none for a key the overlay holds or hides."""
+        record = self._overlay.get(key)
+        if record is not None or key in self._hidden:
+            return record
+        return self._tree.find(key)
+
+    def record(self, found: dict[str, Any] | bytes | OverflowRef) -> dict[str, Any]:
+        """The record a non-``None`` :meth:`probe` result holds, decoded
+        when it came from the base."""
+        if isinstance(found, dict):
+            return found
+        return decode_record(self._tree.load_value(found))
+
+    def write(
+        self, changes: Mapping[Any, dict[str, Any] | None], found: Mapping[Any, Any]
+    ) -> None:
+        """Apply ``changes`` (key → new record, or ``None`` to delete),
+        given what :meth:`probe` found under each key; no key is looked
+        up again.  Deleting an absent key is a no-op."""
+        overlay, hidden = self._overlay, self._hidden
+        for key, record in changes.items():
+            old = found[key]
+            if old is not None and not isinstance(old, dict):
+                hidden.add(key)  # a base record is replaced or deleted
+            if record is None:
+                if old is not None:
+                    self._len -= 1
+                    overlay.pop(key, None)
+            else:
+                if old is None:
+                    self._len += 1
+                overlay[key] = record
+
     # -- checkpoint streaming ------------------------------------------------
 
     def sorted_encoded_items(self) -> Iterator[tuple[Any, bytes]]:
@@ -202,14 +214,14 @@ class PagedRecordMap:
         self, base: Iterator[tuple[Any, Any]], overlay: Iterator[tuple[Any, Any]]
     ) -> Iterator[tuple[Any, Any]]:
         """Two-pointer merge of the base's pairs with the overlay's, both
-        in pk order: an overlay pair replaces the base pair of its key,
-        and deleted keys are skipped.  Once the overlay is spent, the
-        rest of the base passes straight through."""
-        deleted = self._deleted
+        in pk order: hidden base keys are skipped, so an overlay pair
+        replaces the base pair of its key.  Once the overlay is spent,
+        the rest of the base passes straight through."""
+        hidden = self._hidden
         entry = next(base, None)
         for over_key, over_value in overlay:
             while entry is not None and entry[0] < over_key:
-                if entry[0] not in deleted:
+                if entry[0] not in hidden:
                     yield entry
                 entry = next(base, None)
             if entry is not None and entry[0] == over_key:
@@ -218,8 +230,8 @@ class PagedRecordMap:
         if entry is None:
             return
         rest = chain((entry,), base)
-        if deleted:
-            rest = (pair for pair in rest if pair[0] not in deleted)
+        if hidden:
+            rest = (pair for pair in rest if pair[0] not in hidden)
         yield from rest
 
     def close(self) -> None:

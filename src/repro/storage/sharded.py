@@ -418,8 +418,6 @@ class ShardedStore:
         records: Iterable[Mapping[str, Any]],
         *,
         on_conflict: str = "error",
-        sync: bool | None = None,
-        sync_every: int | None = None,
         progress: Callable[[_progress.ProgressTracker], None] | None = None,
     ) -> int:
         """Bulk-write ``records``: validate once, partition by shard key,
@@ -429,8 +427,10 @@ class ShardedStore:
         at the facade *before* any shard logs anything, so the single
         store's all-or-nothing contract holds across shards: a bad record
         or duplicate key aborts the whole batch with no shard touched.
-        The per-shard commits then take the pre-validated fast path
-        (ownership of the partitioned dicts transfers to the shards).
+        The per-shard commits then take the pre-validated path: ownership
+        of the partitioned dicts transfers to the shards, and under
+        ``"error"`` a shard does not probe keys the facade has shown to
+        be new.
 
         **Cross-shard partial-write contract**: once the per-shard
         commits begin, the batch is no longer atomic *across* shards —
@@ -477,13 +477,7 @@ class ShardedStore:
             part: list[dict[str, Any]],
             tracker: _progress.ProgressTracker,
         ) -> int:
-            written = shard.put_many(
-                part,
-                on_conflict=on_conflict,
-                sync=sync,
-                sync_every=sync_every,
-                _prevalidated=True,
-            )
+            written = shard.put_many(part, on_conflict=on_conflict, _prevalidated=True)
             tracker.tick(written)
             return written
 

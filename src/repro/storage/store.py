@@ -32,12 +32,14 @@ directory offline — CRCs, segment chains, snapshot manifests — and can
 repair recoverable tail damage.  The on-disk format and the recovery
 procedure are specified in ``docs/storage_format.md``.
 
-Bulk ingestion takes a fast path: :meth:`RecordStore.put_many` validates
-every record up front, group-commits the whole batch to the WAL (one
-buffered write, one fsync when syncing), and then maintains each secondary
-index with one batched update instead of per-record inserts.
-:meth:`RecordStore.apply_batch` and recovery replay route pure put runs
-through the same path.
+Every write takes one path, validate → prepare → log → apply (see
+``RecordStore._write``): a single-record write, a ``put_many`` batch, a
+mixed ``apply_batch``, a transaction's commit and recovery's replay of the
+WAL alike.  Prepare takes the last change per key, probes each key once,
+and checks every new ordered-index key before the WAL is touched; apply
+writes the records and index entries with the probes carried in.
+:meth:`RecordStore.put_many` group-commits its batch to the WAL (one
+buffered write, one fsync when syncing).
 
 Observability: reads and writes report to the default metrics registry
 (``storage.store.get.count``, ``storage.store.put.count``,
@@ -288,13 +290,35 @@ def _composite_keys(record: Mapping[str, Any], fields: tuple[str, ...]) -> list[
 
 
 def _keys_for(record: Mapping[str, Any], index: _SecondaryIndex) -> list[Any]:
-    if index.is_composite:
+    if index.fields:  # a composite; a single-field index has none
         return _composite_keys(record, index.fields)
     return _index_keys(record, index.field)
 
 
 def _incomparable(exc: TypeError) -> StorageError:
     return StorageError(f"ordered index keys must be mutually comparable: {exc}")
+
+
+class _MemoryRecords(dict):
+    """The records of a store with no paged checkpoint: a dict in
+    insertion order, with the write-path methods of
+    :class:`~repro.storage.paged_store.PagedRecordMap`."""
+
+    probe = dict.get
+
+    @staticmethod
+    def record(found: dict[str, Any]) -> dict[str, Any]:
+        return found
+
+    def write(
+        self, changes: Mapping[Any, dict[str, Any] | None], found: Mapping[Any, Any]
+    ) -> None:
+        # A replaced record moves to the end, as a delete and a put would.
+        for key, record in changes.items():
+            if found[key] is not None:
+                del self[key]
+            if record is not None:
+                self[key] = record
 
 
 def _check_data_format(data_format: str) -> None:
@@ -604,11 +628,11 @@ class RecordStore:
         #: Primary store of records: a plain dict until the directory has
         #: a paged checkpoint (and always for in-memory stores), then a
         #: :class:`PagedRecordMap` (on-disk tree + in-memory overlay).
-        #: Both expose the same mapping surface; the paged map iterates
-        #: in primary-key order.
-        self._records: dict[Any, dict[str, Any]] | PagedRecordMap = {}
+        #: Both expose the same reading surface and the write path's
+        #: probe/record/write; the paged map iterates in primary-key order.
+        self._records: _MemoryRecords | PagedRecordMap = _MemoryRecords()
         self._indexes: dict[str, _SecondaryIndex] = {}
-        #: Monotone counter bumped on every applied put/delete; lets
+        #: Monotone counter bumped by each key every write changes; lets
         #: derived structures (caches, search engines) detect staleness.
         self.mutation_count = 0
         #: Monotone counter bumped on index create/drop and on bulk
@@ -703,10 +727,10 @@ class RecordStore:
         record = dict(record)
         self.schema.validate(record)
         key = self.schema.primary_key_of(record)
-        if key in self._records:
+        found = {key: self._records.probe(key)}
+        if found[key] is not None:
             raise DuplicateKeyError(key)
-        self._log({"op": "put", "record": record})
-        self._apply_put(record)
+        self._write({key: record}, found, {"op": "put", "record": record})
         _PUT_COUNT.inc()
 
     def upsert(self, record: Mapping[str, Any]) -> bool:
@@ -714,33 +738,35 @@ class RecordStore:
         record = dict(record)
         self.schema.validate(record)
         key = self.schema.primary_key_of(record)
-        existed = key in self._records
-        self._log({"op": "put", "record": record})
-        if existed:
-            self._apply_delete(key)
-        self._apply_put(record)
+        found = {key: self._records.probe(key)}
+        self._write({key: record}, found, {"op": "put", "record": record})
         _PUT_COUNT.inc()
-        return existed
+        return found[key] is not None
 
     def update(self, key: Any, changes: Mapping[str, Any]) -> dict[str, Any]:
         """Apply field changes to an existing record; returns the new record."""
-        current = self.get(key)
+        _GET_COUNT.inc()  # the record is read, as get() reads it
+        found = {key: self._records.probe(key)}
+        if found[key] is None:
+            raise RecordNotFoundError(key)
+        old = self._records.record(found[key])
+        current = dict(old)
         current.update(changes)
         self.schema.validate(current)
         if self.schema.primary_key_of(current) != key:
             raise ValidationError("update must not change the primary key")
-        self._log({"op": "put", "record": current})
-        self._apply_delete(key)
-        self._apply_put(current)
+        self._write(
+            {key: current}, found, {"op": "put", "record": current}, olds={key: old}
+        )
         _PUT_COUNT.inc()
         return dict(current)
 
     def delete(self, key: Any) -> None:
         """Delete by primary key; raises when absent."""
-        if key not in self._records:
+        found = {key: self._records.probe(key)}
+        if found[key] is None:
             raise RecordNotFoundError(key)
-        self._log({"op": "del", "key": key})
-        self._apply_delete(key)
+        self._write({key: None}, found, {"op": "del", "key": key})
         _DELETE_COUNT.inc()
 
     def put_many(
@@ -748,34 +774,31 @@ class RecordStore:
         records: Iterable[Mapping[str, Any]],
         *,
         on_conflict: str = "error",
-        sync: bool | None = None,
-        sync_every: int | None = None,
         _prevalidated: bool = False,
     ) -> int:
-        """Bulk-write ``records`` through the batched fast path.
+        """Bulk-write ``records``; returns how many were written.
 
-        Every record is validated *before* anything is logged; the whole
-        batch then lands in the WAL as one group commit (one buffered
-        write and, when syncing, one fsync — bounded by ``sync_every``,
-        see :meth:`WriteAheadLog.append_many`), and each secondary index
-        is maintained with a single sorted batched update instead of one
-        top-down insert per key.  The cyclic garbage collector is paused
-        for the duration (see ``_gc_paused``): the batch allocates only
-        long-lived objects, and mid-batch collections were the dominant
-        superlinear cost at 100k records.  Returns the number of records
-        written.
+        Every record is validated *before* anything is logged, and the
+        whole batch then lands in the WAL as one group commit (one
+        buffered write and, when syncing, one fsync).  The cyclic
+        garbage collector is paused for the duration (see
+        ``_gc_paused``): the batch allocates only long-lived objects,
+        and mid-batch collections were the dominant superlinear cost at
+        100k records.
 
         ``on_conflict`` chooses what a primary key that already exists
         (in the store or earlier in the batch) means: ``"error"`` (the
         default) raises :class:`DuplicateKeyError` before any state is
         touched — the whole batch is atomic, matching ``insert()`` — and
-        ``"replace"`` upserts, matching ``upsert()``.
+        ``"replace"`` upserts, matching ``upsert()`` (the last record of
+        a repeated key wins).
 
         ``_prevalidated`` is internal (used by
         :class:`~repro.storage.sharded.ShardedStore`): the caller attests
-        ``records`` is a list of schema-valid, conflict-checked dicts
-        whose ownership transfers to the store, so validation, conflict
-        checks, and the defensive per-record copy are all skipped.
+        ``records`` is a list of schema-valid dicts whose ownership
+        transfers to the store, and, under ``"error"``, that their keys
+        are new; validation, the defensive copy and the probes are then
+        skipped.
         """
         if on_conflict not in ("error", "replace"):
             raise StorageError(f"unknown on_conflict mode {on_conflict!r}")
@@ -788,110 +811,54 @@ class RecordStore:
         with _gc_paused():
             if not _prevalidated:
                 self.schema.validate_many(materialized)
+            pk = self.schema.primary_key
+            changes = {record[pk]: record for record in materialized}
+            if on_conflict == "error" and _prevalidated:
+                found = dict.fromkeys(changes)  # shown new by the caller
+            else:
+                found = self._probe(changes)
                 if on_conflict == "error":
-                    pk = self.schema.primary_key
-                    contains = self._records.__contains__
-                    batch_keys: set[Any] = set()
-                    for record in materialized:
-                        key = record[pk]
-                        if contains(key) or key in batch_keys:
+                    seen: set[Any] = set()
+                    for key in (record[pk] for record in materialized):
+                        if found[key] is not None or key in seen:
                             raise DuplicateKeyError(key)
-                        batch_keys.add(key)
-            if self._wal is not None:
-                self._wal.append_many(
-                    ({"op": "put", "record": record} for record in materialized),
-                    sync=sync,
-                    sync_every=sync_every,
-                )
-            self._apply_put_batch(materialized)
+                        seen.add(key)
+            puts = ({"op": "put", "record": record} for record in materialized)
+            self._write(changes, found, puts)
         _PUT_COUNT.inc(len(materialized))
         _PUT_MANY_COUNT.inc()
         _PUT_MANY_RECORDS.inc(len(materialized))
         self.index_epoch += 1
         return len(materialized)
 
-    def _apply_put_batch(self, records: list[dict[str, Any]]) -> None:
-        """Apply validated puts with sorted batched index maintenance.
-
-        Takes ownership of the record dicts.  Later records win when a
-        primary key repeats within the batch (replay semantics).  All
-        index additions are computed — and ordered ones sorted — *before*
-        any state mutates, so an unsortable key set aborts cleanly.
-        """
-        by_key: dict[Any, dict[str, Any]] = {}
-        for record in records:
-            by_key[self.schema.primary_key_of(record)] = record
-        additions: list[tuple[_SecondaryIndex, list[tuple[Any, Any]]]] = []
-        for index in self._indexes.values():
-            if index.structure is None:
-                continue  # lazy: the eventual build scans current state
-            pairs = [
-                (index_key, key)
-                for key, record in by_key.items()
-                for index_key in _keys_for(record, index)
-            ]
-            if not pairs:
-                continue
-            if index.supports_range:
-                try:
-                    pairs.sort(key=lambda pair: pair[0])
-                except TypeError as exc:
-                    raise _incomparable(exc) from exc
-            additions.append((index, pairs))
-        for key in by_key:
-            if key in self._records:
-                self._apply_delete(key)
-        self.mutation_count += len(by_key)
-        self._records.update(by_key)
-        for index, pairs in additions:
-            assert index.structure is not None
-            index.structure.insert_many(pairs)
-
     def apply_batch(self, operations: list[dict[str, Any]]) -> None:
-        """Apply a pre-validated operation batch atomically (one WAL entry).
+        """Apply a batch of operations atomically (one WAL entry).
 
         Each operation is ``{"op": "put", "record": …}`` or
-        ``{"op": "del", "key": …}``.  Every operation is validated *before*
-        the batch is logged: a bad batch aborts prior to its WAL append, so
-        neither the log nor the in-memory state is touched (and none of the
-        WAL metrics below move).  Once validation passes, the whole batch
-        lands as a single WAL entry — one ``storage.wal.append.count``
-        increment whose framed size feeds ``storage.wal.append.bytes``
-        (and, when the log fsyncs, one ``storage.wal.flush.seconds``
-        observation).  A batch of nothing but puts is applied through the
-        same sorted batched index maintenance as :meth:`put_many`.
+        ``{"op": "del", "key": …}``; the last operation on a key decides
+        it, and deleting an absent key is a no-op.  Every operation is
+        validated *before* the batch is logged: a bad batch aborts prior
+        to its WAL append, so neither the log nor the in-memory state is
+        touched (and none of the WAL metrics below move).  Once
+        validation passes, the whole batch lands as a single WAL entry —
+        one ``storage.wal.append.count`` increment whose framed size
+        feeds ``storage.wal.append.bytes`` (and, when the log fsyncs, one
+        ``storage.wal.flush.seconds`` observation).
         """
-        all_puts = True
         for op in operations:
-            if op["op"] == "put":
+            if op.get("op") == "put":
                 self.schema.validate(op["record"])
-            elif op["op"] == "del":
-                all_puts = False  # deletes of absent keys are tolerated
-            else:
-                raise StorageError(f"unknown batch op {op.get('op')!r}")
-        self._log({"op": "batch", "ops": operations})
-        puts = deletes = 0
-        if all_puts:
-            self._apply_put_batch([dict(op["record"]) for op in operations])
-            puts = len(operations)
-        else:
-            for op in operations:
-                if op["op"] == "put":
-                    record = dict(op["record"])
-                    key = self.schema.primary_key_of(record)
-                    if key in self._records:
-                        self._apply_delete(key)
-                    self._apply_put(record)
-                    puts += 1
-                else:
-                    if op["key"] in self._records:
-                        self._apply_delete(op["key"])
-                        deletes += 1
+        changes: dict[Any, dict[str, Any] | None] = {}
+        self._fold(operations, changes)
+        found = self._probe(changes)
+        self._write(changes, found, {"op": "batch", "ops": operations})
         # Bulk increments per batch (not per record) keep the apply loop
         # free of metric calls; recovery replay is likewise uncounted here
         # and shows up in storage.wal.replay.entries instead.
-        _PUT_COUNT.inc(puts)
-        _DELETE_COUNT.inc(deletes)
+        _PUT_COUNT.inc(sum(1 for op in operations if op["op"] == "put"))
+        _DELETE_COUNT.inc(
+            sum(record is None and found[key] is not None for key, record in changes.items())
+        )
         self.index_epoch += 1
 
     def update_where(
@@ -1273,30 +1240,87 @@ class RecordStore:
         hits.sort(key=lambda pair: (pair[0], primary_key_of(pair[1])))
         yield from hits
 
-    # -- internal application ------------------------------------------------------
+    # -- the write path --------------------------------------------------------------
 
-    def _apply_put(self, record: dict[str, Any]) -> None:
-        self.mutation_count += 1
-        key = self.schema.primary_key_of(record)
-        self._records[key] = record
+    def _fold(self, operations: Iterable[Mapping[str, Any]], changes: dict) -> None:
+        """Fold ``put``/``del`` operations into ``changes``, the last
+        change per key: key → a copy of its new record, or ``None``."""
+        primary_key_of = self.schema.primary_key_of
+        for op in operations:
+            kind = op.get("op")
+            if kind == "put":
+                record = dict(op["record"])
+                changes[primary_key_of(record)] = record
+            elif kind == "del":
+                changes[op["key"]] = None
+            else:
+                raise StorageError(f"unknown batch op {kind!r}")
+
+    def _probe(self, keys: Iterable[Any]) -> dict[Any, Any]:
+        """What the records hold under each key (``None`` when absent):
+        one probe per key, at most one descent of the on-disk tree."""
+        probe = self._records.probe
+        return {key: probe(key) for key in keys}
+
+    def _write(
+        self,
+        changes: Mapping[Any, dict[str, Any] | None],
+        found: Mapping[Any, Any],
+        log: dict[str, Any] | Iterable[dict[str, Any]] | None,
+        *,
+        olds: Mapping[Any, dict[str, Any]] | None = None,
+    ) -> None:
+        """Prepare, log and apply one write: ``changes`` maps each key to
+        its new record (``None`` deletes), ``found`` is its
+        :meth:`_probe` result, ``olds`` old records already decoded.
+
+        Prepare decodes an old record only when a built index needs its
+        keys, lists each index's entries out (the old record's) and in
+        (the new one's), and places each ordered index's new keys, which
+        raises :class:`~repro.errors.StorageError` for a key it cannot
+        order.  Then ``log`` is written (one WAL entry, several
+        group-committed, or ``None`` on replay), and apply writes the
+        records with the probes carried in and the index entries.
+        """
+        plans = []
         for index in self._indexes.values():
-            if index.structure is None:
+            structure = index.structure
+            if structure is None:
                 continue  # lazy: the eventual build scans current state
-            for index_key in _keys_for(record, index):
-                index.structure.insert(index_key, key)
-
-    def _apply_delete(self, key: Any) -> None:
-        self.mutation_count += 1
-        record = self._records.pop(key)
-        for index in self._indexes.values():
-            if index.structure is None:
-                continue  # lazy: the eventual build scans current state
-            for index_key in _keys_for(record, index):
-                index.structure.remove(index_key, key)
-
-    def _log(self, payload: dict[str, Any]) -> None:
-        if self._wal is not None:
-            self._wal.append(payload)
+            # Plain loops: a comprehension's own frame would cost a
+            # one-record write more than the loop does.
+            if olds is None:
+                olds = {}
+                for key, old in found.items():
+                    if old is not None:
+                        olds[key] = self._records.record(old)
+            added = []
+            for key, record in changes.items():
+                if record is not None:
+                    for index_key in _keys_for(record, index):
+                        added.append((index_key, key))
+            removed = []
+            for key, old in olds.items():
+                for index_key in _keys_for(old, index):
+                    removed.append((index_key, key))
+            try:
+                placed = structure.place(added)
+            except TypeError as exc:
+                raise _incomparable(exc) from exc
+            plans.append((structure, added, removed, placed))
+        if self._wal is not None and log is not None:
+            if isinstance(log, dict):
+                self._wal.append(log)
+            else:
+                self._wal.append_many(log)
+        self._records.write(changes, found)
+        self.mutation_count += len(changes)
+        # Inserts go first, into the key lists prepare placed them in.
+        for structure, added, removed, placed in plans:
+            if added:
+                structure.insert_many(added, placed)
+            if removed:
+                structure.remove_many(removed)
 
     # -- durability ---------------------------------------------------------------
 
@@ -1558,17 +1582,19 @@ class RecordStore:
             self.declare_indexes(manifest.indexes)
             self._snapshot_seal = manifest.wal_seal
         chain = WriteAheadLog.scan_chain(self._wal_path, min_seal=self._snapshot_seal)
-        # Buffer runs of consecutive puts so replay of a bulk ingest goes
-        # through the same sorted batched index maintenance that wrote it.
-        pending: list[dict[str, Any]] = []
+        # The surviving chain folds into one change per key, applied once
+        # through the write path, without logging.
+        changes: dict[Any, dict[str, Any] | None] = {}
         entries = 0
         for scan in chain.segments:
             entries += len(scan.entries)
             _RECOVERY_TORN_BYTES.inc(scan.torn_bytes)
             for entry in scan.entries:
-                self._replay_op(entry.payload, pending)
-        if pending:
-            self._apply_put_batch(pending)
+                payload = entry.payload
+                batch = payload.get("op") == "batch"
+                self._fold(payload["ops"] if batch else (payload,), changes)
+        if changes:
+            self._write(changes, self._probe(changes), None)
         _RECOVERY_SEGMENTS.inc(len(chain.segments))
         _RECOVERY_ENTRIES.inc(entries)
         _RECOVERY_STALE_SEGMENTS.inc(len(chain.stale))
@@ -1580,28 +1606,6 @@ class RecordStore:
             stale_segments=len(chain.stale),
             snapshot_seal=self._snapshot_seal,
         )
-
-    def _replay_op(
-        self, payload: dict[str, Any], pending: list[dict[str, Any]]
-    ) -> None:
-        op = payload.get("op")
-        if op == "put":
-            pending.append(dict(payload["record"]))
-            return
-        if pending:
-            self._apply_put_batch(pending)
-            pending.clear()
-        if op == "del":
-            if payload["key"] in self._records:
-                self._apply_delete(payload["key"])
-        elif op == "batch":
-            for sub in payload["ops"]:
-                self._replay_op(sub, pending)
-            if pending:
-                self._apply_put_batch(pending)
-                pending.clear()
-        else:
-            raise StorageError(f"unknown WAL op {op!r}")
 
     def close(self) -> None:
         """Release the WAL and pages file handles (safe to call twice).

@@ -233,29 +233,19 @@ class WriteAheadLog:
         return offset
 
     def append_many(
-        self,
-        payloads: Iterable[dict[str, Any]],
-        *,
-        sync: bool | None = None,
-        sync_every: int | None = None,
+        self, payloads: Iterable[dict[str, Any]], *, sync: bool | None = None
     ) -> int:
         """Group-commit several entries; returns how many were written.
 
         All frames share one buffered write path and — when syncing — one
         fsync for the whole batch, instead of one flush(+fsync) per entry.
-        ``sync_every`` bounds the commit interval for very large batches:
-        a syncing ``append_many`` then fsyncs after every ``sync_every``
-        entries (plus once for the tail), trading a little throughput for
-        a bounded window of buffered-but-unsynced data.
+        ``sync`` overrides the instance-wide fsync policy for this batch.
         """
-        if sync_every is not None and sync_every < 1:
-            raise ValueError(f"sync_every must be positive, got {sync_every}")
         fh = self._require_open()
         do_sync = self.sync if sync is None else sync
         start = time.perf_counter() if do_sync else 0.0
         total_bytes = 0
         written = 0
-        fsyncs = 0
         # Frames are coalesced into chunked writes: one write syscall (and
         # one retry-policy trip) per ~1 MiB instead of per entry.  Frame
         # boundaries are preserved — a torn tail still tears on a frame or
@@ -278,21 +268,15 @@ class WriteAheadLog:
             buffered.append(frame)
             buffered_bytes += len(frame)
             written += 1
-            if do_sync and sync_every is not None and written % sync_every == 0:
-                flush_buffered()
-                self._retry.call(lambda: self._fs.fsync(fh), describe="wal.batch.fsync")
-                fsyncs += 1
-            elif buffered_bytes >= _WRITE_CHUNK_BYTES:
+            if buffered_bytes >= _WRITE_CHUNK_BYTES:
                 flush_buffered()
         flush_buffered()
         if written == 0:
             return 0
         if do_sync:
-            if sync_every is None or written % sync_every:
-                self._retry.call(lambda: self._fs.fsync(fh), describe="wal.batch.fsync")
-                fsyncs += 1
+            self._retry.call(lambda: self._fs.fsync(fh), describe="wal.batch.fsync")
             _FLUSH_SECONDS.observe(time.perf_counter() - start)
-            _FSYNC_COUNT.inc(fsyncs)
+            _FSYNC_COUNT.inc()
         else:
             fh.flush()
         _BATCH_COUNT.inc()

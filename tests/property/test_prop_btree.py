@@ -8,6 +8,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.storage.hashindex import OrderedIndex
 from repro.storage.store import _TAIL
+from tests.index_helpers import built, insert, remove_key
 
 keys = st.integers(min_value=-50, max_value=50)
 values = st.integers(min_value=0, max_value=9)
@@ -18,7 +19,7 @@ bounds = st.none() | keys
 def test_items_always_sorted(pairs):
     index = OrderedIndex()
     for k, v in pairs:
-        index.insert(k, v)
+        insert(index, [(k, v)])
     assert list(index.items()) == sorted(pairs)
     index.validate()
 
@@ -28,7 +29,7 @@ def test_search_matches_model(pairs):
     index = OrderedIndex()
     model: dict[int, list[int]] = {}
     for k, v in pairs:
-        index.insert(k, v)
+        insert(index, [(k, v)])
         model.setdefault(k, []).append(v)
     for k, expected in model.items():
         assert index.search(k) == sorted(expected)
@@ -53,7 +54,7 @@ def _in_range(k, low, high, inc_low, inc_high):
 def test_range_matches_model(pairs, low, high, inc_low, inc_high):
     # Every bound combination: open or closed, inclusive or not, on a
     # key present or absent, inverted or not.
-    index = OrderedIndex.bulk_load(pairs)
+    index = built(OrderedIndex, pairs)
     got = list(index.range(low, high, include_low=inc_low, include_high=inc_high))
     want = sorted(p for p in pairs if _in_range(p[0], low, high, inc_low, inc_high))
     assert got == want
@@ -69,7 +70,7 @@ def test_tail_bounded_prefix_range_matches_model(pairs, prefix, low, high):
     # The bounds range_by_composite builds over (prefix, component) keys:
     # (prefix, low) or (prefix,) below, (prefix, high, _TAIL) or
     # (prefix, _TAIL) above, both inclusive.
-    index = OrderedIndex.bulk_load(pairs)
+    index = built(OrderedIndex, pairs)
     low_key = (prefix,) if low is None else (prefix, low)
     high_key = (prefix, _TAIL) if high is None else (prefix, high, _TAIL)
     got = list(index.range(low_key, high_key))
@@ -101,22 +102,22 @@ def test_values_ascend_under_every_key(ops):
     for op in ops:
         if op[0] == "insert":
             _, key, value = op
-            index.insert(key, value)
+            insert(index, [(key, value)])
             model.setdefault(key, []).append(value)
         elif op[0] == "remove":
             _, key, value = op
             removed = value in model.get(key, [])
-            assert index.remove(key, value) is removed
+            assert index.remove_many([(key, value)]) == removed
             if removed:
                 model[key].remove(value)
                 if not model[key]:
                     del model[key]
         else:
             if op[0] == "bulk_load":
-                index = OrderedIndex.bulk_load(op[1])
+                index = built(OrderedIndex, op[1])
                 model = {}
             else:
-                assert index.insert_many(op[1]) == len(op[1])
+                assert insert(index, op[1]) == len(op[1])
             for key, value in op[1]:
                 model.setdefault(key, []).append(value)
         index.validate()
@@ -137,13 +138,13 @@ class BTreeMachine(RuleBasedStateMachine):
 
     @rule(key=keys, value=values)
     def insert(self, key, value):
-        self.index.insert(key, value)
+        insert(self.index, [(key, value)])
         self.model.setdefault(key, []).append(value)
 
     @rule(key=keys, value=values)
     def remove_value(self, key, value):
         expected = value in self.model.get(key, [])
-        assert self.index.remove(key, value) is expected
+        assert self.index.remove_many([(key, value)]) == expected
         if expected:
             self.model[key].remove(value)
             if not self.model[key]:
@@ -152,7 +153,7 @@ class BTreeMachine(RuleBasedStateMachine):
     @rule(key=keys)
     def remove_key(self, key):
         expected = key in self.model
-        assert self.index.remove(key) is expected
+        assert bool(remove_key(self.index, key)) is expected
         self.model.pop(key, None)
 
     @invariant()

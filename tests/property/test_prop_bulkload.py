@@ -1,11 +1,12 @@
-"""Property tests: a built ordered index (:meth:`OrderedIndex.bulk_load`,
-:meth:`OrderedIndex.from_buckets`) is indistinguishable from one built by
-inserts, and batched inserts from one-by-one inserts."""
+"""Property tests: a built ordered index (:meth:`OrderedIndex.from_buckets`)
+is indistinguishable from one built by inserts, and batched inserts from
+one-by-one inserts."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.hashindex import OrderedIndex
+from tests.index_helpers import built, insert, remove_key
 
 bucket_maps = st.dictionaries(
     st.integers(min_value=-10_000, max_value=10_000),
@@ -17,7 +18,7 @@ bucket_maps = st.dictionaries(
 def _inserted(pairs) -> OrderedIndex:
     index = OrderedIndex()
     for key, value in pairs:
-        index.insert(key, value)
+        insert(index, [(key, value)])
     return index
 
 
@@ -51,11 +52,11 @@ def test_bulk_loaded_tree_survives_mutation(buckets, extra_keys):
     model = {k: list(v) for k, v in buckets.items()}
     index = OrderedIndex.from_buckets(buckets)
     for key in extra_keys:
-        index.insert(key, 42)
+        insert(index, [(key, 42)])
         model.setdefault(key, []).append(42)
     for key in extra_keys[: len(extra_keys) // 2]:
         if key in model:
-            index.remove(key)
+            remove_key(index, key)
             del model[key]
     index.validate()
     assert list(index.keys()) == sorted(model)
@@ -78,7 +79,7 @@ mutations = st.lists(
 @given(flat_pairs)
 @settings(max_examples=80, deadline=None)
 def test_bulk_load_flat_pairs_valid(pairs):
-    index = OrderedIndex.bulk_load(pairs)
+    index = built(OrderedIndex, pairs)
     index.validate()
     assert list(index.items()) == sorted(pairs)  # values ascending per key
     assert len(index) == len(pairs)
@@ -89,14 +90,14 @@ def test_bulk_load_flat_pairs_valid(pairs):
 def test_bulk_load_mutates_like_insert_built(pairs, ops):
     """A built index and an insert-built one receiving the same
     insert/remove sequence stay observationally identical."""
-    bulk = OrderedIndex.bulk_load(pairs)
+    bulk = built(OrderedIndex, pairs)
     manual = _inserted(pairs)
     for op, key in ops:
         if op == "insert":
-            bulk.insert(key, -1)
-            manual.insert(key, -1)
+            insert(bulk, [(key, -1)])
+            insert(manual, [(key, -1)])
         else:
-            assert bulk.remove(key) == manual.remove(key)
+            assert remove_key(bulk, key) == remove_key(manual, key)
         bulk.validate()
         _same(bulk, manual)
 
@@ -112,10 +113,10 @@ narrow_pairs = st.lists(
 def test_insert_many_equals_per_insert(existing, batch):
     # Over a narrow key range the batch mixes keys the index holds with
     # new ones, in any order.
-    batched = OrderedIndex.bulk_load(existing)
-    batched.insert_many(batch)
+    batched = built(OrderedIndex, existing)
+    insert(batched, batch)
     batched.validate()
-    manual = OrderedIndex.bulk_load(existing)
+    manual = built(OrderedIndex, existing)
     for key, value in batch:
-        manual.insert(key, value)
+        insert(manual, [(key, value)])
     _same(batched, manual)

@@ -47,6 +47,12 @@ def _rec(i: int, year: int | None = None) -> dict:
     return {"id": i, "name": f"rec-{i}", "year": 1990 + (i % 7 if year is None else year)}
 
 
+def _write(m: PagedRecordMap, changes: dict) -> None:
+    """Write ``changes`` (key -> record, or None to delete) as the store
+    does: probe each key once, then apply with the probes."""
+    m.write(changes, {key: m.probe(key) for key in changes})
+
+
 def _base_map(tmp_path, n: int = 10) -> PagedRecordMap:
     tree = PagedBTree.bulk_build(
         tmp_path / "base.pages",
@@ -86,56 +92,52 @@ class TestPagedRecordMap:
         m = _base_map(tmp_path)
         assert len(m) == 10
         assert m[3] == _rec(3)
-        assert m.get(99) is None
+        with pytest.raises(KeyError):
+            m[99]
         assert 3 in m and 99 not in m
+        assert m.probe(99) is None
+        assert m.record(m.probe(3)) == _rec(3)
         assert m.overlay_size == 0
         m.close()
 
     def test_overlay_insert_update_delete(self, tmp_path):
         m = _base_map(tmp_path)
-        m[20] = _rec(20)            # insert past the base
-        m[3] = _rec(3, year=5)      # shadow a base record
-        popped = m.pop(7)           # tombstone a base record
-        assert popped == _rec(7)
+        _write(m, {20: _rec(20)})            # insert past the base
+        _write(m, {3: _rec(3, year=5)})      # shadow a base record
+        _write(m, {7: None})                 # delete a base record
         assert len(m) == 10
         assert m.overlay_size == 3
         assert m[3]["year"] == 1995
-        assert 7 not in m
+        assert 7 not in m and m.probe(7) is None
         with pytest.raises(KeyError):
             m[7]
-        with pytest.raises(KeyError):
-            m.pop(7)
-        # reinsert after delete clears the tombstone
-        m[7] = _rec(7, year=6)
+        _write(m, {7: None, 99: None})       # deleting absent keys is a no-op
+        assert len(m) == 10
+        # reinsert after delete, and delete an overlay record that
+        # replaced a base one: the base record stays hidden
+        _write(m, {7: _rec(7, year=6), 3: None, 21: _rec(21)})
         assert m[7]["year"] == 1996
+        assert 3 not in m and len(m) == 11
+        assert list(m) == [0, 1, 2, 4, 5, 6, 7, 8, 9, 20, 21]
         m.close()
 
     def test_iteration_is_pk_ordered_merge(self, tmp_path):
         m = _base_map(tmp_path)
-        m[15] = _rec(15)
-        m[-1] = _rec(-1)
-        m.pop(4)
+        _write(m, {15: _rec(15), -1: _rec(-1), 4: None})
         keys = list(m)
         assert keys == [-1, 0, 1, 2, 3, 5, 6, 7, 8, 9, 15]
         assert [r["id"] for r in m.values()] == keys
-        assert list(m.keys()) == keys
+        assert [k for k, _ in m.items()] == keys
         m.close()
 
     def test_sorted_encoded_items_reuses_base_bytes(self, tmp_path):
         m = _base_map(tmp_path, n=5)
-        m[2] = _rec(2, year=9)
-        m.pop(4)
+        _write(m, {2: _rec(2, year=9), 4: None})
         pairs = list(m.sorted_encoded_items())
         assert [k for k, _ in pairs] == [0, 1, 2, 3]
         assert decode_record(dict(pairs)[2])["year"] == 1999
         # unmodified records pass through as the tree's stored bytes
         assert dict(pairs)[1] == m.tree.get(1)
-        m.close()
-
-    def test_update_mapping(self, tmp_path):
-        m = _base_map(tmp_path, n=3)
-        m.update({5: _rec(5), 6: _rec(6)})
-        assert len(m) == 5
         m.close()
 
 

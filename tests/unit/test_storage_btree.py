@@ -7,6 +7,7 @@ import pytest
 
 from repro.storage.hashindex import OrderedIndex
 from repro.storage.store import _TAIL
+from tests.index_helpers import built, insert, remove_key
 
 
 class TestBasics:
@@ -20,14 +21,14 @@ class TestBasics:
 
     def test_insert_search(self):
         index = OrderedIndex()
-        index.insert(5, "a")
+        insert(index, [(5, "a")])
         assert index.search(5) == ["a"]
         assert 5 in index
 
     def test_duplicate_key_values(self):
         index = OrderedIndex()
-        index.insert(1, "b")
-        index.insert(1, "a")
+        insert(index, [(1, "b")])
+        insert(index, [(1, "a")])
         assert index.search(1) == ["a", "b"]  # ascending, not arrival order
         assert len(index) == 2
         assert index.distinct_keys == 1
@@ -37,19 +38,19 @@ class TestBasics:
         keys = list(range(100))
         random.Random(1).shuffle(keys)
         for k in keys:
-            index.insert(k, f"v{k}")
+            insert(index, [(k, f"v{k}")])
         assert [k for k, _ in index.items()] == list(range(100))
         index.validate()
 
     def test_keys_distinct_sorted(self):
         index = OrderedIndex()
         for k in [3, 1, 3, 2, 1]:
-            index.insert(k, k)
+            insert(index, [(k, k)])
         assert list(index.keys()) == [1, 2, 3]
 
     def test_search_returns_copy(self):
         index = OrderedIndex()
-        index.insert(1, "a")
+        insert(index, [(1, "a")])
         index.search(1).append("mutated")
         assert index.search(1) == ["a"]
 
@@ -59,7 +60,7 @@ class TestRange:
     def index(self) -> OrderedIndex:
         t = OrderedIndex()
         for k in range(0, 100, 2):  # evens 0..98
-            t.insert(k, f"v{k}")
+            insert(t, [(k, f"v{k}")])
         return t
 
     def test_inclusive_range(self, index):
@@ -92,17 +93,18 @@ class TestRange:
 
     def test_duplicates_in_range(self):
         index = OrderedIndex()
-        index.insert(5, "b")
-        index.insert(5, "a")
-        index.insert(6, "c")
+        insert(index, [(5, "b")])
+        insert(index, [(5, "a")])
+        insert(index, [(6, "c")])
         assert list(index.range(5, 6)) == [(5, "a"), (5, "b"), (6, "c")]
 
     def test_tail_bounds_tuple_keys(self):
         # The bounds range_by_composite builds: a prefix tuple below, and
         # a prefix plus _TAIL above, which sorts after every real key
         # sharing the prefix.
-        index = OrderedIndex.bulk_load(
-            [((v, p), v * 1000 + p) for v in (94, 95, 96) for p in (1, 600, 601, 900)]
+        index = built(
+            OrderedIndex,
+            [((v, p), v * 1000 + p) for v in (94, 95, 96) for p in (1, 600, 601, 900)],
         )
         keys = lambda low, high: [k for k, _ in index.range(low, high)]  # noqa: E731
         assert keys((95,), (95, _TAIL)) == [(95, 1), (95, 600), (95, 601), (95, 900)]
@@ -115,28 +117,28 @@ class TestRange:
 class TestRemove:
     def test_remove_missing(self):
         index = OrderedIndex()
-        assert index.remove(1) is False
+        assert index.remove_many([(1, "a")]) == 0
 
     def test_remove_one_value(self):
         index = OrderedIndex()
-        index.insert(1, "a")
-        index.insert(1, "b")
-        assert index.remove(1, "a") is True
+        insert(index, [(1, "a")])
+        insert(index, [(1, "b")])
+        assert index.remove_many([(1, "a")]) == 1
         assert index.search(1) == ["b"]
         assert len(index) == 1
         index.validate()
 
     def test_remove_missing_value(self):
         index = OrderedIndex()
-        index.insert(1, "a")
-        assert index.remove(1, "zzz") is False
+        insert(index, [(1, "a")])
+        assert index.remove_many([(1, "zzz")]) == 0
         assert len(index) == 1
 
     def test_remove_last_value_removes_key(self):
         index = OrderedIndex()
-        index.insert(1, "a")
-        index.insert(2, "b")
-        assert index.remove(1, "a") is True
+        insert(index, [(1, "a")])
+        insert(index, [(2, "b")])
+        assert index.remove_many([(1, "a")]) == 1
         assert 1 not in index
         assert index.distinct_keys == 1
         assert list(index.keys()) == [2]
@@ -144,27 +146,27 @@ class TestRemove:
 
     def test_remove_whole_key(self):
         index = OrderedIndex()
-        index.insert(1, "a")
-        index.insert(1, "b")
-        assert index.remove(1) is True
+        insert(index, [(1, "a")])
+        insert(index, [(1, "b")])
+        assert remove_key(index, 1) == 2
         assert len(index) == 0
         assert list(index.keys()) == []
 
     def test_remove_all_descending(self):
         index = OrderedIndex()
         for k in range(64):
-            index.insert(k, k)
+            insert(index, [(k, k)])
         for k in reversed(range(64)):
-            assert index.remove(k) is True
+            assert index.remove_many([(k, k)]) == 1
             index.validate()
         assert len(index) == 0
 
     def test_remove_all_ascending(self):
         index = OrderedIndex()
         for k in range(64):
-            index.insert(k, k)
+            insert(index, [(k, k)])
         for k in range(64):
-            assert index.remove(k)
+            assert index.remove_many([(k, k)])
         index.validate()
         assert list(index.items()) == []
 
@@ -177,11 +179,11 @@ class TestRemove:
             key = rng.randrange(80)
             if rng.random() < 0.6:
                 value = rng.randrange(1000)
-                index.insert(key, value)
+                insert(index, [(key, value)])
                 reference.setdefault(key, []).append(value)
             elif reference:
                 key = rng.choice(list(reference))
-                index.remove(key)
+                remove_key(index, key)
                 del reference[key]
         index.validate()
         assert list(index.keys()) == sorted(reference)
@@ -193,24 +195,24 @@ class TestNonIntegerKeys:
     def test_string_keys(self):
         index = OrderedIndex()
         for name in ["mcateer", "maxwell", "meadows", "abdalla"]:
-            index.insert(name, name)
+            insert(index, [(name, name)])
         assert list(index.keys()) == ["abdalla", "maxwell", "mcateer", "meadows"]
         assert [k for k, _ in index.range("mb", "md")] == ["mcateer"]
 
     def test_tuple_keys(self):
         index = OrderedIndex()
-        index.insert((95, 691), "a")
-        index.insert((95, 1), "b")
-        index.insert((69, 293), "c")
+        insert(index, [((95, 691), "a")])
+        insert(index, [((95, 1), "b")])
+        insert(index, [((69, 293), "c")])
         assert [k for k, _ in index.items()] == [(69, 293), (95, 1), (95, 691)]
 
     def test_incomparable_keys_change_nothing(self):
-        index = OrderedIndex.bulk_load([(1, "a"), (2, "b")])
+        index = built(OrderedIndex, [(1, "a"), (2, "b")])
         with pytest.raises(TypeError):
-            index.insert("x", "c")
+            index.place([("x", "c")])
         with pytest.raises(TypeError):
-            index.insert_many([(3, "c"), ("x", "d")])
+            insert(index, [(3, "c"), ("x", "d")])
         index.validate()
         assert list(index.items()) == [(1, "a"), (2, "b")]
         with pytest.raises(TypeError):
-            OrderedIndex.bulk_load([(1, "a"), ("x", "b")])
+            built(OrderedIndex, [(1, "a"), ("x", "b")])

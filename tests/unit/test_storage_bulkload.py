@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.storage.hashindex import OrderedIndex
+from tests.index_helpers import built, insert
 
 
 class TestFromSorted:
@@ -36,20 +37,20 @@ class TestFromSorted:
         manual = OrderedIndex()
         for key, values in buckets.items():
             for value in values:
-                manual.insert(key, value)
+                insert(manual, [(key, value)])
         bulk = OrderedIndex.from_buckets(buckets)
         assert list(bulk.items()) == list(manual.items())
 
     def test_mutable_after_bulk_load(self):
         index = OrderedIndex.from_buckets({k: [k] for k in range(50)})
-        index.insert(25, 999)
+        insert(index, [(25, 999)])
         assert index.search(25) == [25, 999]
-        assert index.remove(10)
+        assert index.remove_many([(10, 10)]) == 1
         index.validate()
 
     def test_values_copied_not_aliased(self):
         pairs = [(1, "a")]
-        index = OrderedIndex.bulk_load(pairs)
+        index = built(OrderedIndex, pairs)
         pairs.append((1, "mutated"))
         assert index.search(1) == ["a"]
 

@@ -1,6 +1,7 @@
 """Unit tests for repro.storage.hashindex."""
 
 from repro.storage.hashindex import HashIndex
+from tests.index_helpers import built, insert, remove_key
 
 
 class TestHashIndex:
@@ -12,52 +13,52 @@ class TestHashIndex:
 
     def test_insert_search(self):
         idx = HashIndex()
-        idx.insert("smith", 1)
-        idx.insert("smith", 2)
+        insert(idx, [("smith", 1)])
+        insert(idx, [("smith", 2)])
         assert idx.search("smith") == [1, 2]
         assert len(idx) == 2
         assert idx.distinct_keys == 1
 
     def test_search_returns_copy(self):
         idx = HashIndex()
-        idx.insert("a", 1)
+        insert(idx, [("a", 1)])
         result = idx.search("a")
         result.append(99)
         assert idx.search("a") == [1]
 
     def test_remove_value(self):
         idx = HashIndex()
-        idx.insert("a", 1)
-        idx.insert("a", 2)
-        assert idx.remove("a", 1) is True
+        insert(idx, [("a", 1)])
+        insert(idx, [("a", 2)])
+        assert idx.remove_many([("a", 1)]) == 1
         assert idx.search("a") == [2]
         assert len(idx) == 1
 
     def test_remove_last_value_drops_key(self):
         idx = HashIndex()
-        idx.insert("a", 1)
-        idx.remove("a", 1)
+        insert(idx, [("a", 1)])
+        idx.remove_many([("a", 1)])
         assert "a" not in idx
         assert idx.distinct_keys == 0
 
     def test_remove_whole_key(self):
         idx = HashIndex()
-        idx.insert("a", 1)
-        idx.insert("a", 2)
-        assert idx.remove("a") is True
+        insert(idx, [("a", 1)])
+        insert(idx, [("a", 2)])
+        assert remove_key(idx, "a") == 2
         assert len(idx) == 0
 
     def test_remove_missing(self):
         idx = HashIndex()
-        assert idx.remove("a") is False
-        idx.insert("a", 1)
-        assert idx.remove("a", 42) is False
+        assert remove_key(idx, "a") == 0
+        insert(idx, [("a", 1)])
+        assert idx.remove_many([("a", 42)]) == 0
 
     def test_items_and_keys(self):
         idx = HashIndex()
-        idx.insert("a", 1)
-        idx.insert("b", 2)
-        idx.insert("a", 3)
+        insert(idx, [("a", 1)])
+        insert(idx, [("b", 2)])
+        insert(idx, [("a", 3)])
         assert sorted(idx.items()) == [("a", 1), ("a", 3), ("b", 2)]
         assert sorted(idx.keys()) == ["a", "b"]
 
@@ -71,12 +72,12 @@ class TestMutationCounters:
 
         metrics.reset()
         idx = HashIndex()
-        idx.insert("a", 1)
-        idx.insert("a", 2)
-        idx.insert("b", 3)
-        idx.remove("a", 1)       # one entry
-        idx.remove("b")          # whole key: one entry
-        idx.remove("missing")    # miss: uncounted
+        insert(idx, [("a", 1)])
+        insert(idx, [("a", 2)])
+        insert(idx, [("b", 3)])
+        idx.remove_many([("a", 1)])        # one entry
+        remove_key(idx, "b")               # whole key: one entry
+        idx.remove_many([("missing", 1)])  # miss: uncounted
         counters = metrics.snapshot()["counters"]
         assert counters["storage.hash.insert.count"] == 3
         assert counters["storage.hash.remove.count"] == 2
@@ -87,18 +88,18 @@ class TestMutationCounters:
         metrics.reset()
         idx = HashIndex()
         for value in range(5):
-            idx.insert("a", value)
-        idx.remove("a")
+            insert(idx, [("a", value)])
+        remove_key(idx, "a")
         assert metrics.snapshot()["counters"]["storage.hash.remove.count"] == 5
 
 
 class TestBulkLoad:
     def test_bulk_load_matches_inserts(self):
         pairs = [(f"k{i % 4}", i) for i in range(20)]
-        bulk = HashIndex.bulk_load(pairs)
+        bulk = built(HashIndex, pairs)
         serial = HashIndex()
         for key, value in pairs:
-            serial.insert(key, value)
+            insert(serial, [(key, value)])
         assert sorted(bulk.items()) == sorted(serial.items())
         assert len(bulk) == len(serial)
         assert bulk.distinct_keys == serial.distinct_keys
@@ -107,13 +108,13 @@ class TestBulkLoad:
         from repro.obs import metrics
 
         metrics.reset()
-        HashIndex.bulk_load([("a", 1), ("b", 2), ("a", 3)])
+        built(HashIndex, [("a", 1), ("b", 2), ("a", 3)])
         counters = metrics.snapshot()["counters"]
         assert counters["storage.hash.bulk_loads"] == 1
         assert counters["storage.hash.insert.count"] == 3
 
     def test_insert_many_returns_count(self):
         idx = HashIndex()
-        assert idx.insert_many([("a", 1), ("b", 2)]) == 2
-        assert idx.insert_many([]) == 0
+        assert insert(idx, [("a", 1), ("b", 2)]) == 2
+        assert insert(idx, []) == 0
         assert len(idx) == 2

@@ -110,29 +110,21 @@ class TestPutMany:
 
 class TestPutManyDurability:
     def test_survives_reopen(self, simple_schema, tmp_path):
-        with RecordStore(simple_schema, tmp_path / "db") as store:
+        with RecordStore(simple_schema, tmp_path / "db", sync=True) as store:
             store.create_index("year")
-            store.put_many(_records(200), sync=True)
+            store.put_many(_records(200))
         with RecordStore(simple_schema, tmp_path / "db") as store:
             assert len(store) == 200
             assert store.get(150)["year"] == 1980 + 150 % 20
 
     def test_one_fsync_per_batch(self, simple_schema, tmp_path):
-        with RecordStore(simple_schema, tmp_path / "db") as store:
+        with RecordStore(simple_schema, tmp_path / "db", sync=True) as store:
             metrics.reset()
-            store.put_many(_records(500), sync=True)
+            store.put_many(_records(500))
             counters = metrics.snapshot()["counters"]
             assert counters["storage.wal.fsync.count"] == 1
             assert counters["storage.wal.batch.count"] == 1
             assert counters["storage.wal.batch.entries"] == 500
-
-    def test_sync_every_bounds_the_commit_interval(self, simple_schema, tmp_path):
-        with RecordStore(simple_schema, tmp_path / "db") as store:
-            metrics.reset()
-            store.put_many(_records(250), sync=True, sync_every=100)
-            counters = metrics.snapshot()["counters"]
-            # 100 + 100 + 50: two full intervals plus the tail.
-            assert counters["storage.wal.fsync.count"] == 3
 
     def test_recovery_matches_per_record_writes(self, simple_schema, tmp_path):
         with RecordStore(simple_schema, tmp_path / "batched") as store:
