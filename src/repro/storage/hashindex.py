@@ -110,6 +110,14 @@ class HashIndex:
             _INSERTS.inc(len(pairs))
         return len(pairs)
 
+    def search(self, key: Any) -> list[Any]:
+        """All values under ``key`` (empty list when absent)."""
+        _PROBES.inc()
+        return list(self._buckets.get(key, ()))
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self._buckets
+
     def remove_many(self, pairs: list[tuple[Any, Any]]) -> int:
         """Remove one entry per ``(key, value)`` pair; returns how many
         the index held."""
@@ -136,14 +144,6 @@ class HashIndex:
 
     def _drop_key(self, key: Any) -> None:
         """Hook: ``key`` has left the buckets."""
-
-    def search(self, key: Any) -> list[Any]:
-        """All values under ``key`` (empty list when absent)."""
-        _PROBES.inc()
-        return list(self._buckets.get(key, ()))
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._buckets
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         """All (key, value) pairs in arbitrary key order."""
@@ -232,17 +232,17 @@ class OrderedIndex(HashIndex):
         self._len += len(pairs)
         return len(pairs)
 
+    def search(self, key: Any) -> list[Any]:
+        """All values under ``key``, ascending (empty list when absent)."""
+        _SEARCHES.inc()
+        return list(self._buckets.get(key, ()))
+
     def remove_many(self, pairs: list[tuple[Any, Any]]) -> int:
         """Remove one entry per ``(key, value)`` pair; returns how many
         the index held."""
         if pairs:
             _SEARCHES.inc(len(pairs))
         return sum(self._discard(key, value) for key, value in pairs)
-
-    def search(self, key: Any) -> list[Any]:
-        """All values under ``key``, ascending (empty list when absent)."""
-        _SEARCHES.inc()
-        return list(self._buckets.get(key, ()))
 
     def _drop_key(self, key: Any) -> None:
         del self._keys[bisect_left(self._keys, key)]

@@ -290,7 +290,7 @@ def _composite_keys(record: Mapping[str, Any], fields: tuple[str, ...]) -> list[
 
 
 def _keys_for(record: Mapping[str, Any], index: _SecondaryIndex) -> list[Any]:
-    if index.fields:  # a composite; a single-field index has none
+    if index.is_composite:
         return _composite_keys(record, index.fields)
     return _index_keys(record, index.field)
 
