@@ -188,13 +188,10 @@ class PagedRecordMap:
             old = found[key]
             if old is not None and not isinstance(old, dict):
                 hidden.add(key)  # a base record is replaced or deleted
+            self._len += (record is not None) - (old is not None)
             if record is None:
-                if old is not None:
-                    self._len -= 1
-                    overlay.pop(key, None)
+                overlay.pop(key, None)
             else:
-                if old is None:
-                    self._len += 1
                 overlay[key] = record
 
     # -- checkpoint streaming ------------------------------------------------

@@ -812,7 +812,11 @@ class RecordStore:
             if not _prevalidated:
                 self.schema.validate_many(materialized)
             pk = self.schema.primary_key
-            changes = {record[pk]: record for record in materialized}
+            changes: dict[Any, dict[str, Any]] = {}
+            for record in materialized:
+                key = record[pk]
+                changes.pop(key, None)  # see _fold
+                changes[key] = record
             if on_conflict == "error" and _prevalidated:
                 found = dict.fromkeys(changes)  # shown new by the caller
             else:
@@ -1244,17 +1248,20 @@ class RecordStore:
 
     def _fold(self, operations: Iterable[Mapping[str, Any]], changes: dict) -> None:
         """Fold ``put``/``del`` operations into ``changes``, the last
-        change per key: key → a copy of its new record, or ``None``."""
+        change per key (a copy of its record, or ``None``), placed where
+        applying them one by one would place it: replay keeps the order."""
         primary_key_of = self.schema.primary_key_of
         for op in operations:
             kind = op.get("op")
             if kind == "put":
                 record = dict(op["record"])
-                changes[primary_key_of(record)] = record
+                key = primary_key_of(record)
             elif kind == "del":
-                changes[op["key"]] = None
+                key, record = op["key"], None
             else:
                 raise StorageError(f"unknown batch op {kind!r}")
+            changes.pop(key, None)
+            changes[key] = record
 
     def _probe(self, keys: Iterable[Any]) -> dict[Any, Any]:
         """What the records hold under each key (``None`` when absent):

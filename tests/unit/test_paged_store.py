@@ -140,6 +140,12 @@ class TestPagedRecordMap:
         assert dict(pairs)[1] == m.tree.get(1)
         m.close()
 
+    def test_update_mapping(self, tmp_path):
+        m = _base_map(tmp_path, n=3)
+        _write(m, {5: _rec(5), 6: _rec(6)})
+        assert len(m) == 5
+        m.close()
+
 
 class TestPagedRecordStore:
     def test_checkpoint_reopen_identity(self, tmp_path):

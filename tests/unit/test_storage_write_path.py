@@ -240,6 +240,38 @@ class TestOrderedKeyCheck:
             assert [r["id"] for r in store.range_by("year")] == [0, 1, 2, 3, 4]
 
 
+def test_replay_keeps_the_insertion_order(tmp_path):
+    # Before its first checkpoint a store keeps records in insertion
+    # order, and a batch orders its keys as applying its operations one
+    # by one would; the reopen folds the log into the same order.
+    model: dict = {}
+
+    def apply(ops):
+        for op in ops:
+            key = op["record"]["id"] if op["op"] == "put" else op["key"]
+            model.pop(key, None)
+            if op["op"] == "put":
+                model[key] = op["record"]
+
+    def put(i):
+        return {"op": "put", "record": {"id": i, "year": 1990 + i}}
+
+    with RecordStore(YEAR_SCHEMA, tmp_path) as store:
+        for i in (1, 2, 3, 1):
+            store.upsert(put(i)["record"])
+        store.delete(2)
+        batch = [put(4), put(5), put(4), {"op": "del", "key": 3}, put(2)]
+        store.apply_batch(batch)
+        replacing = [put(6), put(5), put(6)]
+        store.put_many([op["record"] for op in replacing], on_conflict="replace")
+        apply([put(1), put(2), put(3), put(1), {"op": "del", "key": 2}, *batch])
+        apply(replacing)
+        assert list(store.keys()) == list(model) == [1, 4, 2, 5, 6]
+    with RecordStore(YEAR_SCHEMA, tmp_path) as store:
+        assert list(store.keys()) == list(model)
+        assert list(store.scan()) == list(model.values())
+
+
 #: The families whose totals the write path must keep: every counter
 #: here, for the op sequence below, as the per-record and batched write
 #: paths that preceded the one write path counted them.
